@@ -6,9 +6,8 @@ combinatorial footprint of its q^2 affine points.
 from .galois import (DivisionByZero, Field, FieldElement, FieldMismatch,
                      QuadExtension, field_arith, quadratic_character,
                      verify_field_axioms)
-from .projgeom import (AmbientMismatch, IncidenceIndex, ProjectiveSpace,
-                       Subspace, affine_filter, enumerate_subspaces,
-                       gaussian_binomial, meet, span)
+from .projgeom import (AmbientMismatch, ProjectiveSpace, Subspace,
+                       affine_filter, gaussian_binomial, meet, span)
 from .conics import (CompletionNotUnique, DegenerateInput, NotAnArc,
                      PointNotOnConic, QuadraticForm, classify_vs_conic,
                      complete_q_arc, complete_q_arc_by_secants,
@@ -18,12 +17,11 @@ from .bruckbose import (BruckBoseFrame, ClosureOverflow, LemmaViolation,
                         build_C, build_frame, canonical_tangent_conic,
                         random_tangent_conic, verify_lemma1, write_c_dump)
 from .reconstruct import (Axiom1Violation, Axiom2Violation, Axiom3Violation,
-                          CConfiguration, CheckViolation, ClosureViolation,
-                          KleinImage, NotCollinear, NotSkew, PipelineState,
-                          Regulus, SigmaClassification, Spread,
-                          SpreadViolation, StructureViolation,
-                          TangentDegenerate, UniquenessViolation,
-                          align_spreads, classical_spread, discover_cplanes,
+                          CheckViolation, ClosureViolation, KleinImage,
+                          NotCollinear, NotSkew, PipelineState, Regulus,
+                          SigmaClassification, Spread, SpreadViolation,
+                          StructureViolation, TangentDegenerate,
+                          UniquenessViolation, align_spreads, classical_spread,
                           displace_point, full_pipeline, make_frame,
                           perturb_spread_by_regulus, plucker, regulus_from,
                           run_stages, tangent_trace)

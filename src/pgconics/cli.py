@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 from .bruckbose import (build_C, random_tangent_conic, verify_lemma1,
                         write_c_dump, LemmaViolation)
-from .galois import is_prime
+from .galois import check_modulus, is_prime
 from .report import FAIL, PASS, Report, StageRecord, file_digest
-from .reconstruct import (PipelineState, classical_spread, displace_point,
-                          make_frame, perturb_spread_by_regulus, run_stages,
-                          _factor_prime_power)
+from .reconstruct import (PIPELINE, PipelineState, classical_spread,
+                          displace_point, make_frame, perturb_spread_by_regulus,
+                          run_stages, _factor_prime_power)
 
 
 class ConfigError(ValueError):
@@ -90,6 +90,32 @@ def _resolve(path):
     return path
 
 
+def _parse_modulus(text, p, k, source):
+    """The modulus c0,c1,... reduced mod p; ConfigError unless it defines GF(p^k)."""
+    try:
+        return check_modulus(p, k, [int(x) for x in text.split(",")])
+    except ValueError as exc:
+        raise ConfigError(f"bad modulus {text!r} from {source}: {exc}") from None
+
+
+def _check_stages(stages):
+    """ConfigError for an unknown stage, or for a stage whose inputs no
+    selected earlier stage produces (it would be skipped, not checked)."""
+    names = [name for name, _, _, _ in PIPELINE]
+    unknown = [s for s in stages if s not in names]
+    if unknown:
+        raise ConfigError(f"unknown stage(s) {', '.join(map(repr, unknown))}; "
+                          f"stages are {', '.join(names)}")
+    made = {"C"}
+    for name, _, requires, provides in PIPELINE:
+        if name in stages:
+            missing = [attr for attr in requires if attr not in made]
+            if missing:
+                raise ConfigError(f"stage {name} needs {', '.join(missing)}, "
+                                  "which no selected earlier stage produces")
+            made.update(provides)
+
+
 def build_config(args):
     if args.p is not None:
         p, k = args.p, args.k or 1
@@ -110,16 +136,13 @@ def build_config(args):
         raise ConfigError("q must be odd")
     if q < 7 and not args.exploratory:
         raise ConfigError("q must be at least 7 (pass --exploratory for smaller q)")
-    modulus = None
-    if args.modulus:
-        try:
-            modulus = tuple(int(x) for x in args.modulus.split(","))
-        except ValueError:
-            raise ConfigError(f"bad modulus {args.modulus!r}") from None
+    modulus = _parse_modulus(args.modulus, p, k, "--modulus") if args.modulus else None
     threads = args.threads if args.threads else (os.cpu_count() or 1)
     if threads < 1:
         raise ConfigError("--threads must be positive")
     stages = tuple(args.stages.split(",")) if getattr(args, "stages", None) else None
+    if stages:
+        _check_stages(stages)
     mode = args.mode
     control = getattr(args, "control", None)
     if mode == "negative-control" and control not in CONTROLS:
@@ -199,7 +222,17 @@ def run(config):
     """Execute the configured mode; returns (exit_code, Report)."""
     records = []
     digests = {"input": None, "output": None}
-    frame = make_frame(config.q, config.modulus)
+    modulus = config.modulus
+    if config.mode == "reconstruct":
+        # the dump names the field it was written in; read it in that field
+        header, points = parse_c_dump(config.in_path, expect_q=config.q)
+        digests["input"] = file_digest(config.in_path)
+        if header.get("poly"):
+            modulus = _parse_modulus(header["poly"], config.p, config.k, "the dump header")
+            if config.modulus and config.modulus != modulus:
+                raise ConfigError(f"dump header poly={header['poly']} conflicts with "
+                                  f"--modulus {','.join(map(str, config.modulus))}")
+    frame = make_frame(config.q, modulus)
 
     def forward():
         t0 = time.perf_counter()
@@ -229,14 +262,11 @@ def run(config):
         conic, C = forward()
         state = PipelineState(frame, C, conic=conic,
                               exploratory=config.exploratory,
-                              expect_classical=True, threads=config.threads)
+                              expect_classical=True)
         records.extend(run_stages(state, include=set(config.stages) if config.stages else None))
 
     elif config.mode == "reconstruct":
-        header, points = parse_c_dump(config.in_path, expect_q=config.q)
-        digests["input"] = file_digest(config.in_path)
-        state = PipelineState(frame, points, exploratory=config.exploratory,
-                              threads=config.threads)
+        state = PipelineState(frame, points, exploratory=config.exploratory)
         records.extend(run_stages(state, include=set(config.stages) if config.stages else None))
 
     elif config.mode == "negative-control":
@@ -245,11 +275,10 @@ def run(config):
             bad = displace_point(frame, C, seed=config.seed)
             records.append(StageRecord(name="corrupt_points", verdict=PASS,
                                        counts={"displaced": 1}))
-            state = PipelineState(frame, bad, exploratory=config.exploratory,
-                                  threads=config.threads)
+            state = PipelineState(frame, bad, exploratory=config.exploratory)
             records.extend(run_stages(state))
         elif config.control == "perturbed-spread":
-            state = PipelineState(frame, C, threads=config.threads)
+            state = PipelineState(frame, C)
             spread, reg = perturb_spread_by_regulus(frame.sigma, classical_spread(frame))
             state.spread = spread
             records.append(StageRecord(name="perturb_spread", verdict=PASS,
@@ -260,7 +289,7 @@ def run(config):
             bad = displace_point(frame, C, seed=config.seed)
             records.append(StageRecord(name="corrupt_points", verdict=PASS,
                                        counts={"displaced": 1}))
-            state = PipelineState(frame, bad, threads=config.threads)
+            state = PipelineState(frame, bad)
             state.spread = classical_spread(frame)
             state.assume_regular = True
             records.extend(run_stages(state, include={"rebuild_arc"}))
@@ -297,7 +326,9 @@ def make_parser():
         sp.add_argument("--out", help="write the report here instead of stdout")
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--threads", type=int, default=0,
-                        help="worker threads (default: available parallelism)")
+                        help="accepted and echoed in the report for compatibility; "
+                             "it has no effect on the work (default: available "
+                             "parallelism)")
         sp.add_argument("--exploratory", action="store_true",
                         help="admit q < 7 or even q; violations become warnings")
         sp.add_argument("--stages", help="comma-separated subset of pipeline stages")

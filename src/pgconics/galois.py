@@ -108,6 +108,16 @@ def default_modulus(p, k):
     raise ValueError(f"no irreducible polynomial of degree {k} over GF({p})")
 
 
+def check_modulus(p, k, modulus):
+    """The modulus reduced mod p; ValueError unless it is monic irreducible of degree k."""
+    modulus = tuple(int(c) % p for c in modulus)
+    if len(modulus) != k + 1 or modulus[-1] != 1:
+        raise ValueError(f"modulus must be monic of degree {k}")
+    if not is_irreducible(list(modulus), p):
+        raise ValueError(f"modulus {modulus} is reducible over GF({p})")
+    return modulus
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -119,13 +129,7 @@ class Field:
             raise ValueError(f"characteristic {p} is not prime")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
-        if modulus is None:
-            modulus = default_modulus(p, k)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ValueError(f"modulus must be monic of degree {k}")
-        if not is_irreducible(list(modulus), p):
-            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
+        modulus = default_modulus(p, k) if modulus is None else check_modulus(p, k, modulus)
         self.p = p
         self.k = k
         self.q = p ** k

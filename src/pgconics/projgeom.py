@@ -114,6 +114,7 @@ class ProjectiveSpace:
         self.field = field
         self._points = None
         self._index = None
+        self._lines = None
 
     @property
     def npoints(self):
@@ -149,6 +150,57 @@ class ProjectiveSpace:
 
     def point_id(self, pt):
         return self.point_index()[pt]
+
+    def point_ids(self, arr):
+        """Ids of the normalized points in the rows of arr, as an int64 array.
+
+        Vectorized point_id: the points with leading coordinate l come after
+        the q^n + ... + q^(n-l+1) points that lead earlier, in base-q order.
+        """
+        arr = np.asarray(arr)
+        place = self.field.q ** np.arange(self.n, -1, -1)
+        lead = (arr != 0).argmax(axis=1)
+        start = np.concatenate(([0], np.cumsum(place[:-1])))
+        ids = start[lead] - place[lead]
+        for j in range(self.n + 1):  # column by column: no int64 copy of arr
+            ids += arr[:, j] * place[j]
+        return ids
+
+    def line_point_ids(self, rows):
+        """Point ids of lines given by RREF bases, shape (k, 2, n+1) -> (k, q+1).
+
+        Each row lists its line's points in Subspace.points() order.
+        """
+        f = self.field
+        rows = np.asarray(rows, dtype=np.int16)
+        ids = np.empty((len(rows), f.q + 1), dtype=np.int32)
+        for c in range(f.q):  # the points r0 + c r1, then r1
+            ids[:, c] = self.point_ids(f.add_np[rows[:, 0], f.mul_np[c, rows[:, 1]]])
+        ids[:, f.q] = self.point_ids(rows[:, 1])
+        return ids
+
+    def line_table(self):
+        """Every line, in subspaces(1) order, as (rows, point ids).
+
+        rows has shape (n_lines, 2, n+1), the RREF bases; point ids has
+        shape (n_lines, q+1), as line_point_ids.  Built once, vectorized.
+        """
+        if self._lines is None:
+            q, w = self.field.q, self.n + 1
+            blocks = []
+            for pivots in itertools.combinations(range(w), 2):
+                slots = [(i, c) for i, p in enumerate(pivots)
+                         for c in range(p + 1, w) if c not in pivots]
+                # free entries in itertools.product order: first slot slowest
+                values = np.indices((q,) * len(slots)).reshape(len(slots), q ** len(slots)).T
+                rows = np.zeros((len(values), 2, w), dtype=np.int16)
+                rows[:, 0, pivots[0]] = rows[:, 1, pivots[1]] = 1
+                for s, (i, c) in enumerate(slots):
+                    rows[:, i, c] = values[:, s]
+                blocks.append(rows)
+            rows = np.concatenate(blocks)
+            self._lines = rows, self.line_point_ids(rows)
+        return self._lines
 
     def subspaces(self, d):
         """All d-dimensional projective subspaces, each exactly once.
@@ -308,11 +360,6 @@ def meet(a, b):
     return a.meet(b)
 
 
-def enumerate_subspaces(space, d):
-    """Stream every d-dimensional subspace of the space, each exactly once."""
-    return space.subspaces(d)
-
-
 def affine_filter(s, hyperplane):
     """Classify s as "contained" in the hyperplane or "meets_in_lower"."""
     if s.space != hyperplane.space:
@@ -320,33 +367,6 @@ def affine_filter(s, hyperplane):
     if hyperplane.dim != s.space.n - 1:
         raise ValueError("second argument must be a hyperplane")
     return "contained" if s.is_subspace_of(hyperplane) else "meets_in_lower"
-
-
-class IncidenceIndex:
-    """Materialized incidence tables between points and d-subspaces.
-
-    Bitmask per subspace of incident point ids, and the per-point list of
-    subspace ids.  Built single-threaded, then shared read-only.
-    """
-
-    def __init__(self, space, d=1):
-        self.space = space
-        self.d = d
-        self.subspaces = list(space.subspaces(d))
-        self.sub_id = {s.rows: i for i, s in enumerate(self.subspaces)}
-        index = space.point_index()
-        self.masks = []
-        self.point_subs = [[] for _ in range(space.npoints)]
-        for sid, s in enumerate(self.subspaces):
-            mask = 0
-            for p in s.points():
-                pid = index[p]
-                mask |= 1 << pid
-                self.point_subs[pid].append(sid)
-            self.masks.append(mask)
-
-    def is_incident(self, sid, pid):
-        return bool(self.masks[sid] >> pid & 1)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,23 +107,10 @@ class PlaneInfo:
 
 
 @dataclass
-class CConfiguration:
-    q: int
-    points: tuple
-    planes: list
-    classes: tuple = ()
-    completion_points: tuple = ()
-    free_points: tuple = ()
-    simple_count: int = 0
-    planes_through: tuple = ()
-
-
-@dataclass
 class SigmaClassification:
     completion_points: tuple
     free_points: tuple
     simple_count: int
-    lines_by_point: dict = dc_field(repr=False, default_factory=dict)
 
 
 @dataclass
@@ -154,7 +141,7 @@ class PipelineState:
     """Mutable context threaded through the stages."""
 
     def __init__(self, frame, C, conic=None, exploratory=False,
-                 expect_classical=False, threads=1):
+                 expect_classical=False):
         self.frame = frame
         self.base = frame.base
         self.q = frame.q
@@ -166,13 +153,12 @@ class PipelineState:
         self.conic = conic
         self.exploratory = exploratory
         self.expect_classical = expect_classical
-        self.threads = threads
         self.assume_regular = False
+        self._directions = None
         # stage outputs
         self.planes = None
         self.planes_through = None
         self.classes = None
-        self.config = None
         self.classification = None
         self.axis = None
         self.spread = None
@@ -181,6 +167,60 @@ class PipelineState:
         self.arc_certified = None
         self.fitted_form = None
         self.uniqueness_verdict = None
+
+    @property
+    def directions(self):
+        """The DirectionTable of the input points, rebuilt when _C_arr is replaced."""
+        if self._directions is None or self._directions.arr is not self._C_arr:
+            self._directions = DirectionTable(self)
+        return self._directions
+
+
+class DirectionTable:
+    """Counts input points on the planes through lines at infinity.
+
+    For affine a, b and a line l of the hyperplane at infinity, the plane
+    <l, a> holds b exactly when the direction of ab (the point ab meets the
+    hyperplane at infinity in) lies on l (Bruck-Bose).  So with M[a, P] the
+    number of b != a in C whose direction from a is P, the plane <l, a>
+    carries 1 + sum over P on l of M[a, P] points of C.  A repeated point has
+    no direction and counts on every plane through a.  M is stored
+    transposed, one row per point P of PG(3,q).
+    """
+
+    BLOCK = 512  # lines summed at a time, bounding the working memory
+    # counts are below |C| = q^2, so int16 holds them for q <= 181
+
+    def __init__(self, state):
+        f, arr = state.base, state._C_arr
+        self.arr = arr
+        if not arr[:, 4].all():
+            raise StructureViolation("input point inside the hyperplane at infinity")
+        n = len(arr)
+        aff = f.mul_np[f.inv_np[arr[:, 4]][:, None], arr[:, :4]]  # scaled to x4 = 1
+        dirs, zero = normalize_rows_np(f, f.sub_np[aff[None], aff[:, None]].reshape(-1, 4))
+        a = np.repeat(np.arange(n), n)
+        self.repeats = (np.bincount(a[zero], minlength=n) - 1).astype(np.int16)
+        self.T = np.zeros((state.sigma.npoints, n), dtype=np.int16)
+        np.add.at(self.T, (state.sigma.point_ids(dirs[~zero]), a[~zero]), 1)
+
+    def plane_counts(self, pids, members=None):
+        """Input points on the planes through lines given by point ids.
+
+        Returns (largest, own): per line, the most points on one plane through
+        it; and, when members holds a row of input-point ids per line, the
+        points on the plane through the line and each of them (else None).
+        """
+        largest, own = [], []
+        for lo in range(0, len(pids), self.BLOCK):
+            block = pids[lo:lo + self.BLOCK]
+            sums = np.tile(self.repeats, (len(block), 1))
+            for col in block.T:
+                sums += self.T[col]
+            largest.append(sums.max(axis=1))
+            if members is not None:
+                own.append(np.take_along_axis(sums, members[lo:lo + self.BLOCK], axis=1))
+        return 1 + np.concatenate(largest), (1 + np.concatenate(own) if own else None)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +282,11 @@ def _residual_groups(state, basis5, threshold=None):
         raise StructureViolation("input point inside the hyperplane at infinity")
     _, inverse, counts = group_rows(norm)
     return counts, inverse, norm
+
+
+def _line_keys(sigma, ids):
+    """One integer per line, from the ids of its two RREF basis points."""
+    return ids[:, 0].astype(np.int64) * sigma.npoints + ids[:, -1]
 
 
 def _transversal(sigma, V, l2, l3):
@@ -487,15 +532,12 @@ def stage_infinity_data(state):
     if len(cline_rows) != q * q + q:
         raise StructureViolation(
             f"{len(cline_rows)} distinct trace lines, expected {q * q + q}")
-    lines_by_point = {}
-    for rows, pids in cline_rows.items():
-        for p in Subspace(state.sigma, rows).points():
-            lines_by_point.setdefault(p, []).extend(pids)
+    on_lines = np.bincount(state.sigma.line_point_ids(
+        [info.cline.rows for info in planes]).ravel(), minlength=state.sigma.npoints)
     comp_set = set(completion_points)
     free_points = []
     simple = 0
-    for p in state.sigma.points():
-        k = len(lines_by_point.get(p, ()))
+    for p, k in zip(state.sigma.points(), on_lines.tolist()):
         if p in comp_set:
             if k != 2 * q:
                 raise StructureViolation(
@@ -550,15 +592,9 @@ def stage_infinity_data(state):
                         f"3-space contains {third} planes", witness=sigma3.to_text())
                 three_space_checks += 1
 
-    state.config = CConfiguration(
-        q=q, points=C, planes=planes, classes=state.classes,
-        completion_points=completion_points,
-        free_points=tuple(sorted(free_points)),
-        simple_count=simple, planes_through=state.planes_through)
     state.classification = SigmaClassification(
         completion_points=completion_points,
-        free_points=tuple(sorted(free_points)),
-        simple_count=simple, lines_by_point=lines_by_point)
+        free_points=tuple(sorted(free_points)), simple_count=simple)
     return {
         "completion_points": len(completion_points),
         "free_points": len(free_points),
@@ -588,8 +624,9 @@ def stage_t_infinity(state):
         if info.cline.rows == axis.rows:
             raise StructureViolation("a trace line equals the axis")
     # every affine plane through the axis carries exactly one point
-    counts, inverse, _ = _residual_groups(state, _embed_line5(state, axis))
-    if len(counts) != q * q or counts.max() != 1:
+    largest, _ = state.directions.plane_counts(state.sigma.line_point_ids([axis.rows]))
+    if largest[0] != 1 or len(state.C) != q * q:
+        counts, inverse, _ = _residual_groups(state, _embed_line5(state, axis))
         k = int(counts.max())
         first = int(np.flatnonzero(inverse == int(counts.argmax()))[0])
         witness = span(state.space4,
@@ -601,7 +638,7 @@ def stage_t_infinity(state):
     state.axis = axis
     return {
         "axis_points": q + 1,
-        "planes_through_axis": int(len(counts)),
+        "planes_through_axis": q * q,
     }
 
 
@@ -650,11 +687,11 @@ def tangent_trace(state, cid):
             witness=";".join(",".join(map(str, p)) for p in traces))
     if any(p in axis_set for p in line.points()):
         raise StructureViolation(f"trace line of point {cid} meets the axis")
-    counts, inverse, _ = _residual_groups(state, _embed_line5(state, line))
-    own = int(inverse[cid])
-    if int(counts[own]) != 1:
+    _, own = state.directions.plane_counts(state.sigma.line_point_ids([line.rows]),
+                                           np.array([[cid]]))
+    if own[0, 0] != 1:
         raise StructureViolation(
-            f"plane of point {cid} and its trace line carries {int(counts[own])} points")
+            f"plane of point {cid} and its trace line carries {own[0, 0]} points")
     return line
 
 
@@ -662,38 +699,26 @@ def stage_assemble_spread(state):
     q = state.q
     planes = state.planes
     axis = state.axis
-    sigma_index = state.sigma.point_index()
+    sigma = state.sigma
     trace_lines = [tangent_trace(state, cid) for cid in range(q * q)]
+    lines = trace_lines + [axis]
+    ids = sigma.line_point_ids([l.rows for l in lines])
+    cline_ids = sigma.line_point_ids([info.cline.rows for info in planes])
 
     # trace lines vs planes: a plane's trace meets exactly the trace lines of
     # its own members
-    line_mask = []
-    for line in trace_lines:
-        m = 0
-        for p in line.points():
-            m |= 1 << sigma_index[p]
-        line_mask.append(m)
-    cline_mask = {}
-    for pid, info in enumerate(planes):
-        m = 0
-        for p in info.cline.points():
-            m |= 1 << sigma_index[p]
-        cline_mask[pid] = m
+    masks = [sum(1 << p for p in row) for row in ids.tolist()]
+    cline_mask = [sum(1 << p for p in row) for row in cline_ids.tolist()]
     for pid, info in enumerate(planes):
         for cid in range(q * q):
-            meets = bool(cline_mask[pid] & line_mask[cid])
+            meets = bool(cline_mask[pid] & masks[cid])
             if meets != (cid in info.members):
                 raise StructureViolation(
                     f"plane {pid} vs trace line of point {cid}: meet={meets}",
                     witness=info.plane.to_text())
 
-    axis_mask = 0
-    for p in axis.points():
-        axis_mask |= 1 << sigma_index[p]
-    lines = list(trace_lines) + [axis]
     if len({l.rows for l in lines}) != q * q + 1:
         raise SpreadViolation(f"{len({l.rows for l in lines})} distinct spread lines")
-    masks = [line_mask[c] for c in range(q * q)] + [axis_mask]
     cover = 0
     for i, m in enumerate(masks):
         if cover & m:
@@ -702,51 +727,44 @@ def stage_assemble_spread(state):
                 "spread lines overlap",
                 witness=lines[i].to_text() + " | " + lines[j].to_text())
         cover |= m
-    if cover != (1 << state.sigma.npoints) - 1:
+    if cover != (1 << sigma.npoints) - 1:
         raise SpreadViolation("spread does not cover the hyperplane at infinity")
     provenance = {trace_lines[c].rows: c for c in range(q * q)}
     state.spread = Spread(lines=tuple(lines), axis=axis, provenance=provenance)
-    state._point_to_spread = {}
-    for i, line in enumerate(lines):
-        for p in line.points():
-            state._point_to_spread[p] = i
 
     # lines meeting the axis that are not trace lines: planes through them
     # carry at most two points, and exactly one together with a met trace line
-    cline_rows = {info.cline.rows for info in planes}
-    axis_set = set(axis.points())
-    sweeps = 0
-    seen = {axis.rows}
-    for V in axis.points():
-        for X in state.sigma.points():
-            if X in axis_set:
-                continue
-            line = span(state.sigma, [V, X])
-            if line.rows in seen:
-                continue
-            seen.add(line.rows)
-            if line.rows in cline_rows:
-                continue
-            counts, inverse, _ = _residual_groups(state, _embed_line5(state, line))
-            if int(counts.max()) > 2:
-                raise StructureViolation(
-                    "plane through an axis-meeting line carries > 2 points",
-                    witness=line.to_text())
-            for p in line.points():
-                sid = state._point_to_spread.get(p)
-                if sid is None or sid == q * q or lines[sid].rows == axis.rows:
-                    continue
-                cid = provenance[lines[sid].rows]
-                if int(counts[int(inverse[cid])]) != 1:
-                    raise StructureViolation(
-                        f"plane through point {cid} and an axis-meeting line "
-                        "carries extra points", witness=line.to_text())
-            sweeps += 1
+    all_rows, all_ids = sigma.line_table()
+    known = _line_keys(sigma, np.concatenate([cline_ids, ids[-1:]]))
+    sweep = np.flatnonzero(np.isin(all_ids, ids[-1]).any(axis=1)
+                           & ~np.isin(_line_keys(sigma, all_ids), known))
+    owner = np.empty(sigma.npoints, dtype=np.int64)  # point -> its spread line
+    owner[ids] = np.arange(len(lines))[:, None]
+    met = owner[all_ids[sweep]]  # q * q on the axis point, masked out below
+    largest, own = state.directions.plane_counts(all_ids[sweep], np.minimum(met, q * q - 1))
+    extra = (own != 1) & (met < q * q)
+    bad = np.flatnonzero((largest > 2) | extra.any(axis=1))
+    if len(bad):
+        # report the first bad line of the enumeration "each axis point V in
+        # order, then each other point X by id": least (position of V, min X)
+        pts = all_ids[sweep[bad]]
+        axis_pos = np.argmax(pts[:, :, None] == ids[-1][None, None, :], axis=2).max(axis=1)
+        first = np.where(np.isin(pts, ids[-1]), sigma.npoints, pts).min(axis=1)
+        i = bad[np.lexsort((first, axis_pos))[0]]
+        line = Subspace.from_vectors(sigma, all_rows[sweep[i]].tolist())
+        if largest[i] > 2:
+            raise StructureViolation(
+                "plane through an axis-meeting line carries > 2 points",
+                witness=line.to_text())
+        cid = int(met[i][np.flatnonzero(extra[i])[0]])
+        raise StructureViolation(
+            f"plane through point {cid} and an axis-meeting line "
+            "carries extra points", witness=line.to_text())
     return {
         "lines": q * q + 1,
         "trace_points_per_line": q + 1,
-        "points_covered": state.sigma.npoints,
-        "axis_meeting_lines_checked": sweeps,
+        "points_covered": sigma.npoints,
+        "axis_meeting_lines_checked": len(sweep),
     }
 
 
@@ -851,21 +869,23 @@ def stage_rebuild_arc(state):
     q = state.q
     spread = state.spread
     frame = state.frame
-    axis_rows = spread.axis.rows
-    for line in spread.lines:
-        basis5 = _embed_line5(state, line)
-        counts, inverse, norm = _residual_groups(state, basis5)
-        limit = 1 if line.rows == axis_rows else 2
-        if int(counts.max()) > limit:
-            g = int(counts.argmax())
-            members = [int(k) for k in np.flatnonzero(inverse == g)]
+    is_axis = np.array([line.rows == spread.axis.rows for line in spread.lines])
+    largest, _ = state.directions.plane_counts(
+        state.sigma.line_point_ids([line.rows for line in spread.lines]))
+    bad = np.flatnonzero((largest > np.where(is_axis, 1, 2))
+                         | (is_axis & (len(state.C) != q * q)))
+    if len(bad):
+        line = spread.lines[bad[0]]
+        if not is_axis[bad[0]] or largest[bad[0]] > 1:
+            basis5 = _embed_line5(state, line)
+            counts, inverse, _ = _residual_groups(state, basis5)
+            members = [int(k) for k in np.flatnonzero(inverse == int(counts.argmax()))]
             witness = span(state.space4, [Subspace(state.space4, basis5),
                                           state.C[members[0]]])
             raise NotAnArc(
                 f"plane through a spread line carries {int(counts.max())} points",
                 witness=witness.to_text())
-        if line.rows == axis_rows and len(counts) != q * q:
-            raise NotAnArc("axis planes do not each carry one point")
+        raise NotAnArc("axis planes do not each carry one point")
     state.arc_certified = True
 
     regular = state.assume_regular or (state.klein is not None and state.klein.verdict)
@@ -999,79 +1019,39 @@ def align_spreads(sigma, spread_from, lines_to):
     return A
 
 
-def _uniqueness_chunk(state, rows_set, axis_rows, axis_dual, lines):
-    f = state.base
-    out = {"disjoint_outside": 0, "spread_ok": 0, "meeting": 0,
-           "meeting_compatible": 0}
-    violation = None
-    for line in lines:
-        if line.rows == axis_rows:
-            continue
-        r1, r2 = line.rows
-        a, b = f.dot(axis_dual[0], r1), f.dot(axis_dual[0], r2)
-        c, d = f.dot(axis_dual[1], r1), f.dot(axis_dual[1], r2)
-        meets_axis = f.sub(f.mul(a, d), f.mul(b, c)) == 0
-        if meets_axis:
-            out["meeting"] += 1
-            counts, _, _ = _residual_groups(state, _embed_line5(state, line))
-            if int(counts.max()) <= 2:
-                out["meeting_compatible"] += 1
-            continue
-        if line.rows in rows_set:
-            out["spread_ok"] += 1
-            continue
-        out["disjoint_outside"] += 1
-        counts, _, _ = _residual_groups(state, _embed_line5(state, line))
-        if int(counts.max()) < 3 and violation is None:
-            violation = line
-    return out, violation
-
-
 def stage_uniqueness(state):
     spread = state.spread
-    axis = spread.axis
-    rows_set = spread.rows_set()
-    axis_dual = axis.dual()
+    sigma = state.sigma
+    rows, ids = sigma.line_table()
+    keys = _line_keys(sigma, ids)
+    axis_ids = sigma.line_point_ids([spread.axis.rows])
+    axis = keys == _line_keys(sigma, axis_ids)[0]
+    meeting = np.isin(ids, axis_ids).any(axis=1) & ~axis
+    in_spread = np.isin(keys, _line_keys(
+        sigma, sigma.line_point_ids([l.rows for l in spread.lines])))
+    outside = ~(axis | meeting | in_spread)
 
     # opposite reguli of the axis reguli each contain a trace line (checked in
     # the closure stage); here the per-line argument:
-    lines = list(state.sigma.subspaces(1))
-    threads = max(1, state.threads)
-    if threads == 1 or len(lines) < 4 * threads:
-        results = [_uniqueness_chunk(state, rows_set, axis.rows, axis_dual, lines)]
-    else:
-        import concurrent.futures
-        size = (len(lines) + threads - 1) // threads
-        chunks = [lines[i * size:(i + 1) * size] for i in range(threads)]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(
-                lambda ch: _uniqueness_chunk(state, rows_set, axis.rows,
-                                             axis_dual, ch), chunks))
-    totals = {"disjoint_outside": 0, "spread_ok": 0, "meeting": 0,
-              "meeting_compatible": 0}
-    for counts, violation in results:
-        for k in totals:
-            totals[k] += counts[k]
-        if violation is not None:
-            raise UniquenessViolation(
-                "a line outside the spread admits no 3-point plane",
-                witness=violation.to_text())
-    disjoint_outside = totals["disjoint_outside"]
-    spread_ok = totals["spread_ok"]
-    meeting = totals["meeting"]
-    meeting_compatible = totals["meeting_compatible"]
+    largest, _ = state.directions.plane_counts(ids)
+    violations = np.flatnonzero(outside & (largest < 3))
+    if len(violations):
+        raise UniquenessViolation(
+            "a line outside the spread admits no 3-point plane",
+            witness=Subspace.from_vectors(sigma, rows[violations[0]].tolist()).to_text())
+    disjoint_outside = int(outside.sum())
     state.uniqueness_verdict = True
     out = {
         "lines_disjoint_outside": disjoint_outside,
         "incompatible": disjoint_outside,
-        "spread_lines_compatible": spread_ok + 1,
-        "axis_meeting_lines": meeting,
-        "axis_meeting_compatible": meeting_compatible,
+        "spread_lines_compatible": int((in_spread & ~axis & ~meeting).sum()) + 1,
+        "axis_meeting_lines": int(meeting.sum()),
+        "axis_meeting_compatible": int((meeting & (largest <= 2)).sum()),
         "opposites_with_trace_line": len(state.reguli) if state.reguli else 0,
     }
     if state.expect_classical:
         classical = {l.rows for l in state.frame.spread}
-        match = rows_set == classical
+        match = spread.rows_set() == classical
         out["spread_matches_classical"] = int(match)
         if not match:
             raise StructureViolation(
@@ -1079,16 +1059,17 @@ def stage_uniqueness(state):
     return out
 
 
+# (name, stage, state attributes it needs, state attributes it produces)
 PIPELINE = (
-    ("axioms", stage_axioms, ("C",)),
-    ("parallel_classes", stage_parallel_classes, ("planes",)),
-    ("infinity_data", stage_infinity_data, ("classes",)),
-    ("t_infinity", stage_t_infinity, ("classification",)),
-    ("assemble_spread", stage_assemble_spread, ("axis",)),
-    ("regulus_closure", stage_regulus_closure, ("spread",)),
-    ("klein_regularity", stage_klein_regularity, ("spread",)),
-    ("rebuild_arc", stage_rebuild_arc, ("spread",)),
-    ("uniqueness", stage_uniqueness, ("spread", "reguli")),
+    ("axioms", stage_axioms, ("C",), ("planes",)),
+    ("parallel_classes", stage_parallel_classes, ("planes",), ("classes",)),
+    ("infinity_data", stage_infinity_data, ("classes",), ("classification",)),
+    ("t_infinity", stage_t_infinity, ("classification",), ("axis",)),
+    ("assemble_spread", stage_assemble_spread, ("axis",), ("spread",)),
+    ("regulus_closure", stage_regulus_closure, ("spread",), ("reguli",)),
+    ("klein_regularity", stage_klein_regularity, ("spread",), ()),
+    ("rebuild_arc", stage_rebuild_arc, ("spread",), ()),
+    ("uniqueness", stage_uniqueness, ("spread", "reguli"), ()),
 )
 
 
@@ -1100,7 +1081,7 @@ def run_stages(state, include=None):
     downgraded to warnings.
     """
     records = []
-    for name, fn, requires in PIPELINE:
+    for name, fn, requires, _ in PIPELINE:
         if include is not None and name not in include:
             continue
         if any(getattr(state, attr, None) is None for attr in requires):
@@ -1124,14 +1105,14 @@ def run_stages(state, include=None):
 
 
 def full_pipeline(C, frame=None, q=None, modulus=None, conic=None,
-                  exploratory=False, expect_classical=False, threads=1):
+                  exploratory=False, expect_classical=False):
     """Run every reconstruction stage on a point set; returns (records, state)."""
     if frame is None:
         if q is None:
             raise ValueError("need a frame or a field order")
         frame = make_frame(q, modulus)
     state = PipelineState(frame, C, conic=conic, exploratory=exploratory,
-                          expect_classical=expect_classical, threads=threads)
+                          expect_classical=expect_classical)
     records = run_stages(state)
     return records, state
 
@@ -1157,19 +1138,7 @@ def _factor_prime_power(q):
 
 
 # ---------------------------------------------------------------------------
-# public single-operation wrappers and negative-control helpers
-
-
-def discover_cplanes(frame, C):
-    """The planes meeting C in at least five points, with axiom checks 1-2."""
-    state = PipelineState(frame, C)
-    stage_axioms(state)
-    return state.planes
-
-
-def verify_axiom3(frame, C):
-    state = PipelineState(frame, C)
-    return stage_axioms(state)
+# negative-control helpers
 
 
 def displace_point(frame, C, seed=0):

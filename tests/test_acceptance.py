@@ -46,7 +46,7 @@ def test_criterion_1_roundtrip_q7_canonical():
         C = build_C(frame, conic)
         assert len(C) == 49
         records, state = full_pipeline(C, frame=frame, conic=conic,
-                                       expect_classical=True, threads=1)
+                                       expect_classical=True)
         elapsed = time.monotonic() - t0
         rec = by_name(records)
         assert all(r.verdict == "pass" for r in records), [

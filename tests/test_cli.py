@@ -238,3 +238,41 @@ def test_config_validation():
         build_config(parser.parse_args(["negative-control", "--q", "7"]))
     cfg = build_config(parser.parse_args(["roundtrip", "--q", "9"]))
     assert (cfg.p, cfg.k) == (3, 2)
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: bad selections and fields are configuration errors
+
+
+def test_unknown_stage_rejected(capsys):
+    assert main(["roundtrip", "--q", "7", "--threads", "1", "--stages", "bogus"]) == 2
+    assert "unknown stage" in capsys.readouterr().err
+
+
+def test_stage_without_prerequisites_rejected(capsys):
+    assert main(["roundtrip", "--q", "7", "--threads", "1", "--stages", "uniqueness"]) == 2
+    assert "uniqueness needs" in capsys.readouterr().err
+    parser = make_parser()
+    with pytest.raises(ConfigError):
+        build_config(parser.parse_args(["roundtrip", "--q", "7",
+                                        "--stages", "axioms,t_infinity"]))
+    cfg = build_config(parser.parse_args(["roundtrip", "--q", "7",
+                                          "--stages", "axioms,parallel_classes"]))
+    assert cfg.stages == ("axioms", "parallel_classes")
+
+
+def test_invalid_modulus_exit_2(capsys):
+    assert main(["roundtrip", "--q", "7", "--modulus", "1,0,1"]) == 2
+    assert "bad modulus" in capsys.readouterr().err
+
+
+def test_dump_read_in_its_header_field(tmp_path, capsys):
+    dump = str(tmp_path / "c9.txt")
+    code, _ = run_cli(["forward", "--q", "9", "--modulus", "2,1,1", "--dump", dump], capsys)
+    assert code == 0
+    assert open(dump).readline().split()[1] == "poly=2,1,1"
+    code, out = run_cli(["reconstruct", "--q", "9", "--in", dump, "--threads", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
+    assert main(["reconstruct", "--q", "9", "--in", dump, "--modulus", "1,0,1"]) == 2
+    assert "conflicts with --modulus" in capsys.readouterr().err

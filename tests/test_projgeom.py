@@ -3,8 +3,8 @@ import random
 import pytest
 
 from pgconics.galois import Field
-from pgconics.projgeom import (AmbientMismatch, IncidenceIndex, ProjectiveSpace,
-                               Subspace, affine_filter, gaussian_binomial,
+from pgconics.projgeom import (AmbientMismatch, ProjectiveSpace, Subspace,
+                               affine_filter, gaussian_binomial,
                                matrix_inverse, mat_mul, meet, nullspace, rref,
                                scan_heavy_planes, span)
 
@@ -151,17 +151,29 @@ def test_text_roundtrip(pg4):
         Subspace.from_text(pg4, "2,0,0,0,0;0,1,0,0,0")  # not canonical
 
 
-def test_incidence_index():
+def test_line_table_incidence():
     space = ProjectiveSpace(2, Field(3))
-    idx = IncidenceIndex(space, 1)
-    assert len(idx.subspaces) == 13
+    rows, ids = space.line_table()
+    assert rows.shape == (13, 2, 3) and ids.shape == (13, 4)
+    lines = [Subspace(space, tuple(map(tuple, r))) for r in rows.tolist()]
     for pid, p in enumerate(space.points()):
-        incident = [sid for sid in range(len(idx.subspaces))
-                    if idx.is_incident(sid, pid)]
+        incident = [sid for sid in range(len(ids)) if pid in ids[sid]]
         assert len(incident) == 4  # q + 1 lines through a point
-        assert incident == idx.point_subs[pid]
         for sid in incident:
-            assert idx.subspaces[sid].contains(p)
+            assert lines[sid].contains(p)
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (5, 3), (7, 3), (9, 3), (3, 4)])
+def test_line_table_matches_subspace_enumeration(q, n):
+    space = ProjectiveSpace(n, Field(q) if q != 9 else Field(3, 2))
+    rows, ids = space.line_table()
+    index = space.point_index()
+    lines = list(space.subspaces(1))
+    assert len(lines) == len(rows) == gaussian_binomial(n + 1, 2, q)
+    for line, r, i in zip(lines, rows.tolist(), ids.tolist()):
+        assert tuple(map(tuple, r)) == line.rows
+        assert i == [index[p] for p in line.points()]
+    assert space.point_ids(space.points()).tolist() == list(range(space.npoints))
 
 
 def test_scan_heavy_planes_finds_planted_plane(pg4, gf7):

@@ -1,12 +1,16 @@
 import itertools
+import json
 import random
 
+import numpy as np
 import pytest
 
 from pgconics.projgeom import (Subspace, matrix_inverse, points_array, rref,
                                span)
 from pgconics.bruckbose import build_C, random_tangent_conic
+from pgconics.cli import main
 from pgconics.reconstruct import (CheckViolation, PipelineState, Spread,
+                                  StructureViolation, _residual_groups,
                                   align_spreads, classical_spread,
                                   displace_point, full_pipeline, make_frame,
                                   on_klein_quadric, perturb_spread_by_regulus,
@@ -181,6 +185,92 @@ def test_transversal_points_lie_on_common_plane(run7, frame7):
             assert any(set(members) <= set(info.members) for info in state.planes)
             checked += 1
     assert checked == 448  # (q+1)(q^2+q) lines meeting the axis
+
+
+# ---------------------------------------------------------------------------
+# the direction table against the per-line regrouping oracle
+
+
+def assert_direction_table_matches_oracle(frame, C):
+    """On every line of PG(3,q): the kernel's largest plane and the plane of
+    each input point equal those of _residual_groups."""
+    state = PipelineState(frame, C)
+    rows, ids = frame.sigma.line_table()
+    n = len(state.C)
+    largest, own = state.directions.plane_counts(
+        ids, np.broadcast_to(np.arange(n), (len(ids), n)))
+    for i, line in enumerate(rows.tolist()):
+        counts, inverse, _ = _residual_groups(state, tuple(r + [0] for r in line))
+        assert largest[i] == counts.max(), line
+        assert (own[i] == counts[inverse]).all(), line
+    return largest
+
+
+def test_direction_table_matches_oracle_canonical_q7(frame7, c7):
+    largest = assert_direction_table_matches_oracle(frame7, c7)
+    # the axis; spread and axis-meeting lines; the 2352 lines outside the
+    # spread, each with a 4-point plane; the 56 traces of the C-planes
+    sizes, lines = np.unique(largest, return_counts=True)
+    assert dict(zip(sizes.tolist(), lines.tolist())) == {1: 1, 2: 441, 4: 2352, 7: 56}
+
+
+def test_direction_table_matches_oracle_displaced_q7(frame7, c7):
+    assert_direction_table_matches_oracle(frame7, displace_point(frame7, c7, seed=1))
+
+
+def test_direction_table_matches_oracle_repeated_point_q7(frame7, c7):
+    # a repeated point has no direction and counts on every plane through it
+    largest = assert_direction_table_matches_oracle(frame7, c7[:-1] + c7[:1])
+    assert largest.min() == 2
+
+
+def test_direction_table_matches_oracle_noncanonical_q9(frame9):
+    conic = random_tangent_conic(frame9, 5)
+    assert_direction_table_matches_oracle(frame9, build_C(frame9, conic))
+
+
+def test_direction_table_follows_replaced_points(frame7, c7):
+    st = PipelineState(frame7, c7)
+    table = st.directions
+    assert st.directions is table
+    st.C = displace_point(frame7, c7, seed=1)
+    st._C_arr = points_array(st.C)
+    assert st.directions is not table and st.directions.arr is st._C_arr
+
+
+def test_direction_table_rejects_point_at_infinity(frame7, c7):
+    bad = c7[:-1] + ((0, 0, 0, 1, 0),)
+    with pytest.raises(StructureViolation, match="inside the hyperplane at infinity"):
+        PipelineState(frame7, bad).directions
+    st = PipelineState(frame7, bad)
+    st.spread = classical_spread(frame7)
+    recs = run_stages(st, include={"rebuild_arc"})
+    assert recs[0].witness == \
+        "StructureViolation: input point inside the hyperplane at infinity"
+
+
+NEGATIVE_CONTROL_WITNESSES_Q7 = {
+    "displaced-point": [
+        ("axioms", "Axiom2Violation: point pair (0,1) lies in two planes "
+                   "[0,1,0,0,0;0,0,1,0,0;0,0,0,0,1]")],
+    "perturbed-spread": [
+        ("regulus_closure", "ClosureViolation: regulus through pair (0,1) leaves the "
+                            "spread [1,0,2,0;0,1,0,2 | 1,0,3,0;0,1,0,3]"),
+        ("klein_regularity", "StructureViolation: spread is not regular "
+                             "(span dimension 5, section 0)")],
+    "corrupted-arc": [
+        ("rebuild_arc", "NotAnArc: plane through a spread line carries 3 points "
+                        "[1,0,0,0,0;0,1,0,0,0;0,0,1,4,6]")],
+}
+
+
+@pytest.mark.parametrize("control", sorted(NEGATIVE_CONTROL_WITNESSES_Q7))
+def test_negative_control_witnesses_q7(control, capsys):
+    code = main(["negative-control", "--q", "7", "--control", control, "--threads", "1"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    failing = [(s["name"], s["witness"]) for s in report["stages"] if s["verdict"] == "fail"]
+    assert failing == NEGATIVE_CONTROL_WITNESSES_Q7[control]
 
 
 # ---------------------------------------------------------------------------
