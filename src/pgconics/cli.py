@@ -16,11 +16,11 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bruckbose import (build_C, random_tangent_conic, verify_lemma1,
                         write_c_dump, LemmaViolation)
-from .galois import check_modulus, is_prime
+from .galois import check_modulus, default_modulus, is_prime
 from .report import FAIL, PASS, Report, StageRecord, file_digest
 from .reconstruct import (PIPELINE, PipelineState, classical_spread,
                           displace_point, make_frame, perturb_spread_by_regulus,
@@ -232,6 +232,8 @@ def run(config):
             if config.modulus and config.modulus != modulus:
                 raise ConfigError(f"dump header poly={header['poly']} conflicts with "
                                   f"--modulus {','.join(map(str, config.modulus))}")
+            if modulus != default_modulus(config.p, config.k):
+                config = replace(config, modulus=modulus)  # echo the field read in
     frame = make_frame(config.q, modulus)
 
     def forward():

@@ -389,8 +389,9 @@ class QuadExtension:
     """GF(q^2) = GF(q)[w] with w^2 = s*w + t for the canonical irreducible (s,t).
 
     (s, t) is the first pair, in ascending s*q + t order, for which
-    X^2 - s*X - t has no root in GF(q).  embed/compose/decompose convert
-    between GF(q) codes and GF(q^2) codes; embed(a) == a by construction.
+    X^2 - s*X - t has no root in GF(q).  compose/decompose convert between
+    pairs of GF(q) codes and GF(q^2) codes; the GF(q) code a is itself the
+    GF(q^2) code of a, so decompose(a) == (a, 0).
     """
 
     def __init__(self, base, s=None, t=None):
@@ -415,10 +416,6 @@ class QuadExtension:
                    for x in range(q)):
                 return s, t
         raise ValueError(f"no irreducible quadratic over {base.token}")
-
-    def embed(self, a):
-        """GF(q) code -> GF(q^2) code."""
-        return int(a)
 
     def decompose(self, x):
         """GF(q^2) code -> (x0, x1) with x = x0 + x1*w."""

@@ -29,8 +29,8 @@ from .projgeom import (ProjectiveSpace, Subspace, group_rows, mat_mul,
                        matrix_inverse, normalize_rows_np, nullspace,
                        points_array, reduce_rows_np, rref, scan_heavy_planes,
                        span)
-from .conics import (CompletionNotUnique, NotAnArc, QuadraticForm,
-                     complete_q_arc, conic_through_5, is_arc)
+from .conics import (CompletionNotUnique, DegenerateInput, NotAnArc,
+                     QuadraticForm, complete_q_arc, conic_through_5, is_arc)
 from .bruckbose import build_frame
 from .report import FAIL, PASS, SKIPPED, WARN, StageRecord
 
@@ -87,7 +87,7 @@ class UniquenessViolation(CheckViolation):
     pass
 
 
-_CATCHABLE = (CheckViolation, NotAnArc, CompletionNotUnique)
+_CATCHABLE = (CheckViolation, NotAnArc, CompletionNotUnique, DegenerateInput)
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +558,13 @@ def stage_infinity_data(state):
         raise StructureViolation(
             f"{simple} simple points, expected {q ** 3 + q ** 2}")
 
-    # two planes spanning a 3-space: it contains no third plane, and the
-    # points inside it are exactly those of the two planes
-    arr = state._C_arr
+    # two planes spanning a 3-space: the points inside it are exactly those
+    # of the two planes, and it contains no third plane.  The q >= 3 members
+    # of a plane are an arc, so they span it: a plane lies in a 3-space
+    # exactly when all its members do.
+    member_of = np.zeros((len(planes), len(C)), dtype=bool)
+    for pid, info in enumerate(planes):
+        member_of[pid, list(info.members)] = True
     line_pairs = three_space_checks = 0
     for comp, cids in classes_of_comp.items():
         ca, cb = cids
@@ -577,16 +581,12 @@ def stage_infinity_data(state):
                 sigma3 = span(state.space4, [planes[i].plane, planes[j].plane])
                 if sigma3.dim != 3:
                     raise StructureViolation("plane pair spans wrong dimension")
-                dual = sigma3.dual()[0]
-                f = state.base
-                inside = [k for k in range(len(C)) if f.dot(dual, C[k]) == 0]
-                expect = set(planes[i].members) | set(planes[j].members)
-                if set(inside) != expect:
+                inside = ~reduce_rows_np(state.base, sigma3.rows, state._C_arr).any(axis=1)
+                if (inside != (member_of[i] | member_of[j])).any():
                     raise StructureViolation(
                         "3-space contains foreign points",
                         witness=sigma3.to_text())
-                third = sum(1 for info in planes
-                            if info.plane.is_subspace_of(sigma3))
+                third = int((member_of <= inside).all(axis=1).sum())
                 if third != 2:
                     raise StructureViolation(
                         f"3-space contains {third} planes", witness=sigma3.to_text())
@@ -833,29 +833,23 @@ def stage_klein_regularity(state):
     span_dim = len(red) - 1
     verdict = span_dim == 3
     section = frozenset()
-    cap_ok = False
     if verdict:
-        pg5 = ProjectiveSpace(5, f)
-        three_space = Subspace(pg5, red)
+        three_space = Subspace(ProjectiveSpace(5, f), red)
         section = frozenset(p for p in three_space.points() if on_klein_quadric(f, p))
-        verdict = section == image
-        if verdict:
-            cap_ok = True
-            section_sorted = sorted(section)
-            for a, b in itertools.combinations(section_sorted, 2):
-                line = Subspace.from_vectors(pg5, [a, b])
-                hits = sum(1 for p in line.points() if p in section)
-                if hits != 2:
-                    cap_ok = False
-                    break
-            verdict = cap_ok
+        verdict = section == image and len(section) == q * q + 1
+    # A passing section is a cap, so it is not checked line by line.  It is
+    # the section of the Klein quadric Q+(5,q) by a 3-space and has q^2+1
+    # points; the other 3-space sections have (q+1)^2, q^2+q+1 or 2q^2+q+1
+    # points, so this one is an elliptic quadric Q-(3,q), an ovoid
+    # (Hirschfeld 1985).  Directly: for a, b on it, Q(a + tb) = t B(a, b),
+    # and B(a, b) != 0 as Q-(3,q) holds no line, so ab meets it in a, b only.
     state.klein = KleinImage(points=tuple(pts), span_dim=span_dim,
                              section=section, verdict=verdict)
     counts = {
         "lines_mapped": len(pts),
         "span_dim": span_dim,
         "section_size": len(section),
-        "cap": int(cap_ok),
+        "cap": int(verdict),
         "regular": int(verdict),
     }
     if not verdict:

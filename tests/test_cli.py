@@ -276,3 +276,18 @@ def test_dump_read_in_its_header_field(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "pass"
     assert main(["reconstruct", "--q", "9", "--in", dump, "--modulus", "1,0,1"]) == 2
     assert "conflicts with --modulus" in capsys.readouterr().err
+
+
+def test_reconstruct_echoes_dump_modulus(tmp_path, capsys):
+    # a dump written in a non-default field echoes that field's polynomial
+    dump = str(tmp_path / "c9.txt")
+    run_cli(["forward", "--q", "9", "--modulus", "2,1,1", "--dump", dump], capsys)
+    code, out = run_cli(["reconstruct", "--q", "9", "--in", dump, "--stages", "axioms"], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["modulus"] == [2, 1, 1]
+    # a default-field dump (poly=1,0,1) still echoes null
+    run_cli(["forward", "--q", "9", "--dump", dump], capsys)
+    assert open(dump).readline().split()[1] == "poly=1,0,1"
+    code, out = run_cli(["reconstruct", "--q", "9", "--in", dump, "--stages", "axioms"], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["modulus"] is None

@@ -89,7 +89,7 @@ def test_embed_decompose_roundtrip_gf49(ext7):
         x0, x1 = ext7.decompose(x)
         assert ext7.compose(x0, x1) == x
     for a in range(7):
-        assert ext7.decompose(ext7.embed(a)) == (a, 0)
+        assert ext7.decompose(a) == (a, 0)
     assert ext7.decompose(ext7.omega) == (0, 1)
 
 

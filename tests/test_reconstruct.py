@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -5,12 +6,15 @@ import random
 import numpy as np
 import pytest
 
-from pgconics.projgeom import (Subspace, matrix_inverse, points_array, rref,
-                               span)
-from pgconics.bruckbose import build_C, random_tangent_conic
+from pgconics.projgeom import (Subspace, matrix_inverse, points_array,
+                               reduce_rows_np, rref, span)
+from pgconics.bruckbose import (baer_subplane_through, build_C,
+                                random_tangent_conic)
+from pgconics import reconstruct
+from pgconics.conics import DegenerateInput, tangent_line
 from pgconics.cli import main
-from pgconics.reconstruct import (CheckViolation, PipelineState, Spread,
-                                  StructureViolation, _residual_groups,
+from pgconics.reconstruct import (CheckViolation, PipelineState, PlaneInfo,
+                                  Spread, StructureViolation, _residual_groups,
                                   align_spreads, classical_spread,
                                   displace_point, full_pipeline, make_frame,
                                   on_klein_quadric, perturb_spread_by_regulus,
@@ -105,27 +109,129 @@ def test_plane_intersection_trichotomy(run7, frame7):
             assert pa.completion == pb.completion
 
 
-def test_three_space_confinement(run7, frame7):
-    """Planes spanning a 3-space: its points are exactly theirs, no third plane."""
-    _, state = run7
-    planes = state.planes
-    f = frame7.base
-    pairs = 0
+def baer_cplanes(frame, conic, C):
+    """The planes of PG(4,q) carrying q points of C, without stage_axioms.
+
+    For A, B in C with preimages P, Q on the conic, the plane through A and B
+    is the image of the Baer subplane through P, Q, p_inf and the point where
+    the tangent at P meets l_inf (Lemma 1).  stage_axioms only finds planes
+    with at least five points, so at q = 3 this is the way to get them.
+    """
+    found = {}
+    for a, b in itertools.combinations(range(len(C)), 2):
+        P, Q = frame.point_up(C[a]), frame.point_up(C[b])
+        X = tangent_line(conic.form, P).meet(frame.l_inf).rows[0]
+        sub = baer_subplane_through(frame, (P, Q, X, conic.p_inf))
+        plane = span(frame.space4, sorted(frame.point_down(p) for p in sub if p[2]))
+        found[plane.rows] = plane
+    planes = []
+    for pl in sorted(found.values()):
+        members = tuple(k for k, c in enumerate(C) if pl.contains(c))
+        planes.append(PlaneInfo(
+            plane=pl, members=members, mask=sum(1 << m for m in members),
+            pivots=tuple(next(i for i, x in enumerate(r) if x) for r in pl.rows)))
+    return planes
+
+
+def cplane_state(q, seed):
+    """A state holding the C-planes of the seed's conic."""
+    frame = make_frame(q)
+    conic = random_tangent_conic(frame, seed)
+    st = PipelineState(frame, build_C(frame, conic), exploratory=q < 7)
+    if q == 3:
+        st.planes = baer_cplanes(frame, conic, st.C)
+    else:
+        assert run_stages(st, include={"axioms"})[0].verdict == "pass"
+    return st
+
+
+def test_baer_cplanes_match_axioms_q5():
+    frame = make_frame(5)
+    conic = random_tangent_conic(frame, 0)
+    st = cplane_state(5, 0)
+    assert [(i.plane, i.members, i.mask) for i in baer_cplanes(frame, conic, st.C)] == \
+        sorted((i.plane, i.members, i.mask) for i in st.planes)
+
+
+def assert_three_space_confinement(st, pairs):
+    """Planes spanning a 3-space: its points are exactly theirs, no third plane.
+
+    The oracle is the dual-vector test and is_subspace_of over all planes;
+    infinity_data tests input points by their residues modulo the 3-space
+    and planes by whether all their members are inside.  Both must agree on
+    every pair, also at q = 3, where a third plane is not excluded by counting
+    (it meets each of the two planes in a line, so carries <= 4 points).
+    """
+    planes, C, f = st.planes, st.C, st.base
+    member_of = np.zeros((len(planes), len(C)), dtype=bool)
+    for pid, info in enumerate(planes):
+        member_of[pid, list(info.members)] = True
+    found = 0
     for a, b in itertools.combinations(range(len(planes)), 2):
         pa, pb = planes[a], planes[b]
         m = pa.plane.meet(pb.plane)
         if m is None or m.dim != 1:
             continue
-        sigma3 = span(frame7.space4, [pa.plane, pb.plane])
+        sigma3 = span(st.space4, [pa.plane, pb.plane])
         assert sigma3.dim == 3
         dual = sigma3.dual()[0]
-        inside = {i for i, p in enumerate(state.C) if f.dot(dual, p) == 0}
+        inside = {i for i, p in enumerate(C) if f.dot(dual, p) == 0}
         assert inside == set(pa.members) | set(pb.members)
-        third = [i for i, info in enumerate(planes)
-                 if info.plane.is_subspace_of(sigma3)]
-        assert sorted(third) == sorted([a, b])
-        pairs += 1
-    assert pairs == 196  # (q+1)/2 completion points x q^2 cross pairs
+        third = [i for i, info in enumerate(planes) if info.plane.is_subspace_of(sigma3)]
+        assert third == [a, b]
+        zero = ~reduce_rows_np(f, sigma3.rows, st._C_arr).any(axis=1)
+        assert set(np.flatnonzero(zero).tolist()) == inside
+        assert np.flatnonzero((member_of <= zero).all(axis=1)).tolist() == third
+        found += 1
+    assert found == pairs  # (q+1)/2 completion points x q^2 cross pairs
+    recs = run_stages(st, include={"parallel_classes", "infinity_data"})
+    if st.q == 3:
+        # a 3-arc does not determine its conic; the stage records the failed
+        # fit instead of raising it
+        assert recs[1].verdict == "warn"
+        assert recs[1].witness == "DegenerateInput: need exactly 5 points, got 3"
+    else:
+        assert [r.verdict for r in recs] == ["pass", "pass"]
+        assert recs[1].counts["three_space_checks"] == pairs
+
+
+def test_three_space_confinement():
+    assert_three_space_confinement(cplane_state(7, 0), 196)
+
+
+@pytest.mark.parametrize("q,seed,pairs", [(3, 0, 18), (5, 0, 75), (9, 5, 405)])
+def test_three_space_confinement_other_fields(q, seed, pairs):
+    assert_three_space_confinement(cplane_state(q, seed), pairs)
+
+
+def inject_foreign_point(q, seed, pair):
+    """infinity_data's record once an affine point of the 3-space of the
+    pair-th line-meeting plane pair (not in C) is appended to the input."""
+    st = cplane_state(q, seed)
+    assert run_stages(st, include={"parallel_classes"})[0].verdict == "pass"
+    planes = st.planes
+    pairs = [(a, b) for a, b in itertools.combinations(range(len(planes)), 2)
+             if (m := planes[a].plane.meet(planes[b].plane)) is not None and m.dim == 1]
+    a, b = pairs[pair]
+    sigma3 = span(st.space4, [planes[a].plane, planes[b].plane])
+    st.C += (next(p for p in sigma3.points() if p[4] and p not in set(st.C)),)
+    st._C_arr = points_array(st.C)
+    return run_stages(st, include={"infinity_data"})[0]
+
+
+# witnesses captured before the 3-space checks were rewritten as array tests
+@pytest.mark.parametrize("q,seed,pair,verdict,sigma3", [
+    (5, 5, 37, "warn", "1,0,0,0,0;0,1,0,1,0;0,0,1,3,0;0,0,0,0,1"),
+    (7, 0, 98, "fail", "1,0,0,0,0;0,1,0,0,0;0,0,1,0,0;0,0,0,0,1"),
+    (7, 5, 0, "fail", "1,0,0,0,6;0,1,0,0,2;0,0,1,0,2;0,0,0,1,5"),
+    (7, 5, 98, "fail", "1,0,0,0,2;0,1,0,0,2;0,0,1,0,2;0,0,0,1,5"),
+    (7, 5, 195, "fail", "1,0,0,0,0;0,1,0,0,2;0,0,1,0,2;0,0,0,1,5"),
+    (9, 5, 202, "fail", "1,0,0,0,6;0,1,0,0,5;0,0,1,0,7;0,0,0,1,3"),
+])
+def test_foreign_point_witness(q, seed, pair, verdict, sigma3):
+    rec = inject_foreign_point(q, seed, pair)
+    assert rec.verdict == verdict
+    assert rec.witness == f"StructureViolation: 3-space contains foreign points [{sigma3}]"
 
 
 def test_planes_at_infinity_through_axis(run7, frame7):
@@ -313,6 +419,13 @@ def test_plucker_images_on_quadric(frame7):
         assert on_klein_quadric(f, p)
 
 
+HALL_WITNESSES = [
+    ("regulus_closure", "ClosureViolation: regulus through pair (0,1) leaves the spread "
+                        "[1,0,2,0;0,1,0,2 | 1,0,3,0;0,1,0,3]"),
+    ("klein_regularity", "StructureViolation: spread is not regular "
+                         "(span dimension 5, section 0)")]
+
+
 def test_klein_rejects_hall_perturbation(run7, frame7, c7):
     _, state = run7
     pert, reg = perturb_spread_by_regulus(frame7.sigma, state.spread)
@@ -320,9 +433,49 @@ def test_klein_rejects_hall_perturbation(run7, frame7, c7):
     st._C_arr = points_array(st.C)
     st.spread = pert
     recs = run_stages(st, include={"regulus_closure", "klein_regularity"})
-    by = records_by_name(recs)
-    assert by["regulus_closure"].verdict == "fail"
-    assert by["klein_regularity"].verdict == "fail"
+    # the reconstructed spread lists its lines in another order than the
+    # classical one, so another regulus is swapped
+    assert [(r.name, r.verdict, r.witness) for r in recs] == [
+        ("regulus_closure", "fail", "ClosureViolation: regulus through pair (0,1) leaves "
+                                    "the spread [1,0,0,3;0,1,2,0 | 1,0,0,6;0,1,4,0]"),
+        ("klein_regularity", "fail", HALL_WITNESSES[1][1])]
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_klein_rejects_hall_perturbation_witnesses(q):
+    frame = make_frame(q)
+    st = PipelineState(frame, build_C(frame, random_tangent_conic(frame, 0)))
+    st.spread = perturb_spread_by_regulus(frame.sigma, classical_spread(frame))[0]
+    recs = run_stages(st, include={"regulus_closure", "klein_regularity"})
+    assert [(r.name, r.verdict, r.witness) for r in recs] == \
+        [(name, "fail", witness) for name, witness in HALL_WITNESSES]
+
+
+def test_three_space_and_klein_work_counts(frame7, conic7, c7, monkeypatch):
+    """On the q = 7 pass path, infinity_data tests no subspace inclusion and
+    klein_regularity enumerates the points of one subspace, its 3-space."""
+    calls = collections.Counter()
+
+    def counted(name):
+        fn = getattr(Subspace, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(Subspace, name, wrapper)
+
+    st = PipelineState(frame7, c7, conic=conic7)
+    assert [r.verdict for r in run_stages(st, include={"axioms", "parallel_classes"})] == \
+        ["pass", "pass"]
+    counted("is_subspace_of")
+    counted("points")
+    assert run_stages(st, include={"infinity_data"})[0].verdict == "pass"
+    assert calls["is_subspace_of"] == 0
+    calls.clear()
+    st.spread = classical_spread(frame7)
+    rec = run_stages(st, include={"klein_regularity"})[0]
+    assert rec.verdict == "pass" and rec.counts["cap"] == 1
+    assert calls == {"points": 1}
 
 
 def test_dual_regularity_oracles_agree(run7, frame7, c7):
@@ -342,6 +495,20 @@ def test_dual_regularity_oracles_agree(run7, frame7, c7):
 
 # ---------------------------------------------------------------------------
 # negative controls and alignment
+
+
+def test_degenerate_input_in_a_stage_is_recorded(monkeypatch, capsys):
+    """A DegenerateInput raised inside a stage fails that stage with a
+    witness; it does not escape as a traceback."""
+    def degenerate(space, points):
+        raise DegenerateInput("five points lie on a degenerate conic")
+    monkeypatch.setattr(reconstruct, "conic_through_5", degenerate)
+    assert main(["roundtrip", "--q", "7", "--threads", "1"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    failing = [(s["name"], s["witness"]) for s in report["stages"] if s["verdict"] == "fail"]
+    assert failing == [("rebuild_arc",
+                        "DegenerateInput: five points lie on a degenerate conic")]
+    assert report["stages"][-1]["verdict"] == "pass"  # uniqueness still runs
 
 
 def test_displaced_point_fails_axioms(frame7, c7):
