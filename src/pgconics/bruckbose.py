@@ -16,7 +16,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .projgeom import (ProjectiveSpace, Subspace, matrix_inverse, mat_mul,
                        rref, scan_heavy_planes, span)
-from .conics import QuadraticForm, is_arc, tangent_line
+from .conics import (DegenerateInput, QuadraticForm, classify_vs_conic, is_arc,
+                     tangent_line)
 
 
 class ClosureOverflow(RuntimeError):
@@ -226,13 +227,9 @@ def random_tangent_conic(frame, seed):
     g = ((a, b, 0), (d, e, 0), (c, ff, 1))
     ginv = matrix_inverse(E, g)
     ginv_t = tuple(zip(*ginv))
-    new_m = mat_mul(E, mat_mul(E, ginv, form_matrix(base_conic)), ginv_t)
+    new_m = mat_mul(E, mat_mul(E, ginv, base_conic.form.matrix), ginv_t)
     form = QuadraticForm(frame.plane, new_m)
     return _conic_from_form(frame, form, seed=seed)
-
-
-def form_matrix(conic):
-    return conic.form.matrix
 
 
 def build_C(frame, conic):
@@ -382,7 +379,10 @@ def verify_lemma1(frame, conic, spot_checks=10):
                 continue
             down = frame.point_down(pt)
             k = down_count.get(down, 0)
-            cls = _classify_fast(frame, conic, pt)
+            try:
+                cls = classify_vs_conic(conic.form, pt)
+            except DegenerateInput as exc:
+                raise LemmaViolation(str(exc), witness=pt) from None
             if k == 0 and cls == "interior":
                 interior += 1
             elif k == 2 and cls == "exterior":
@@ -416,18 +416,6 @@ def verify_lemma1(frame, conic, spot_checks=10):
                         pair_coverage_ok=True, interior_count=interior,
                         exterior_count=exterior, spot_checks=done,
                         exterior_plane_pairs=exterior_pairs)
-
-
-def _classify_fast(frame, conic, pt):
-    f = frame.ext.ext
-    if pt in conic.points:
-        return "on"
-    hits = sum(1 for dual in conic.form.tangent_duals() if f.dot(dual, pt) == 0)
-    if hits == 2:
-        return "exterior"
-    if hits == 0:
-        return "interior"
-    raise LemmaViolation(f"{pt} lies on {hits} tangents", witness=pt)
 
 
 # ---------------------------------------------------------------------------

@@ -345,7 +345,10 @@ def make_parser():
 
 def main(argv=None):
     parser = make_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return exc.code
     try:
         config = build_config(args)
         code, report = run(config)

@@ -198,23 +198,34 @@ def is_arc_by_directions(space, points):
     return True, None
 
 
+def _raise_if_not_arc(space, points):
+    ok, witness = is_arc(space, points)
+    if not ok:
+        raise NotAnArc(f"three collinear points: {witness}", witness) from None
+
+
 def complete_q_arc(space, arc):
     """The unique point completing a q-arc of PG(2,q), q odd, to a conic.
 
     Fits the conic through the first five arc points, checks the whole arc
-    lies on it, and returns the one conic point not in the arc.
+    lies on it, and returns the one conic point not in the arc.  A
+    nondegenerate conic holds no three collinear points, so a point set on
+    it is an arc; the full arc test runs only when the fit fails, to raise
+    NotAnArc with the first collinear triple.
     """
     q = space.field.q
     arc = [space.normalize(p) for p in arc]
     if len(set(arc)) != q:
         raise NotAnArc(f"expected {q} distinct points, got {len(set(arc))}")
-    ok, witness = is_arc(space, arc)
-    if not ok:
-        raise NotAnArc(f"three collinear points: {witness}", witness)
-    form = conic_through_5(space, arc[:5])
+    try:
+        form = conic_through_5(space, arc[:5])
+    except DegenerateInput:
+        _raise_if_not_arc(space, arc)
+        raise
     on = set(form.points())
     arcset = set(arc)
     if not arcset <= on or len(on) != q + 1:
+        _raise_if_not_arc(space, arc)
         raise CompletionNotUnique(
             f"arc does not extend to a single conic (|conic|={len(on)})")
     extra = on - arcset
@@ -246,7 +257,7 @@ def classify_vs_conic(form, pt):
         return "exterior"
     if hits == 0:
         return "interior"
-    raise DegenerateInput(f"point on {hits} tangents; form is not a conic")
+    raise DegenerateInput(f"{pt} lies on {hits} tangents")
 
 
 def tangent_counts(form):

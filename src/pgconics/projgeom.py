@@ -388,6 +388,38 @@ def reduce_rows_np(field, basis_rows, arr):
     return out
 
 
+RREF_BLOCK = 4096  # stacks reduced at a time, bounding the working memory
+
+
+def rref_np(field, stacks):
+    """Reduced row echelon form of every matrix in an int16 array (k, r, w).
+
+    Returns (reduced, ranks): reduced[i, :ranks[i]] are the rows rref gives
+    for stacks[i], and its remaining rows are zero.  Columns are eliminated
+    one at a time for all stacks at once, RREF_BLOCK stacks per pass.
+    """
+    out = np.array(stacks, dtype=np.int16)
+    ranks = np.zeros(len(out), dtype=np.int64)
+    for lo in range(0, len(out), RREF_BLOCK):
+        m, rank = out[lo:lo + RREF_BLOCK], ranks[lo:lo + RREF_BLOCK]  # views
+        height = np.arange(m.shape[1])
+        for c in range(m.shape[2]):
+            candidates = (m[:, :, c] != 0) & (height >= rank[:, None])
+            sel = np.flatnonzero(candidates.any(axis=1))
+            if not len(sel):
+                continue
+            r, pr = rank[sel], candidates[sel].argmax(axis=1)
+            pivot = m[sel, pr]
+            m[sel, pr] = m[sel, r]
+            pivot = field.mul_np[field.inv_np[pivot[:, c]][:, None], pivot]
+            coef = m[sel, :, c]
+            coef[np.arange(len(sel)), r] = 0
+            m[sel] = field.sub_np[m[sel], field.mul_np[coef[:, :, None], pivot[:, None, :]]]
+            m[sel, r] = pivot
+            rank[sel] += 1
+    return out, ranks
+
+
 def normalize_rows_np(field, arr):
     """Scale each nonzero row so its first nonzero entry is 1.
 

@@ -27,8 +27,8 @@ import numpy as np
 from .galois import Field, QuadExtension
 from .projgeom import (ProjectiveSpace, Subspace, group_rows, mat_mul,
                        matrix_inverse, normalize_rows_np, nullspace,
-                       points_array, reduce_rows_np, rref, scan_heavy_planes,
-                       span)
+                       points_array, reduce_rows_np, rref, rref_np,
+                       scan_heavy_planes, span)
 from .conics import (CompletionNotUnique, DegenerateInput, NotAnArc,
                      QuadraticForm, complete_q_arc, conic_through_5, is_arc)
 from .bruckbose import build_frame
@@ -284,22 +284,194 @@ def _residual_groups(state, basis5, threshold=None):
     return counts, inverse, norm
 
 
+def _dot_np(f, u, v):
+    """Dot products over the last axis of two broadcasting arrays."""
+    prod = f.mul_np[u, v]
+    acc = prod[..., 0]
+    for c in range(1, prod.shape[-1]):
+        acc = f.add_np[acc, prod[..., c]]
+    return acc
+
+
+def _three_space_tests(f, spans, arr, member_of, pairs):
+    """Per plane pair (i, j) and its 3-space, given by four RREF rows in spans:
+    whether the points of arr inside it differ from the members of i and j,
+    and how many planes have all their members inside.
+
+    A 3-space of PG(4,q) is a hyperplane, so a point lies in it exactly when
+    it is orthogonal to its dual vector: 1 on the free column c and -row[c]
+    on each row's pivot.  Pairs are taken DirectionTable.BLOCK at a time.
+    """
+    k = np.arange(len(spans))
+    lead = (spans != 0).argmax(axis=2)
+    is_pivot = np.zeros((len(spans), 5), dtype=bool)
+    is_pivot[k[:, None], lead] = True
+    free = (~is_pivot).argmax(axis=1)
+    dual = np.zeros((len(spans), 5), dtype=np.int16)
+    dual[k, free] = 1
+    dual[k[:, None], lead] = f.neg_np[spans[k[:, None], np.arange(4), free[:, None]]]
+    # each plane's members as point ids, padded with the id of an extra
+    # column that is always inside
+    sizes = member_of.sum(axis=1)
+    width = sizes.max(initial=0)
+    members = np.argsort(~member_of, axis=1, kind="stable")[:, :width]
+    members[np.arange(width) >= sizes[:, None]] = len(arr)
+    foreign = np.zeros(len(spans), dtype=bool)
+    third = np.zeros(len(spans), dtype=np.int64)
+    for lo in range(0, len(spans), DirectionTable.BLOCK):
+        block = slice(lo, lo + DirectionTable.BLOCK)
+        inside = _dot_np(f, dual[block, None, :], arr[None, :, :]) == 0
+        own = member_of[pairs[block, 0]] | member_of[pairs[block, 1]]
+        foreign[block] = (inside != own).any(axis=1)
+        padded = np.concatenate((inside, np.ones((len(inside), 1), dtype=bool)), axis=1)
+        third[block] = padded[:, members].all(axis=2).sum(axis=1)
+    return foreign, third
+
+
 def _line_keys(sigma, ids):
     """One integer per line, from the ids of its two RREF basis points."""
     return ids[:, 0].astype(np.int64) * sigma.npoints + ids[:, -1]
 
 
-def _transversal(sigma, V, l2, l3):
-    """The unique line through V meeting the skew lines l2 and l3."""
-    f = sigma.field
-    plane = span(sigma, [l2, V])
-    d = plane.dual()[0]
-    r1, r2 = l3.rows
-    a, b = f.dot(d, r1), f.dot(d, r2)
-    if a == 0 and b == 0:
-        raise NotSkew("third line lies in the plane of the first two")
-    W = tuple(f.sub(f.mul(b, x), f.mul(a, y)) for x, y in zip(r1, r2))
-    return span(sigma, [V, W])
+# Plucker coordinates p01, p02, p03, p12, p13, p23 of the line <x, y>
+_PLUCKER = (np.array([0, 0, 0, 1, 1, 2]), np.array([1, 2, 3, 2, 3, 3]))
+# The plane <l, V> for a line l with Plucker coordinates p and a point V off
+# it has dual vector d, d_k = sum over t of V[_DUAL_V[t, k]] * s[_DUAL_P[t, k]],
+# where s is p followed by -p: the 3x3 minors of the matrix (l; V).
+_DUAL_V = np.array([[1, 0, 0, 0], [2, 2, 1, 1], [3, 3, 3, 2]])
+_DUAL_P = np.array([[5, 11, 4, 9], [10, 2, 8, 1], [3, 7, 0, 6]])
+
+# the checks of regulus_from, in order; a batch flags each triple with the
+# number of the first one it fails (0: none).  Once the three lines are
+# pairwise skew the later ones cannot fail (transversals of skew lines are
+# skew, Hirschfeld 1985); they are kept so that a triple fails as it always did.
+_REGULUS_CHECKS = (
+    None, (0, 1), (0, 2), (1, 2),  # pairs of generating lines that must be skew
+    "third line lies in the plane of the first two",
+    "transversals are not distinct",
+    "third line lies in the plane of the first two",
+    "regulus lines are not distinct",
+    "regulus does not contain its generating lines",
+)
+
+
+def _plucker_np(f, x, y):
+    """Plucker coordinates of the lines <x, y>, over the last axis."""
+    i, j = _PLUCKER
+    return f.sub_np[f.mul_np[x[..., i], y[..., j]], f.mul_np[x[..., j], y[..., i]]]
+
+
+def _meet_np(f, p, r):
+    """Whether lines with Plucker coordinates p and r meet (or coincide): the
+    Klein form p01 r23 - p02 r13 + p03 r12 + p12 r03 - p13 r02 + p23 r01 is 0."""
+    t = f.mul_np[p, r[..., ::-1]]
+    plus = f.add_np[f.add_np[t[..., 0], t[..., 2]], f.add_np[t[..., 3], t[..., 5]]]
+    return plus == f.add_np[t[..., 1], t[..., 4]]
+
+
+def _line_key_np(f, rows):
+    """One integer per line <x, y>, rows (..., 2, 4) holding x and y: its
+    Plucker coordinates scaled to a leading 1, read in base q."""
+    p = _plucker_np(f, rows[..., 0, :], rows[..., 1, :])
+    scaled, _ = normalize_rows_np(f, p.reshape(-1, 6))
+    return (scaled.astype(np.int64) @ f.q ** np.arange(5, -1, -1)).reshape(p.shape[:-1])
+
+
+def _line_points_np(f, x, y):
+    """The points x + c y (c = 0..q-1), then y, of the lines <x, y>: (..., q+1, 4)."""
+    c = np.arange(f.q)[:, None]
+    pts = f.add_np[x[..., None, :], f.mul_np[c, y[..., None, :]]]
+    return np.concatenate((pts, y[..., None, :]), axis=-2)
+
+
+def _transversals_np(f, V, p2, r1, r2):
+    """Through each point V (..., m, 4), the line meeting the line with Plucker
+    coordinates p2 and the line <r1, r2> (skew).  The plane <l2, V> has dual
+    d, and l3 meets it in W = (d.r2) r1 - (d.r1) r2; the transversal is <V, W>.
+    Returns (W, degenerate), degenerate where l3 lies in the plane."""
+    signed = np.concatenate((p2, f.neg_np[p2]), axis=-1)[..., _DUAL_P]
+    t = f.mul_np[V[..., _DUAL_V], signed[..., None, :, :]]
+    d = f.add_np[f.add_np[t[..., 0, :], t[..., 1, :]], t[..., 2, :]]
+    a, b = _dot_np(f, d, r1[..., None, :]), _dot_np(f, d, r2[..., None, :])
+    W = f.sub_np[f.mul_np[b[..., None], r1[..., None, :]], f.mul_np[a[..., None], r2[..., None, :]]]
+    return W, (a == 0) & (b == 0)
+
+
+@dataclass
+class _ReguliBatch:
+    """The reguli through triples (l1, l2, l3) of lines of PG(3,q).
+
+    failed[k] is the number of the first check of _REGULUS_CHECKS triple k
+    fails, 0 if none.  lines and opposite hold each regulus's q+1 lines as
+    spanning pairs, shape (k, q+1, 2, 4), and keys holds _line_key_np of the
+    lines.  opposite[k, t] is the transversal through the t-th point of l1.
+    """
+    failed: np.ndarray
+    lines: np.ndarray
+    keys: np.ndarray
+    opposite: np.ndarray
+    opposite_keys: np.ndarray
+
+
+def _repeats(keys):
+    s = np.sort(keys, axis=-1)
+    return (s[..., 1:] == s[..., :-1]).any(axis=-1)
+
+
+def _regulus_batch(f, l1, l2, l3):
+    """The regulus through each triple of lines given by bases (k, 2, 4),
+    broadcasting, built as regulus_from does: through each point of l1 the
+    line meeting l2 and l3 (the opposite regulus), then the common
+    transversals of three of those."""
+    l1, l2, l3 = np.broadcast_arrays(*(np.asarray(l, dtype=np.int16) for l in (l1, l2, l3)))
+    p1, p2, p3 = (_plucker_np(f, l[:, 0], l[:, 1]) for l in (l1, l2, l3))
+    failed = np.zeros(len(l1), dtype=np.int64)
+
+    def flag(check, bad):
+        failed[(failed == 0) & bad] = check
+
+    flag(1, _meet_np(f, p1, p2))
+    flag(2, _meet_np(f, p1, p3))
+    flag(3, _meet_np(f, p2, p3))
+    V = _line_points_np(f, l1[:, 0], l1[:, 1])
+    W, degenerate = _transversals_np(f, V, p2, l3[:, 0], l3[:, 1])
+    flag(4, degenerate.any(axis=1))
+    opposite = np.stack((V, W), axis=2)
+    opposite_keys = _line_key_np(f, opposite)
+    flag(5, _repeats(opposite_keys))
+    U = _line_points_np(f, V[:, 0], W[:, 0])
+    W2, degenerate = _transversals_np(f, U, _plucker_np(f, V[:, 1], W[:, 1]), V[:, 2], W[:, 2])
+    flag(6, degenerate.any(axis=1))
+    lines = np.stack((U, W2), axis=2)
+    keys = _line_key_np(f, lines)
+    flag(7, _repeats(keys))
+    own = _line_key_np(f, np.stack((l1, l2, l3), axis=1))
+    flag(8, ~(own[:, :, None] == keys[:, None, :]).any(axis=2).all(axis=1))
+    return _ReguliBatch(failed=failed, lines=lines, keys=keys,
+                       opposite=opposite, opposite_keys=opposite_keys)
+
+
+def _regulus_failure(check, triple):
+    """The NotSkew that regulus_from raises for a failed check number."""
+    what = _REGULUS_CHECKS[check]
+    if isinstance(what, tuple):
+        a, b = (triple[i] for i in what)
+        return NotSkew(f"lines are not pairwise skew: {a.to_text()} / {b.to_text()}")
+    return NotSkew(what)
+
+
+def _reguli(sigma, picks):
+    """Regulus objects for (batch, index) picks, with one row reduction."""
+    if not picks:
+        return []
+    spans = np.stack([(b.lines[i], b.opposite[i]) for b, i in picks])  # (k, 2, q+1, 2, 4)
+    red, _ = rref_np(sigma.field, spans.reshape(-1, 2, 4))
+
+    def subspaces(bases):
+        return tuple(Subspace(sigma, rows)
+                     for rows in sorted(tuple(map(tuple, b)) for b in bases.tolist()))
+    return [Regulus(lines=subspaces(lines), opposite=subspaces(opposite))
+            for lines, opposite in red.reshape(spans.shape)]
 
 
 def regulus_from(sigma, l1, l2, l3):
@@ -307,22 +479,12 @@ def regulus_from(sigma, l1, l2, l3):
 
     Built by transversals: through each point of l1 the unique line meeting
     l2 and l3 (the opposite regulus), then the common transversals of those.
+    The single-triple case of _regulus_batch.
     """
-    for a, b in itertools.combinations((l1, l2, l3), 2):
-        if a.meet(b) is not None:
-            raise NotSkew(f"lines are not pairwise skew: {a.to_text()} / {b.to_text()}")
-    opposite = [_transversal(sigma, V, l2, l3) for V in l1.points()]
-    if len({t.rows for t in opposite}) != len(opposite):
-        raise NotSkew("transversals are not distinct")
-    o1, o2, o3 = opposite[:3]
-    lines = [_transversal(sigma, U, o2, o3) for U in o1.points()]
-    rows = {t.rows for t in lines}
-    if len(rows) != len(lines):
-        raise NotSkew("regulus lines are not distinct")
-    for l in (l1, l2, l3):
-        if l.rows not in rows:
-            raise NotSkew("regulus does not contain its generating lines")
-    return Regulus(lines=tuple(sorted(lines)), opposite=tuple(sorted(opposite)))
+    batch = _regulus_batch(sigma.field, *([l.rows] for l in (l1, l2, l3)))
+    if batch.failed[0]:
+        raise _regulus_failure(batch.failed[0], (l1, l2, l3))
+    return _reguli(sigma, [(batch, 0)])[0]
 
 
 def plucker(field, line):
@@ -475,6 +637,7 @@ def stage_parallel_classes(state):
 
 def stage_infinity_data(state):
     q = state.q
+    f = state.base
     C = state.C
     planes = state.planes
     plane2 = state.plane2
@@ -496,26 +659,38 @@ def stage_infinity_data(state):
             raise StructureViolation("completion point off the trace line",
                                      witness=info.plane.to_text())
 
+    # Plane pairs, in one row reduction of their stacked bases: two planes
+    # meet in a point exactly when the rank is 5 (Grassmann), and in a line
+    # exactly when it is 4, the first four rows then being their 3-space.
+    # Same-class pairs come first, then the pairs of classes sharing a
+    # completion point.
+    classes_of_comp = {}
+    for cid, group in enumerate(state.classes):
+        classes_of_comp.setdefault(planes[group[0]].completion, []).append(cid)
+    same = [list(itertools.combinations(group, 2)) for group in state.classes]
+    cross = [(i, j) for cids in classes_of_comp.values() if len(cids) == 2
+             for i in state.classes[cids[0]] for j in state.classes[cids[1]]]
+    pairs = np.array([p for ps in same for p in ps] + cross, dtype=np.int64).reshape(-1, 2)
+    bases = np.array([info.plane.rows for info in planes], dtype=np.int16)
+    red, rank = rref_np(f, np.concatenate((bases[pairs[:, 0]], bases[pairs[:, 1]]), axis=1))
+
     # planes of one class share their completion and pairwise meet only there
-    comp5_of = {}
+    met = (rank == 5).tolist()
+    start = 0
     for cid, group in enumerate(state.classes):
         comps = {planes[i].completion for i in group}
         if len(comps) != 1:
             raise StructureViolation(f"class {cid} has {len(comps)} completion points")
-        comp = planes[group[0]].completion
-        comp5 = state.space4.normalize(comp + (0,))
-        comp5_of[cid] = comp5
-        for a, b in itertools.combinations(group, 2):
-            m = planes[a].plane.meet(planes[b].plane)
-            if m is None or m.dim != 0 or not m.contains(comp5):
+        comp5 = planes[group[0]].completion + (0,)
+        holds = {i: planes[i].plane.contains(comp5) for i in group}
+        for p, (a, b) in enumerate(same[cid], start):
+            if not (met[p] and holds[a] and holds[b]):
                 raise StructureViolation(
                     f"class {cid} planes do not meet exactly in their completion point",
                     witness=planes[a].plane.to_text())
+        start += len(same[cid])
 
     # each completion point belongs to exactly two classes
-    classes_of_comp = {}
-    for cid, group in enumerate(state.classes):
-        classes_of_comp.setdefault(planes[group[0]].completion, []).append(cid)
     for comp, cids in classes_of_comp.items():
         if len(cids) != 2:
             raise StructureViolation(
@@ -558,39 +733,38 @@ def stage_infinity_data(state):
         raise StructureViolation(
             f"{simple} simple points, expected {q ** 3 + q ** 2}")
 
-    # two planes spanning a 3-space: the points inside it are exactly those
-    # of the two planes, and it contains no third plane.  The q >= 3 members
-    # of a plane are an arc, so they span it: a plane lies in a 3-space
-    # exactly when all its members do.
+    # Completion-sharing planes meet in a line, so they span a 3-space (the
+    # separate check that the span is a 3-space followed from that and is
+    # gone).  The points of C inside it are exactly those of the two planes,
+    # and it contains no third plane.  The q >= 3 members of a plane are an
+    # arc, so they span it: a plane lies in a 3-space exactly when all its
+    # members do.  Flags are computed for every pair; the first failing pair
+    # raises its first failing check.
     member_of = np.zeros((len(planes), len(C)), dtype=bool)
     for pid, info in enumerate(planes):
         member_of[pid, list(info.members)] = True
-    line_pairs = three_space_checks = 0
-    for comp, cids in classes_of_comp.items():
-        ca, cb = cids
-        for i in state.classes[ca]:
-            for j in state.classes[cb]:
-                m = planes[i].plane.meet(planes[j].plane)
-                if m is None or m.dim != 1:
-                    raise StructureViolation(
-                        "completion-sharing planes do not meet in a line",
-                        witness=planes[i].plane.to_text())
-                if (planes[i].mask & planes[j].mask).bit_count() != 1:
-                    raise StructureViolation("line-meeting planes share != 1 point")
-                line_pairs += 1
-                sigma3 = span(state.space4, [planes[i].plane, planes[j].plane])
-                if sigma3.dim != 3:
-                    raise StructureViolation("plane pair spans wrong dimension")
-                inside = ~reduce_rows_np(state.base, sigma3.rows, state._C_arr).any(axis=1)
-                if (inside != (member_of[i] | member_of[j])).any():
-                    raise StructureViolation(
-                        "3-space contains foreign points",
-                        witness=sigma3.to_text())
-                third = int((member_of <= inside).all(axis=1).sum())
-                if third != 2:
-                    raise StructureViolation(
-                        f"3-space contains {third} planes", witness=sigma3.to_text())
-                three_space_checks += 1
+    n_same = len(pairs) - len(cross)
+    cross = pairs[n_same:]
+    spans = red[n_same:, :4]
+    in_line = rank[n_same:] == 4
+    shared = np.array([(planes[i].mask & planes[j].mask).bit_count() for i, j in cross.tolist()],
+                      dtype=np.int64)
+    foreign, third = _three_space_tests(f, spans, state._C_arr, member_of, cross)
+    bad = np.flatnonzero(~in_line | (shared != 1) | foreign | (third != 2))
+    if len(bad):
+        p = bad[0]
+        if not in_line[p]:
+            raise StructureViolation(
+                "completion-sharing planes do not meet in a line",
+                witness=planes[cross[p, 0]].plane.to_text())
+        if shared[p] != 1:
+            raise StructureViolation("line-meeting planes share != 1 point")
+        sigma3 = Subspace(state.space4, tuple(map(tuple, spans[p].tolist())))
+        if foreign[p]:
+            raise StructureViolation("3-space contains foreign points",
+                                     witness=sigma3.to_text())
+        raise StructureViolation(f"3-space contains {int(third[p])} planes",
+                                 witness=sigma3.to_text())
 
     state.classification = SigmaClassification(
         completion_points=completion_points,
@@ -601,8 +775,8 @@ def stage_infinity_data(state):
         "simple_points": simple,
         "trace_lines": len(cline_rows),
         "lines_per_completion": 2 * q,
-        "line_meeting_pairs": line_pairs,
-        "three_space_checks": three_space_checks,
+        "line_meeting_pairs": len(cross),
+        "three_space_checks": len(cross),
     }
 
 
@@ -769,52 +943,66 @@ def stage_assemble_spread(state):
 
 
 def stage_regulus_closure(state):
+    """Greedy closure of the spread lines under the reguli through the axis.
+
+    Pairs (i, j) of non-axis lines are visited in order; one not yet inside
+    an accepted regulus must have its regulus with the axis in the spread,
+    and that regulus is accepted.  The reguli for all open pairs of row i are
+    built at once; a pair that an earlier one of its row covers is passed over.
+    """
     q = state.q
+    f = state.base
     spread = state.spread
     sigma = state.sigma
     axis = spread.axis
     lines = [l for l in spread.lines if l.rows != axis.rows]
-    rows_set = spread.rows_set()
-    idx = {l.rows: i for i, l in enumerate(lines)}
-    cline_rows = {info.cline.rows for info in state.planes} if state.planes else None
-    covered = {}
-    reguli = []
+    n = len(lines)
+    bases = np.array([l.rows for l in lines], dtype=np.int16).reshape(n, 2, 4)
+    axis_rows = np.array([axis.rows], dtype=np.int16)
+    idx = {k: i for i, k in enumerate(_line_key_np(f, bases).tolist())}
+    in_spread = set(idx) | set(_line_key_np(f, axis_rows).tolist())
+    covered = np.zeros((n, n), dtype=bool)
+    accepted = []
     passes = 0
-    for i, j in itertools.combinations(range(len(lines)), 2):
-        if (i, j) in covered:
-            passes += 1
+    for i in range(n):
+        todo = i + 1 + np.flatnonzero(~covered[i, i + 1:])
+        passes += n - 1 - i - len(todo)
+        if not len(todo):
             continue
-        reg = regulus_from(sigma, axis, lines[i], lines[j])
-        members = [idx[l.rows] for l in reg.lines if l.rows in idx]
-        if any(l.rows not in rows_set for l in reg.lines):
-            raise ClosureViolation(
-                f"regulus through pair ({i},{j}) leaves the spread",
-                witness=lines[i].to_text() + " | " + lines[j].to_text())
-        rid = len(reguli)
-        reguli.append(reg)
-        for a, b in itertools.combinations(sorted(members), 2):
-            covered[(a, b)] = rid
-        passes += 1
-    opposite_traces = None
-    if cline_rows is not None:
-        opposite_traces = []
-        for reg in reguli:
-            hits = sum(1 for l in reg.opposite if l.rows in cline_rows)
+        batch = _regulus_batch(f, axis_rows, bases[i:i + 1], bases[todo])
+        for t, j in enumerate(todo.tolist()):
+            passes += 1
+            if covered[i, j]:
+                continue
+            if batch.failed[t]:
+                raise _regulus_failure(batch.failed[t], (axis, lines[i], lines[j]))
+            reg_keys = batch.keys[t].tolist()
+            if any(k not in in_spread for k in reg_keys):
+                raise ClosureViolation(
+                    f"regulus through pair ({i},{j}) leaves the spread",
+                    witness=lines[i].to_text() + " | " + lines[j].to_text())
+            members = [idx[k] for k in reg_keys if k in idx]
+            covered[np.ix_(members, members)] = True
+            accepted.append((batch, t))
+    if state.planes:
+        cline_keys = set(_line_key_np(f, np.array(
+            [info.cline.rows for info in state.planes], dtype=np.int16)).tolist())
+        for batch, t in accepted:
+            hits = sum(1 for k in batch.opposite_keys[t].tolist() if k in cline_keys)
             if hits != 1:
                 raise StructureViolation(
                     f"opposite regulus contains {hits} trace lines")
-            opposite_traces.append(hits)
-    if len(reguli) != q * q + q:
+    if len(accepted) != q * q + q:
         raise StructureViolation(
-            f"{len(reguli)} distinct reguli through the axis, expected {q * q + q}")
-    state.reguli = reguli
+            f"{len(accepted)} distinct reguli through the axis, expected {q * q + q}")
+    state.reguli = _reguli(sigma, accepted)
     out = {
-        "pairs": len(lines) * (len(lines) - 1) // 2,
+        "pairs": n * (n - 1) // 2,
         "passes": passes,
-        "distinct_reguli": len(reguli),
+        "distinct_reguli": len(accepted),
     }
-    if opposite_traces is not None:
-        out["opposites_with_one_trace_line"] = len(opposite_traces)
+    if state.planes:
+        out["opposites_with_one_trace_line"] = len(accepted)
     return out
 
 

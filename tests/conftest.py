@@ -1,8 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from pgconics.galois import Field, QuadExtension
 from pgconics.bruckbose import build_frame, canonical_tangent_conic, build_C
 from pgconics.reconstruct import full_pipeline
+
+# Property tests draw the same examples on every run, so tier-1 stays
+# deterministic; the pipeline's run time varies, so no per-example deadline.
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

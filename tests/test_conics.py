@@ -180,6 +180,48 @@ def test_completion_rejects_non_arcs(pg2_7):
                                (0, 0, 1), (1, 1, 1), (1, 2, 1), (1, 3, 1)])
 
 
+# Witnesses captured while complete_q_arc still ran the full arc test before
+# fitting: the fit-first order must name the same first collinear triple.
+@pytest.mark.parametrize("q,arc,triple", [
+    # collinear triple inside the first five points
+    (7, [(0, 0, 1), (1, 1, 1), (2, 0, 1), (1, 0, 1), (4, 2, 1), (5, 4, 1), (6, 1, 1)],
+     ((0, 0, 1), (1, 0, 4), (1, 0, 1))),
+    # first five on x^2 = yz, the triple closed by the last two points
+    (7, [(0, 0, 1), (1, 1, 1), (2, 4, 1), (3, 2, 1), (4, 2, 1), (1, 0, 1), (2, 0, 1)],
+     ((0, 0, 1), (1, 0, 1), (1, 0, 4))),
+    # only the last point is off the conic
+    (7, [(0, 0, 1), (1, 1, 1), (2, 4, 1), (3, 2, 1), (4, 2, 1), (5, 4, 1), (1, 6, 1)],
+     ((1, 2, 4), (1, 3, 5), (1, 6, 1))),
+    # fewer than five points: the fit cannot run at all
+    (3, [(0, 0, 1), (1, 0, 1), (2, 0, 1)], ((0, 0, 1), (1, 0, 1), (1, 0, 2))),
+])
+def test_completion_non_arc_witness(q, arc, triple):
+    with pytest.raises(NotAnArc) as info:
+        complete_q_arc(plane_over(q), arc)
+    assert type(info.value) is NotAnArc
+    assert str(info.value) == f"three collinear points: {triple}"
+    assert info.value.witness == triple
+
+
+def test_completion_of_a_small_arc_is_degenerate():
+    with pytest.raises(DegenerateInput, match="need exactly 5 points, got 3"):
+        complete_q_arc(plane_over(3), [(0, 0, 1), (1, 0, 1), (0, 1, 1)])
+
+
+def test_completion_runs_the_arc_test_only_on_failure(pg2_7, monkeypatch):
+    """On an arc, the one arc test is conic_through_5's own, on five points."""
+    from pgconics import conics
+    sizes = []
+    original = conics.is_arc
+
+    def counted(space, points):
+        sizes.append(len(points))
+        return original(space, points)
+    monkeypatch.setattr(conics, "is_arc", counted)
+    complete_q_arc(pg2_7, canonical_points(pg2_7)[:7])
+    assert sizes == [5]
+
+
 def test_completion_not_unique_on_undersized_arc(pg2_7):
     # every 7-arc of PG(2,7) lies on a conic, so the fitting path cannot see
     # an ambiguous completion; the secant filter can, on an undersized arc

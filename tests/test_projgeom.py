@@ -1,12 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
 from pgconics.galois import Field
 from pgconics.projgeom import (AmbientMismatch, ProjectiveSpace, Subspace,
                                affine_filter, gaussian_binomial,
                                matrix_inverse, mat_mul, meet, nullspace, rref,
-                               scan_heavy_planes, span)
+                               rref_np, scan_heavy_planes, span)
 
 
 @pytest.fixture(scope="module")
@@ -189,3 +190,47 @@ def test_scan_heavy_planes_finds_planted_plane(pg4, gf7):
     assert len(found) == 1
     assert found[0][0].rows == plane.rows
     assert found[0][1] == (0, 1, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
+def test_rref_np_matches_rref(p, k):
+    """Rows, pivots and rank of every stack equal the scalar rref's, with
+    zero rows, repeated rows and rank-deficient stacks among them."""
+    f = Field(p, k)
+    rng = np.random.default_rng(p * 10 + k)
+    for r, w in [(6, 5), (4, 4), (2, 4), (3, 5), (5, 3), (1, 5)]:
+        stacks = rng.integers(0, f.q, size=(120, r, w)).astype(np.int16)
+        stacks[0::4, r // 2] = 0                      # a zero row
+        stacks[1::4, -1] = stacks[1::4, 0]            # a repeated row
+        stacks[2::4, :, 0] = 0                        # a zero column
+        # rank at most 1: multiples of one row
+        stacks[3::4] = f.mul_np[rng.integers(0, f.q, size=(30, r, 1)), stacks[3::4, :1]]
+        reduced, ranks = rref_np(f, stacks)
+        assert reduced.shape == stacks.shape
+        for stack, red, rank in zip(stacks.tolist(), reduced, ranks.tolist()):
+            rows, pivots = rref(f, stack)
+            assert rank == len(rows)
+            assert tuple(map(tuple, red[:rank].tolist())) == rows
+            assert tuple((red[:rank] != 0).argmax(axis=1).tolist()) == pivots
+            assert not red[rank:].any()
+
+
+def test_rref_np_edge_cases(gf7):
+    reduced, ranks = rref_np(gf7, np.zeros((0, 6, 5), dtype=np.int16))
+    assert reduced.shape == (0, 6, 5) and ranks.shape == (0,)
+    reduced, ranks = rref_np(gf7, np.zeros((3, 2, 4), dtype=np.int16))
+    assert not reduced.any() and ranks.tolist() == [0, 0, 0]
+    stacks = np.array([[[0, 2, 4], [0, 3, 6]]], dtype=np.int16)
+    stacks_copy = stacks.copy()
+    reduced, ranks = rref_np(gf7, stacks)
+    assert reduced.tolist() == [[[0, 1, 2], [0, 0, 0]]] and ranks.tolist() == [1]
+    assert (stacks == stacks_copy).all()  # the input is not modified
+
+
+def test_rref_np_blocks(gf7, monkeypatch):
+    from pgconics import projgeom
+    stacks = np.random.default_rng(3).integers(0, 7, size=(50, 6, 5)).astype(np.int16)
+    whole = rref_np(gf7, stacks)
+    monkeypatch.setattr(projgeom, "RREF_BLOCK", 7)
+    blocked = rref_np(gf7, stacks)
+    assert (whole[0] == blocked[0]).all() and (whole[1] == blocked[1]).all()

@@ -6,15 +6,16 @@ import random
 import numpy as np
 import pytest
 
-from pgconics.projgeom import (Subspace, matrix_inverse, points_array,
-                               reduce_rows_np, rref, span)
+from pgconics.projgeom import (Subspace, matrix_inverse, points_array, rref,
+                               rref_np, span)
 from pgconics.bruckbose import (baer_subplane_through, build_C,
                                 random_tangent_conic)
 from pgconics import reconstruct
 from pgconics.conics import DegenerateInput, tangent_line
 from pgconics.cli import main
-from pgconics.reconstruct import (CheckViolation, PipelineState, PlaneInfo,
-                                  Spread, StructureViolation, _residual_groups,
+from pgconics.reconstruct import (ClosureViolation, NotSkew, PipelineState,
+                                  PlaneInfo, Spread, StructureViolation,
+                                  _residual_groups, _three_space_tests,
                                   align_spreads, classical_spread,
                                   displace_point, full_pipeline, make_frame,
                                   on_klein_quadric, perturb_spread_by_regulus,
@@ -156,32 +157,38 @@ def test_baer_cplanes_match_axioms_q5():
 def assert_three_space_confinement(st, pairs):
     """Planes spanning a 3-space: its points are exactly theirs, no third plane.
 
-    The oracle is the dual-vector test and is_subspace_of over all planes;
-    infinity_data tests input points by their residues modulo the 3-space
-    and planes by whether all their members are inside.  Both must agree on
-    every pair, also at q = 3, where a third plane is not excluded by counting
-    (it meets each of the two planes in a line, so carries <= 4 points).
+    The oracle is Subspace.meet and span, the dual-vector test and
+    is_subspace_of over all planes.  infinity_data reads the meet from the
+    rank of the stacked bases (rref_np), tests input points against the
+    3-space's dual vector and counts the planes whose members are all
+    inside (_three_space_tests).  Both must agree on every pair, also at
+    q = 3, where a third plane is not excluded by counting (it meets each
+    of the two planes in a line, so carries <= 4 points).
     """
     planes, C, f = st.planes, st.C, st.base
     member_of = np.zeros((len(planes), len(C)), dtype=bool)
     for pid, info in enumerate(planes):
         member_of[pid, list(info.members)] = True
+    all_pairs = np.array(list(itertools.combinations(range(len(planes)), 2)))
+    bases = np.array([info.plane.rows for info in planes], dtype=np.int16)
+    red, rank = rref_np(f, np.concatenate((bases[all_pairs[:, 0]], bases[all_pairs[:, 1]]), axis=1))
+    foreign, third_count = _three_space_tests(f, red[:, :4], st._C_arr, member_of, all_pairs)
     found = 0
-    for a, b in itertools.combinations(range(len(planes)), 2):
+    for p, (a, b) in enumerate(all_pairs.tolist()):
         pa, pb = planes[a], planes[b]
         m = pa.plane.meet(pb.plane)
-        if m is None or m.dim != 1:
+        assert rank[p] == 6 - len(m.rows)  # Grassmann
+        if m.dim != 1:
             continue
         sigma3 = span(st.space4, [pa.plane, pb.plane])
         assert sigma3.dim == 3
+        assert tuple(map(tuple, red[p, :4].tolist())) == sigma3.rows
         dual = sigma3.dual()[0]
-        inside = {i for i, p in enumerate(C) if f.dot(dual, p) == 0}
+        inside = {i for i, x in enumerate(C) if f.dot(dual, x) == 0}
         assert inside == set(pa.members) | set(pb.members)
         third = [i for i, info in enumerate(planes) if info.plane.is_subspace_of(sigma3)]
         assert third == [a, b]
-        zero = ~reduce_rows_np(f, sigma3.rows, st._C_arr).any(axis=1)
-        assert set(np.flatnonzero(zero).tolist()) == inside
-        assert np.flatnonzero((member_of <= zero).all(axis=1)).tolist() == third
+        assert not foreign[p] and third_count[p] == 2
         found += 1
     assert found == pairs  # (q+1)/2 completion points x q^2 cross pairs
     recs = run_stages(st, include={"parallel_classes", "infinity_data"})
@@ -202,6 +209,28 @@ def test_three_space_confinement():
 @pytest.mark.parametrize("q,seed,pairs", [(3, 0, 18), (5, 0, 75), (9, 5, 405)])
 def test_three_space_confinement_other_fields(q, seed, pairs):
     assert_three_space_confinement(cplane_state(q, seed), pairs)
+
+
+def test_three_space_tests_flags():
+    """A member missing from its plane makes the 3-space hold a foreign
+    point; a second copy of a plane makes it hold three planes."""
+    st = cplane_state(7, 0)
+    planes = st.planes
+    a, b = next((a, b) for a, b in itertools.combinations(range(len(planes)), 2)
+                if planes[a].plane.meet(planes[b].plane).dim == 1)
+    sigma3 = span(st.space4, [planes[a].plane, planes[b].plane])
+    spans = np.array([sigma3.rows], dtype=np.int16)
+    member_of = np.zeros((len(planes), len(st.C)), dtype=bool)
+    for pid, info in enumerate(planes):
+        member_of[pid, list(info.members)] = True
+    pair = np.array([[a, b]])
+    assert [x.tolist() for x in _three_space_tests(st.base, spans, st._C_arr, member_of, pair)] \
+        == [[False], [2]]
+    copied = np.concatenate((member_of, member_of[a:a + 1]))
+    assert [x.tolist() for x in _three_space_tests(st.base, spans, st._C_arr, copied, pair)] \
+        == [[False], [3]]
+    member_of[a, next(m for m in planes[a].members if m not in planes[b].members)] = False
+    assert _three_space_tests(st.base, spans, st._C_arr, member_of, pair)[0].tolist() == [True]
 
 
 def inject_foreign_point(q, seed, pair):
@@ -449,6 +478,132 @@ def test_klein_rejects_hall_perturbation_witnesses(q):
     recs = run_stages(st, include={"regulus_closure", "klein_regularity"})
     assert [(r.name, r.verdict, r.witness) for r in recs] == \
         [(name, "fail", witness) for name, witness in HALL_WITNESSES]
+
+
+# ---------------------------------------------------------------------------
+# the batched regulus closure against the scalar transversal construction
+
+
+def scalar_transversal(sigma, V, l2, l3):
+    """The unique line through V meeting the skew lines l2 and l3."""
+    f = sigma.field
+    d = span(sigma, [l2, V]).dual()[0]
+    r1, r2 = l3.rows
+    a, b = f.dot(d, r1), f.dot(d, r2)
+    if a == 0 and b == 0:
+        raise NotSkew("third line lies in the plane of the first two")
+    W = tuple(f.sub(f.mul(b, x), f.mul(a, y)) for x, y in zip(r1, r2))
+    return span(sigma, [V, W])
+
+
+def scalar_regulus_from(sigma, l1, l2, l3):
+    for a, b in itertools.combinations((l1, l2, l3), 2):
+        if a.meet(b) is not None:
+            raise NotSkew(f"lines are not pairwise skew: {a.to_text()} / {b.to_text()}")
+    opposite = [scalar_transversal(sigma, V, l2, l3) for V in l1.points()]
+    if len({t.rows for t in opposite}) != len(opposite):
+        raise NotSkew("transversals are not distinct")
+    o1, o2, o3 = opposite[:3]
+    lines = [scalar_transversal(sigma, U, o2, o3) for U in o1.points()]
+    rows = {t.rows for t in lines}
+    if len(rows) != len(lines):
+        raise NotSkew("regulus lines are not distinct")
+    if any(l.rows not in rows for l in (l1, l2, l3)):
+        raise NotSkew("regulus does not contain its generating lines")
+    return reconstruct.Regulus(lines=tuple(sorted(lines)), opposite=tuple(sorted(opposite)))
+
+
+def scalar_closure(sigma, spread):
+    """(reguli, passes) of the greedy closure, one regulus_from per open pair."""
+    axis = spread.axis
+    lines = [l for l in spread.lines if l.rows != axis.rows]
+    rows_set = spread.rows_set()
+    idx = {l.rows: i for i, l in enumerate(lines)}
+    covered, reguli, passes = set(), [], 0
+    for i, j in itertools.combinations(range(len(lines)), 2):
+        passes += 1
+        if (i, j) in covered:
+            continue
+        reg = scalar_regulus_from(sigma, axis, lines[i], lines[j])
+        if any(l.rows not in rows_set for l in reg.lines):
+            raise ClosureViolation(
+                f"regulus through pair ({i},{j}) leaves the spread",
+                witness=lines[i].to_text() + " | " + lines[j].to_text())
+        reguli.append(reg)
+        covered.update(itertools.combinations(sorted(idx[l.rows] for l in reg.lines
+                                                     if l.rows in idx), 2))
+    return reguli, passes
+
+
+def reguli_rows(reguli):
+    return [([l.rows for l in r.lines], [l.rows for l in r.opposite]) for r in reguli]
+
+
+@pytest.mark.parametrize("q", [5, 7, 9])
+def test_regulus_closure_matches_scalar_oracle(q):
+    frame = make_frame(q)
+    C = build_C(frame, random_tangent_conic(frame, 0 if q != 9 else 5))
+    records, state = full_pipeline(C, frame=frame, exploratory=q < 7)
+    closure = records_by_name(records)["regulus_closure"]
+    assert closure.verdict == "pass"
+    reguli, passes = scalar_closure(frame.sigma, state.spread)
+    assert reguli_rows(state.reguli) == reguli_rows(reguli)
+    n = q * q
+    assert closure.counts == {"pairs": n * (n - 1) // 2, "passes": passes,
+                              "distinct_reguli": len(reguli),
+                              "opposites_with_one_trace_line": len(reguli)}
+    # shuffled line orders change the greedy choices, not the agreement
+    rng = random.Random(q)
+    for _ in range(2):
+        lines = list(state.spread.lines)
+        rng.shuffle(lines)
+        st = PipelineState(frame, C)
+        st.spread = Spread(lines=tuple(lines), axis=state.axis, provenance={})
+        assert run_stages(st, include={"regulus_closure"})[0].verdict == "pass"
+        assert reguli_rows(st.reguli) == reguli_rows(scalar_closure(frame.sigma, st.spread)[0])
+
+
+@pytest.mark.parametrize("q", [5, 7, 9])
+def test_regulus_from_matches_scalar_oracle(q):
+    """On spread triples and on random line triples, meeting ones included."""
+    frame = make_frame(q)
+    sigma = frame.sigma
+    spread_lines = list(classical_spread(frame).lines)
+    rng = random.Random(q)
+    outcomes = collections.Counter()
+    for t in range(40):
+        if t % 2:
+            triple = rng.sample(spread_lines, 3)
+        else:
+            triple = [span(sigma, rng.sample(sigma.points(), 2)) for _ in range(3)]
+        try:
+            expected = reguli_rows([scalar_regulus_from(sigma, *triple)])
+        except NotSkew as exc:
+            with pytest.raises(NotSkew) as info:
+                regulus_from(sigma, *triple)
+            assert str(info.value) == str(exc)
+            outcomes["not skew"] += 1
+            continue
+        assert reguli_rows([regulus_from(sigma, *triple)]) == expected
+        outcomes["regulus"] += 1
+    assert outcomes["regulus"] >= 20 and outcomes["not skew"] >= 1
+
+
+def test_regulus_closure_witness_past_the_first_pair(frame7, c7):
+    """The Hall-perturbed classical spread, lines in descending order: the
+    regulus of pair (0, 1) lies in the spread and covers other pairs of row
+    0, and pair (0, 7) is the first whose regulus leaves it.  Captured with
+    the scalar closure."""
+    pert, _ = perturb_spread_by_regulus(frame7.sigma, classical_spread(frame7))
+    others = sorted((l for l in pert.lines if l.rows != pert.axis.rows), reverse=True)
+    st = PipelineState(frame7, c7)
+    st.spread = Spread(lines=tuple(others) + (pert.axis,), axis=pert.axis, provenance={})
+    rec = run_stages(st, include={"regulus_closure"})[0]
+    assert (rec.verdict, rec.witness) == (
+        "fail", "ClosureViolation: regulus through pair (0,7) leaves the spread "
+                "[1,0,6,6;0,1,4,6 | 1,0,5,6;0,1,6,3]")
+    with pytest.raises(ClosureViolation, match=r"pair \(0,7\)"):
+        scalar_closure(frame7.sigma, st.spread)
 
 
 def test_three_space_and_klein_work_counts(frame7, conic7, c7, monkeypatch):
