@@ -14,8 +14,10 @@ import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .projgeom import (ProjectiveSpace, Subspace, matrix_inverse, mat_mul,
-                       rref, scan_heavy_planes, span)
+                       normalize_rows_np, rref, scan_heavy_planes, span)
 from .conics import (DegenerateInput, QuadraticForm, classify_vs_conic, is_arc,
                      tangent_line)
 
@@ -43,7 +45,7 @@ def _cross(f, u, v):
 class BruckBoseFrame:
     """Shared coordinate dictionary: PG(2,q^2), PG(4,q), sigma = PG(3,q), spread."""
 
-    def __init__(self, ext, check=True):
+    def __init__(self, ext):
         self.ext = ext
         self.base = ext.base
         self.q = ext.base.q
@@ -52,8 +54,7 @@ class BruckBoseFrame:
         self.sigma = ProjectiveSpace(3, ext.base)
         self.l_inf = Subspace(self.plane, ((1, 0, 0), (0, 1, 0)))
         self._build_spread()
-        if check:
-            self._verify()
+        self._verify()
 
     def _build_spread(self):
         ext, base, q = self.ext, self.base, self.q
@@ -81,25 +82,45 @@ class BruckBoseFrame:
 
     def point_down(self, pt):
         """Affine PG(2,q^2) point -> canonical PG(4,q) point."""
-        x, y, z = pt
-        if z == 0:
-            raise ValueError(f"{pt} lies on the line at infinity")
-        E = self.ext.ext
-        s = E.inv(z)
-        a0, a1 = self.ext.decompose(E.mul(x, s))
-        b0, b1 = self.ext.decompose(E.mul(y, s))
-        return self.space4.normalize((a0, a1, b0, b1, 1))
+        return tuple(self.points_down([pt])[0].tolist())
 
     def point_up(self, pt):
         """Affine PG(4,q) point -> canonical PG(2,q^2) point."""
-        if pt[4] == 0:
-            raise ValueError(f"{pt} lies in the hyperplane at infinity")
+        return tuple(self.points_up([pt])[0].tolist())
+
+    def points_down(self, pts):
+        """Affine PG(2,q^2) points (k, 3) -> canonical PG(4,q) points (k, 5).
+
+        (x, y, 1) goes to (x0, x1, y0, y1, 1), normalized, for x = x0 + x1 w.
+        """
+        pts = np.asarray(pts, dtype=np.int16).reshape(-1, 3)
+        at_inf = np.flatnonzero(pts[:, 2] == 0)
+        if len(at_inf):
+            raise ValueError(f"{tuple(pts[at_inf[0]].tolist())} lies on the line at infinity")
+        E = self.ext.ext
+        xy = E.mul_np[E.inv_np[pts[:, 2:]], pts[:, :2]]
+        out = np.ones((len(pts), 5), dtype=np.int16)
+        out[:, 0:4:2], out[:, 1:4:2] = self.ext.decompose(xy)
+        return normalize_rows_np(self.base, out)[0]
+
+    def points_up(self, pts):
+        """Affine PG(4,q) points (k, 5) -> canonical PG(2,q^2) points (k, 3)."""
+        pts = np.asarray(pts, dtype=np.int16).reshape(-1, 5)
+        at_inf = np.flatnonzero(pts[:, 4] == 0)
+        if len(at_inf):
+            raise ValueError(
+                f"{tuple(pts[at_inf[0]].tolist())} lies in the hyperplane at infinity")
         f = self.base
-        s = f.inv(pt[4])
-        a0, a1, b0, b1 = (f.mul(s, x) for x in pt[:4])
-        a = self.ext.compose(a0, a1)
-        b = self.ext.compose(b0, b1)
-        return self.plane.normalize((a, b, 1))
+        a = f.mul_np[f.inv_np[pts[:, 4:]], pts[:, :4]]
+        out = np.ones((len(pts), 3), dtype=np.int16)
+        out[:, :2] = self.ext.compose(a[:, 0:4:2], a[:, 1:4:2])
+        return normalize_rows_np(self.ext.ext, out)[0]
+
+    def affine_plane_points(self):
+        """The affine points (x, y, 1) of PG(2,q^2), normalized, x-major: (q^4, 3)."""
+        E = self.ext.ext
+        xy = np.indices((E.q, E.q), dtype=np.int16).reshape(2, -1).T
+        return normalize_rows_np(E, np.column_stack((xy, np.ones(len(xy), np.int16))))[0]
 
     def linf_point_of_slope(self, m):
         if m == "inf":
@@ -146,32 +167,21 @@ class BruckBoseFrame:
     # -- construction checks ---------------------------------------------------
 
     def _verify(self):
-        sig_index = self.sigma.point_index()
-        full = (1 << self.sigma.npoints) - 1
-        masks = []
-        for line in self.spread:
-            mask = 0
-            for p in line.points():
-                mask |= 1 << sig_index[p]
-            masks.append(mask)
-        cover = 0
-        for m in masks:
-            if cover & m:
-                raise AssertionError("spread lines are not pairwise skew")
-            cover |= m
-        if cover != full:
+        counts = np.bincount(self.sigma.line_point_ids([l.rows for l in self.spread]).ravel(),
+                             minlength=self.sigma.npoints)
+        if (counts > 1).any():
+            raise AssertionError("spread lines are not pairwise skew")
+        if (counts == 0).any():
             raise AssertionError("spread does not cover the hyperplane at infinity")
-        E = self.ext.ext
-        for x in range(E.q):
-            for y in range(E.q):
-                pt = self.plane.normalize((x, y, 1))
-                if self.point_up(self.point_down(pt)) != pt:
-                    raise AssertionError(f"down/up round trip failed at {pt}")
+        pts = self.affine_plane_points()
+        bad = np.flatnonzero((self.points_up(self.points_down(pts)) != pts).any(axis=1))
+        if len(bad):
+            raise AssertionError(f"down/up round trip failed at {tuple(pts[bad[0]].tolist())}")
 
 
-def build_frame(ext, check=True):
+def build_frame(ext):
     """Construct and verify the Bruck-Bose coordinate frame for GF(q) in GF(q^2)."""
-    return BruckBoseFrame(ext, check=check)
+    return BruckBoseFrame(ext)
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +198,15 @@ class TangentConic:
     seed: int = 0
 
 
+def _canonical_form(frame):
+    """x^2 - yz, as a form on the frame's PG(2,q^2)."""
+    E = frame.ext.ext
+    return QuadraticForm.from_coefficients(frame.plane, (1, 0, 0, 0, 0, E.neg(1)))
+
+
 def canonical_tangent_conic(frame):
     """The conic x^2 = yz: points {(t, t^2, 1)} plus (0, 1, 0)."""
-    E = frame.ext.ext
-    form = QuadraticForm.from_coefficients(frame.plane, (1, 0, 0, 0, 0, E.neg(1)))
-    return _conic_from_form(frame, form, seed=0)
+    return _conic_from_form(frame, _canonical_form(frame), seed=0)
 
 
 def _conic_from_form(frame, form, seed):
@@ -214,9 +228,8 @@ def random_tangent_conic(frame, seed):
 
     Seed 0 is reserved for the canonical conic itself.
     """
-    base_conic = canonical_tangent_conic(frame)
     if seed == 0:
-        return base_conic
+        return canonical_tangent_conic(frame)
     E = frame.ext.ext
     rng = random.Random(seed)
     while True:
@@ -227,14 +240,14 @@ def random_tangent_conic(frame, seed):
     g = ((a, b, 0), (d, e, 0), (c, ff, 1))
     ginv = matrix_inverse(E, g)
     ginv_t = tuple(zip(*ginv))
-    new_m = mat_mul(E, mat_mul(E, ginv, base_conic.form.matrix), ginv_t)
+    new_m = mat_mul(E, mat_mul(E, ginv, _canonical_form(frame).matrix), ginv_t)
     form = QuadraticForm(frame.plane, new_m)
     return _conic_from_form(frame, form, seed=seed)
 
 
 def build_C(frame, conic):
     """Image of the conic's affine part in PG(4,q); exactly q^2 points."""
-    pts = sorted(frame.point_down(p) for p in conic.affine_points)
+    pts = sorted(map(tuple, frame.points_down(conic.affine_points).tolist()))
     if len(set(pts)) != frame.q ** 2:
         raise AssertionError("affine conic part did not map to q^2 distinct points")
     return tuple(pts)
@@ -363,7 +376,6 @@ def verify_lemma1(frame, conic, spot_checks=10):
             if p[4] != 0:
                 down_count[p] = down_count.get(p, 0) + 1
     cset = set(C)
-    E = frame.ext.ext
     interior = exterior = 0
     plane_ids = {pl.rows: i for i, (pl, _) in enumerate(scan.planes)}
     on_planes = {}
@@ -372,26 +384,24 @@ def verify_lemma1(frame, conic, spot_checks=10):
             if p[4] != 0 and p not in cset:
                 on_planes.setdefault(p, []).append(plane_ids[plane.rows])
     exterior_pairs = {}
-    for x in range(E.q):
-        for y in range(E.q):
-            pt = frame.plane.normalize((x, y, 1))
-            if pt in conic.points:
-                continue
-            down = frame.point_down(pt)
-            k = down_count.get(down, 0)
-            try:
-                cls = classify_vs_conic(conic.form, pt)
-            except DegenerateInput as exc:
-                raise LemmaViolation(str(exc), witness=pt) from None
-            if k == 0 and cls == "interior":
-                interior += 1
-            elif k == 2 and cls == "exterior":
-                exterior += 1
-                exterior_pairs[pt] = tuple(on_planes[down])
-            else:
-                raise LemmaViolation(
-                    f"point {pt} lies on {k} planes but classifies as {cls}",
-                    witness=pt)
+    pts = frame.affine_plane_points()
+    for pt, down in zip(map(tuple, pts.tolist()), map(tuple, frame.points_down(pts).tolist())):
+        if pt in conic.points:
+            continue
+        k = down_count.get(down, 0)
+        try:
+            cls = classify_vs_conic(conic.form, pt)
+        except DegenerateInput as exc:
+            raise LemmaViolation(str(exc), witness=pt) from None
+        if k == 0 and cls == "interior":
+            interior += 1
+        elif k == 2 and cls == "exterior":
+            exterior += 1
+            exterior_pairs[pt] = tuple(on_planes[down])
+        else:
+            raise LemmaViolation(
+                f"point {pt} lies on {k} planes but classifies as {cls}",
+                witness=pt)
 
     done = 0
     plane_space = ProjectiveSpace(2, frame.base)
@@ -405,7 +415,8 @@ def verify_lemma1(frame, conic, spot_checks=10):
             subplane = baer_closure(frame.plane, quad)
         else:
             subplane = baer_subplane_through(frame, quad)
-        down_affine = {frame.point_down(p) for p in subplane if p[2] != 0}
+        down_affine = set(map(tuple, frame.points_down(
+            [p for p in subplane if p[2] != 0]).tolist()))
         plane_affine = {p for p in plane.points() if p[4] != 0}
         if down_affine != plane_affine:
             raise LemmaViolation("quadrangle subplane does not match the plane",

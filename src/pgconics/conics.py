@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import itertools
 
-from .projgeom import Subspace, nullspace, rref, span
+import numpy as np
+
+from .projgeom import Subspace, dot_np, nullspace, rref, span
 
 
 class DegenerateInput(ValueError):
@@ -94,8 +96,16 @@ class QuadraticForm:
         return _det3(self.space.field, self.matrix) != 0
 
     def points(self):
+        """The zeros of the form, in space.points() order.
+
+        P M P^T is evaluated over the space's point array at once, through
+        the field's tables, so every product stays an exact int16 code.
+        """
         if self._points is None:
-            self._points = [p for p in self.space.points() if self.evaluate(p) == 0]
+            f = self.space.field
+            pts = self.space.points_np()
+            mp = dot_np(f, np.array(self.matrix, dtype=np.int16), pts[:, None, :])
+            self._points = list(map(tuple, pts[dot_np(f, pts, mp) == 0].tolist()))
         return self._points
 
     def tangent_duals(self):
@@ -183,21 +193,6 @@ def is_arc(space, points):
     return True, None
 
 
-def is_arc_by_directions(space, points):
-    """Secant-direction variant of the arc test (per-point duplicate secants)."""
-    pts = list(points)
-    for i, p in enumerate(pts):
-        seen = {}
-        for j, x in enumerate(pts):
-            if j == i:
-                continue
-            line = span(space, [p, x]).rows
-            if line in seen:
-                return False, (p, pts[seen[line]], x)
-            seen[line] = j
-    return True, None
-
-
 def _raise_if_not_arc(space, points):
     ok, witness = is_arc(space, points)
     if not ok:
@@ -258,13 +253,3 @@ def classify_vs_conic(form, pt):
     if hits == 0:
         return "interior"
     raise DegenerateInput(f"{pt} lies on {hits} tangents")
-
-
-def tangent_counts(form):
-    """Map point -> number of tangent lines of the conic through it."""
-    f = form.space.field
-    counts = {p: 0 for p in form.space.points()}
-    for dual in form.tangent_duals():
-        for p in Subspace(form.space, nullspace(f, [dual])).points():
-            counts[p] += 1
-    return counts

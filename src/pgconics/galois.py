@@ -418,10 +418,11 @@ class QuadExtension:
         raise ValueError(f"no irreducible quadratic over {base.token}")
 
     def decompose(self, x):
-        """GF(q^2) code -> (x0, x1) with x = x0 + x1*w."""
+        """GF(q^2) code -> (x0, x1) with x = x0 + x1*w; also elementwise on arrays."""
         return x % self.base.q, x // self.base.q
 
     def compose(self, x0, x1):
+        """(x0, x1) -> the GF(q^2) code of x0 + x1*w; also elementwise on arrays."""
         return x0 + self.base.q * x1
 
     def frobenius(self, x):

@@ -113,6 +113,7 @@ class ProjectiveSpace:
         self.n = n
         self.field = field
         self._points = None
+        self._points_np = None
         self._index = None
         self._lines = None
 
@@ -133,15 +134,31 @@ class ProjectiveSpace:
         raise ValueError("zero vector is not a projective point")
 
     def points(self):
+        """Every point as a tuple, in points_np() order."""
         if self._points is None:
-            q = self.field.q
-            pts = []
-            for lead in range(self.n + 1):
-                tail = self.n - lead
-                for rest in itertools.product(range(q), repeat=tail):
-                    pts.append((0,) * lead + (1,) + rest)
-            self._points = pts
+            self._points = list(map(tuple, self.points_np().tolist()))
         return self._points
+
+    def points_np(self):
+        """Every point as a read-only int16 array (npoints, n+1), built once.
+
+        Points with leading coordinate l come before those leading later; the
+        coordinates after the leading 1 run in base-q order, last fastest.
+        """
+        if self._points_np is None:
+            q, w = self.field.q, self.n + 1
+            blocks = []
+            for lead in range(w):
+                tail = w - 1 - lead
+                block = np.zeros((q ** tail, w), dtype=np.int16)
+                block[:, lead] = 1
+                tails = np.indices((q,) * tail, dtype=np.int16)
+                block[:, lead + 1:] = tails.reshape(tail, q ** tail).T
+                blocks.append(block)
+            arr = np.concatenate(blocks)
+            arr.flags.writeable = False
+            self._points_np = arr
+        return self._points_np
 
     def point_index(self):
         if self._index is None:
@@ -375,6 +392,15 @@ def affine_filter(s, hyperplane):
 
 def points_array(pts):
     return np.array(pts, dtype=np.int16)
+
+
+def dot_np(field, u, v):
+    """Dot products over the last axis of two broadcasting arrays."""
+    prod = field.mul_np[u, v]
+    acc = prod[..., 0]
+    for c in range(1, prod.shape[-1]):
+        acc = field.add_np[acc, prod[..., c]]
+    return acc
 
 
 def reduce_rows_np(field, basis_rows, arr):

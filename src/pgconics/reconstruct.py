@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .galois import Field, QuadExtension
-from .projgeom import (ProjectiveSpace, Subspace, group_rows, mat_mul,
-                       matrix_inverse, normalize_rows_np, nullspace,
+from .projgeom import (ProjectiveSpace, Subspace, dot_np, group_rows,
+                       mat_mul, matrix_inverse, normalize_rows_np, nullspace,
                        points_array, reduce_rows_np, rref, rref_np,
                        scan_heavy_planes, span)
 from .conics import (CompletionNotUnique, DegenerateInput, NotAnArc,
@@ -284,13 +284,12 @@ def _residual_groups(state, basis5, threshold=None):
     return counts, inverse, norm
 
 
-def _dot_np(f, u, v):
-    """Dot products over the last axis of two broadcasting arrays."""
-    prod = f.mul_np[u, v]
-    acc = prod[..., 0]
-    for c in range(1, prod.shape[-1]):
-        acc = f.add_np[acc, prod[..., c]]
-    return acc
+def _member_table(planes, n):
+    """Boolean table (planes, n): whether plane pid carries input point k."""
+    member_of = np.zeros((len(planes), n), dtype=bool)
+    for pid, info in enumerate(planes):
+        member_of[pid, list(info.members)] = True
+    return member_of
 
 
 def _three_space_tests(f, spans, arr, member_of, pairs):
@@ -320,7 +319,7 @@ def _three_space_tests(f, spans, arr, member_of, pairs):
     third = np.zeros(len(spans), dtype=np.int64)
     for lo in range(0, len(spans), DirectionTable.BLOCK):
         block = slice(lo, lo + DirectionTable.BLOCK)
-        inside = _dot_np(f, dual[block, None, :], arr[None, :, :]) == 0
+        inside = dot_np(f, dual[block, None, :], arr[None, :, :]) == 0
         own = member_of[pairs[block, 0]] | member_of[pairs[block, 1]]
         foreign[block] = (inside != own).any(axis=1)
         padded = np.concatenate((inside, np.ones((len(inside), 1), dtype=bool)), axis=1)
@@ -392,7 +391,7 @@ def _transversals_np(f, V, p2, r1, r2):
     signed = np.concatenate((p2, f.neg_np[p2]), axis=-1)[..., _DUAL_P]
     t = f.mul_np[V[..., _DUAL_V], signed[..., None, :, :]]
     d = f.add_np[f.add_np[t[..., 0, :], t[..., 1, :]], t[..., 2, :]]
-    a, b = _dot_np(f, d, r1[..., None, :]), _dot_np(f, d, r2[..., None, :])
+    a, b = dot_np(f, d, r1[..., None, :]), dot_np(f, d, r2[..., None, :])
     W = f.sub_np[f.mul_np[b[..., None], r1[..., None, :]], f.mul_np[a[..., None], r2[..., None, :]]]
     return W, (a == 0) & (b == 0)
 
@@ -740,9 +739,7 @@ def stage_infinity_data(state):
     # arc, so they span it: a plane lies in a 3-space exactly when all its
     # members do.  Flags are computed for every pair; the first failing pair
     # raises its first failing check.
-    member_of = np.zeros((len(planes), len(C)), dtype=bool)
-    for pid, info in enumerate(planes):
-        member_of[pid, list(info.members)] = True
+    member_of = _member_table(planes, len(C))
     n_same = len(pairs) - len(cross)
     cross = pairs[n_same:]
     spans = red[n_same:, :4]
@@ -816,6 +813,92 @@ def stage_t_infinity(state):
     }
 
 
+def _from_intrinsic_np(f, bases, coeffs):
+    """The points sum_j coeffs_j bases_j of planes with bases (..., 3, 5)."""
+    return dot_np(f, coeffs[..., None, :], np.swapaxes(bases, -1, -2))
+
+
+def _tangent_traces(state, cids):
+    """The tangent trace lines of the input points cids, as RREF bases (k, 2, 4).
+
+    Each point's q+1 (point, plane) incidences are handled at once: the
+    tangent's dual M.a from the plane's form, crossed with the plane's x4
+    column, is the tangent's point at infinity in plane coordinates, lifted
+    through the plane's basis.
+
+    The checks, in tangent_trace's order: (1) q+1 planes through the point,
+    then plane by plane (2) a tangent that is not the plane's line at
+    infinity and (3) a trace point at infinity, (4) q+1 distinct trace
+    points, (5) on one line, (6) which misses the axis, (7) and spans with
+    the point a plane carrying no other input point.  Each point is flagged
+    with the first check it fails, and the first flagged point raises it.
+    Check 3 cannot fail: the trace point's x4 is the dot product of the
+    plane's x4 column with a cross product taken with that column.
+    """
+    q, f, sigma, planes = state.q, state.base, state.sigma, state.planes
+    cids = np.asarray(cids, dtype=np.int64)
+    through = [state.planes_through[c] for c in cids.tolist()]
+    failed = np.zeros(len(cids), dtype=np.int64)
+
+    def flag(check, bad):
+        new = (failed == 0) & bad
+        failed[new] = np.broadcast_to(check, failed.shape)[new]
+
+    flag(1, np.array([len(t) != q + 1 for t in through], dtype=bool))
+    pids = np.array([(list(t) + [0] * (q + 1))[:q + 1] for t in through],
+                    dtype=np.int64).reshape(-1, q + 1)
+    bases = np.array([info.plane.rows for info in planes], dtype=np.int16)[pids]
+    forms = np.array([info.form.matrix for info in planes], dtype=np.int16)[pids]
+    pivots = np.array([info.pivots for info in planes], dtype=np.int64)[pids]
+    a = state._C_arr[cids[:, None, None], pivots]  # intrinsic coordinates
+    t = dot_np(f, forms, a[..., None, :])  # the tangent's dual
+    x4 = bases[..., 4]
+    direction = f.sub_np[f.mul_np[t[..., [1, 2, 0]], x4[..., [2, 0, 1]]],
+                         f.mul_np[t[..., [2, 0, 1]], x4[..., [1, 2, 0]]]]
+    pt5 = _from_intrinsic_np(f, bases, direction)
+    degenerate = ~direction.any(axis=-1)
+    bad_plane = degenerate | (pt5[..., 4] != 0)
+    first_bad = bad_plane.argmax(axis=1)
+    flag(np.where(degenerate[np.arange(len(cids)), first_bad], 2, 3), bad_plane.any(axis=1))
+    traces = normalize_rows_np(f, pt5[..., :4].reshape(-1, 4))[0].reshape(-1, q + 1, 4)
+    ids = np.sort(sigma.point_ids(traces.reshape(-1, 4)).reshape(-1, q + 1), axis=1)
+    distinct = 1 + (ids[:, 1:] != ids[:, :-1]).sum(axis=1)
+    flag(4, distinct != q + 1)
+    red, rank = rref_np(f, traces)
+    flag(5, rank != 2)
+    # lines only where checks 1-5 passed; elsewhere point 0, never read
+    line_ids = np.zeros((len(cids), q + 1), dtype=np.int32)
+    ok = failed == 0
+    line_ids[ok] = sigma.line_point_ids(red[ok, :2])
+    flag(6, np.isin(line_ids, sigma.line_point_ids([state.axis.rows])).any(axis=1))
+    own = state.directions.plane_counts(line_ids, cids[:, None])[1][:, 0]
+    flag(7, own != 1)
+
+    bad = np.flatnonzero(failed)
+    if len(bad):
+        k = bad[0]
+        cid, check = int(cids[k]), int(failed[k])
+        if check == 1:
+            raise StructureViolation(f"point {cid} on {len(through[k])} planes")
+        if check in (2, 3):
+            witness = planes[int(pids[k, first_bad[k]])].plane.to_text()
+            if check == 2:
+                raise TangentDegenerate("tangent line coincides with the trace line",
+                                        witness=witness)
+            raise TangentDegenerate("tangent trace point is affine", witness=witness)
+        if check == 4:
+            raise StructureViolation(f"point {cid} has {int(distinct[k])} distinct trace points")
+        if check == 5:
+            raise NotCollinear(
+                f"trace points of point {cid} are not collinear",
+                witness=";".join(",".join(map(str, p)) for p in traces[k].tolist()))
+        if check == 6:
+            raise StructureViolation(f"trace line of point {cid} meets the axis")
+        raise StructureViolation(
+            f"plane of point {cid} and its trace line carries {int(own[k])} points")
+    return red[:, :2]
+
+
 def tangent_trace(state, cid):
     """The tangent trace line of one input point.
 
@@ -823,50 +906,10 @@ def tangent_trace(state, cid):
     conic at the point meets the hyperplane at infinity in one point; the
     q+1 trace points are asserted distinct and collinear, their line disjoint
     from the axis, and the plane spanned by the line and the point carries no
-    other input point.
+    other input point.  The single-point case of _tangent_traces.
     """
-    q = state.q
-    f = state.base
-    axis_set = set(state.axis.points())
-    pids = state.planes_through[cid]
-    if len(pids) != q + 1:
-        raise StructureViolation(f"point {cid} on {len(pids)} planes")
-    traces = []
-    for pid in pids:
-        info = state.planes[pid]
-        a_i = _intrinsic(info, state.C[cid])
-        tangent_dual = info.form.polar_dual(a_i)
-        inf_dual = tuple(r[4] for r in info.plane.rows)
-        direction = (
-            f.sub(f.mul(tangent_dual[1], inf_dual[2]), f.mul(tangent_dual[2], inf_dual[1])),
-            f.sub(f.mul(tangent_dual[2], inf_dual[0]), f.mul(tangent_dual[0], inf_dual[2])),
-            f.sub(f.mul(tangent_dual[0], inf_dual[1]), f.mul(tangent_dual[1], inf_dual[0])),
-        )
-        if not any(direction):
-            raise TangentDegenerate(
-                "tangent line coincides with the trace line",
-                witness=info.plane.to_text())
-        pt5 = _from_intrinsic(state, info, direction)
-        if pt5[4] != 0:
-            raise TangentDegenerate("tangent trace point is affine",
-                                    witness=info.plane.to_text())
-        traces.append(state.sigma.normalize(pt5[:4]))
-    if len(set(traces)) != q + 1:
-        raise StructureViolation(
-            f"point {cid} has {len(set(traces))} distinct trace points")
-    line = span(state.sigma, traces)
-    if line.dim != 1:
-        raise NotCollinear(
-            f"trace points of point {cid} are not collinear",
-            witness=";".join(",".join(map(str, p)) for p in traces))
-    if any(p in axis_set for p in line.points()):
-        raise StructureViolation(f"trace line of point {cid} meets the axis")
-    _, own = state.directions.plane_counts(state.sigma.line_point_ids([line.rows]),
-                                           np.array([[cid]]))
-    if own[0, 0] != 1:
-        raise StructureViolation(
-            f"plane of point {cid} and its trace line carries {own[0, 0]} points")
-    return line
+    rows = _tangent_traces(state, [cid])[0]
+    return Subspace(state.sigma, tuple(map(tuple, rows.tolist())))
 
 
 def stage_assemble_spread(state):
@@ -874,25 +917,27 @@ def stage_assemble_spread(state):
     planes = state.planes
     axis = state.axis
     sigma = state.sigma
-    trace_lines = [tangent_trace(state, cid) for cid in range(q * q)]
+    trace_lines = [Subspace(sigma, tuple(map(tuple, rows)))
+                   for rows in _tangent_traces(state, range(q * q)).tolist()]
     lines = trace_lines + [axis]
     ids = sigma.line_point_ids([l.rows for l in lines])
     cline_ids = sigma.line_point_ids([info.cline.rows for info in planes])
 
     # trace lines vs planes: a plane's trace meets exactly the trace lines of
-    # its own members
-    masks = [sum(1 << p for p in row) for row in ids.tolist()]
-    cline_mask = [sum(1 << p for p in row) for row in cline_ids.tolist()]
-    for pid, info in enumerate(planes):
-        for cid in range(q * q):
-            meets = bool(cline_mask[pid] & masks[cid])
-            if meets != (cid in info.members):
-                raise StructureViolation(
-                    f"plane {pid} vs trace line of point {cid}: meet={meets}",
-                    witness=info.plane.to_text())
+    # its own members; the first failing (plane, point) pair is reported
+    on_trace = np.zeros((q * q, sigma.npoints), dtype=bool)
+    on_trace[np.arange(q * q)[:, None], ids[:-1]] = True
+    meets = on_trace[:, cline_ids].any(axis=2).T
+    wrong = np.argwhere(meets != _member_table(planes, q * q))
+    if len(wrong):
+        pid, cid = wrong[0].tolist()
+        raise StructureViolation(
+            f"plane {pid} vs trace line of point {cid}: meet={bool(meets[pid, cid])}",
+            witness=planes[pid].plane.to_text())
 
     if len({l.rows for l in lines}) != q * q + 1:
         raise SpreadViolation(f"{len({l.rows for l in lines})} distinct spread lines")
+    masks = [sum(1 << p for p in row) for row in ids.tolist()]
     cover = 0
     for i, m in enumerate(masks):
         if cover & m:
@@ -1079,10 +1124,9 @@ def stage_rebuild_arc(state):
         identity4 = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
         is_identity = A == identity4
         f = state.base
-        up_points = []
-        for p in state.C:
-            q4 = tuple(f.dot(p[:4], col) for col in zip(*A)) + (p[4],)
-            up_points.append(frame.point_up(state.space4.normalize(q4)))
+        arr = state._C_arr
+        moved = dot_np(f, arr[:, None, :4], np.array(A, dtype=np.int16).T)
+        up_points = list(map(tuple, frame.points_up(np.column_stack((moved, arr[:, 4]))).tolist()))
         axis_img_rows, _ = rref(f, [tuple(f.dot(r, col) for col in zip(*A))
                                     for r in spread.axis.rows])
         slope = frame.slope_of_line[axis_img_rows]

@@ -1,13 +1,15 @@
+import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from pgconics.galois import Field, QuadExtension
 from pgconics.projgeom import Subspace, span
 from pgconics.conics import is_arc
-from pgconics.bruckbose import (ClosureOverflow, LemmaViolation, baer_closure,
-                                baer_subplane_through, build_C, build_frame,
+from pgconics.bruckbose import (BruckBoseFrame, ClosureOverflow, LemmaViolation,
+                                baer_closure, baer_subplane_through, build_C, build_frame,
                                 canonical_tangent_conic, random_tangent_conic,
                                 verify_lemma1, write_c_dump)
 from pgconics.reconstruct import regulus_from
@@ -113,6 +115,38 @@ def test_random_conic_properties(frame7):
         assert len(conic.affine_points) == 49
         again = random_tangent_conic(frame7, seed)
         assert again.form.matrix == conic.form.matrix
+
+
+# Captured while random_tangent_conic still enumerated the canonical conic
+# before transforming it: (matrix, p_inf, sha256 prefixes of repr(points)
+# and repr(affine_points)).
+CONIC_PINS = {
+    (7, 0): (((1, 0, 0), (0, 0, 3), (0, 3, 0)), (0, 1, 0), "989a9eebb538aab3", "cb0807495fa3e756"),
+    (7, 1): (((21, 46, 19), (46, 44, 0), (19, 0, 3)), (1, 37, 0), "46418832d924088c", "8a623db06ebb1f35"),
+    (7, 2): (((5, 11, 47), (11, 22, 34), (47, 34, 44)), (1, 20, 0), "2d4d80072f5df1b9", "76213859eabeb5c2"),
+    (7, 3): (((29, 13, 16), (13, 35, 32), (16, 32, 22)), (1, 11, 0), "3e76abce93f91e54", "cd0cd3a1ab4f0b19"),
+    (7, 4): (((39, 32, 26), (32, 7, 8), (26, 8, 14)), (1, 10, 0), "ee7a986384cc06ad", "bdd8616512abad11"),
+    (7, 5): (((4, 28, 5), (28, 5, 33), (5, 33, 38)), (1, 14, 0), "757efaee0416e8ab", "3cbc465930d520c8"),
+    (9, 0): (((1, 0, 0), (0, 0, 1), (0, 1, 0)), (0, 1, 0), "58fbba8f4a2af27e", "8774c1fe0ca4358f"),
+    (9, 1): (((74, 79, 19), (79, 40, 66), (19, 66, 73)), (1, 42, 0), "a35a511655b85dcd", "ecaf21d215dfbe4a"),
+    (9, 2): (((10, 26, 56), (26, 40, 36), (56, 36, 1)), (1, 45, 0), "8dbff79d63f13010", "957756cfec698097"),
+    (9, 3): (((66, 58, 37), (58, 57, 46), (37, 46, 5)), (1, 19, 0), "2a6a0c77ca0df717", "d17d4a68bfa183be"),
+    (9, 4): (((33, 47, 69), (47, 44, 6), (69, 6, 79)), (1, 27, 0), "b1b34a0145a1968c", "b753a1f419c89f36"),
+    (9, 5): (((68, 51, 50), (51, 6, 36), (50, 36, 63)), (1, 38, 0), "f7797a9b3f27fadd", "005f7c23f9ee9f0d"),
+}
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_random_conic_pins(q, frame7, frame9):
+    frame = frame7 if q == 7 else frame9
+
+    def digest(x):
+        return hashlib.sha256(repr(x).encode()).hexdigest()[:16]
+    for seed in range(6):
+        conic = random_tangent_conic(frame, seed)
+        assert (conic.form.matrix, conic.p_inf, digest(conic.points),
+                digest(conic.affine_points)) == CONIC_PINS[q, seed]
+        assert len(conic.points) == q * q + 1
 
 
 def test_build_c(frame7, conic7, c7):
@@ -231,3 +265,75 @@ def test_c_dump_roundtrip(tmp_path, frame7, c7):
     assert header["poly"] == "0,1"
     assert header["seed"] == "0"
     assert points == c7
+
+
+# ---------------------------------------------------------------------------
+# the frame's own checks, on spreads and conversions broken on purpose
+
+
+def frame_with_spread(monkeypatch, edit):
+    """A GF(7) frame whose spread is edit(frame) in place of the classical one."""
+    original = BruckBoseFrame._build_spread
+
+    def build(self):
+        original(self)
+        self.spread = edit(self)
+    monkeypatch.setattr(BruckBoseFrame, "_build_spread", build)
+    return build_frame(QuadExtension(Field(7)))
+
+
+def meeting_line(frame):
+    """Spread line 5 replaced by a line through points of lines 5 and 6."""
+    line = span(frame.sigma, [frame.spread[5].points()[0], frame.spread[6].points()[2]])
+    return frame.spread[:5] + (line,) + frame.spread[6:]
+
+
+# messages captured while the checks ran on Python bitmasks and scalar
+# point_down/point_up round trips
+@pytest.mark.parametrize("edit,message", [
+    (lambda fr: fr.spread[:-1] + (fr.spread[3],), "spread lines are not pairwise skew"),
+    (meeting_line, "spread lines are not pairwise skew"),
+    (lambda fr: fr.spread[:-1], "spread does not cover the hyperplane at infinity"),
+], ids=["duplicated", "meeting", "dropped"])
+def test_frame_rejects_broken_spreads(monkeypatch, edit, message):
+    with pytest.raises(AssertionError) as info:
+        frame_with_spread(monkeypatch, edit)
+    assert type(info.value) is AssertionError and str(info.value) == message
+
+
+def test_frame_names_the_first_failed_round_trip(monkeypatch):
+    """Corrupting (5, 3, 1) and (2, 40, 1) names (2, 40, 1), normalized:
+    it comes first in x-major order."""
+    original = BruckBoseFrame.points_up
+
+    def corrupt(self, pts):
+        up = original(self, pts)
+        E = self.ext.ext
+        hit = np.zeros(len(up), dtype=bool)
+        for x, y in ((5, 3), (2, 40)):
+            hit |= (up == self.plane.normalize((x, y, 1))).all(axis=1)
+        up[hit, 1] = E.add_np[up[hit, 1], 1]
+        return up
+    monkeypatch.setattr(BruckBoseFrame, "points_up", corrupt)
+    with pytest.raises(AssertionError) as info:
+        build_frame(QuadExtension(Field(7)))
+    assert str(info.value) == "down/up round trip failed at (1, 48, 4)"
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_array_conversions_match_scalar(q, frame7, frame9):
+    """point_down/point_up are the one-row case of points_down/points_up,
+    and both agree with the coordinate definition."""
+    frame = frame7 if q == 7 else frame9
+    E = frame.ext.ext
+    pts = frame.affine_plane_points()
+    assert pts.tolist() == [list(frame.plane.normalize((x, y, 1)))
+                            for x in range(E.q) for y in range(E.q)]
+    downs = frame.points_down(pts)
+    rng = random.Random(q)
+    for i in rng.sample(range(len(pts)), 200):
+        x, y, z = pts[i].tolist()
+        a, b = E.mul(x, E.inv(z)), E.mul(y, E.inv(z))
+        expected = frame.space4.normalize(frame.ext.decompose(a) + frame.ext.decompose(b) + (1,))
+        assert frame.point_down(tuple(pts[i].tolist())) == tuple(downs[i].tolist()) == expected
+        assert frame.point_up(expected) == tuple(pts[i].tolist())

@@ -4,13 +4,37 @@ import random
 import numpy as np
 import pytest
 
-from pgconics.galois import Field
-from pgconics.projgeom import ProjectiveSpace, span
+from pgconics.galois import Field, QuadExtension
+from pgconics.projgeom import ProjectiveSpace, Subspace, nullspace, rref, span
 from pgconics.conics import (CompletionNotUnique, DegenerateInput, NotAnArc,
                              PointNotOnConic, QuadraticForm, classify_vs_conic,
                              complete_q_arc, complete_q_arc_by_secants,
-                             conic_through_5, is_arc, is_arc_by_directions,
-                             tangent_counts, tangent_line)
+                             conic_through_5, is_arc, tangent_line)
+
+
+def is_arc_by_directions(space, points):
+    """Secant-direction variant of the arc test (per-point duplicate secants)."""
+    pts = list(points)
+    for i, p in enumerate(pts):
+        seen = {}
+        for j, x in enumerate(pts):
+            if j == i:
+                continue
+            line = span(space, [p, x]).rows
+            if line in seen:
+                return False, (p, pts[seen[line]], x)
+            seen[line] = j
+    return True, None
+
+
+def tangent_counts(form):
+    """Map point -> number of tangent lines of the conic through it."""
+    f = form.space.field
+    counts = {p: 0 for p in form.space.points()}
+    for dual in form.tangent_duals():
+        for p in Subspace(form.space, nullspace(f, [dual])).points():
+            counts[p] += 1
+    return counts
 
 
 def plane_over(q):
@@ -262,3 +286,46 @@ def test_secant_line_bound(pg2_7, canon7):
     for a, b in itertools.combinations(pts, 2):
         line = span(pg2_7, [a, b])
         assert sum(1 for p in line.points() if form.evaluate(p) == 0) == 2
+
+
+# ---------------------------------------------------------------------------
+# the array evaluation of QuadraticForm.points() against scalar evaluate
+
+
+def symmetric(f, rng):
+    a = [[rng.randrange(f.q) for _ in range(3)] for _ in range(3)]
+    return [[a[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)]
+
+
+def outer(f, u, v):
+    """u v^T + v u^T: a symmetric form of rank <= 2 (rank 1 when u = v, up to 2)."""
+    return [[f.add(f.mul(u[i], v[j]), f.mul(v[i], u[j])) for j in range(3)]
+            for i in range(3)]
+
+
+def forms_over(f, rng):
+    """Random symmetric forms, the canonical conic and degenerate forms of
+    rank 1 (a repeated line) and rank 2 (a line pair)."""
+    one = f.inv(f.add(1, 1))  # 1/2, so that outer(u, u)/2 = u u^T
+    u, v = (1, 2 % f.q, f.q - 1), (0, 1, 1)
+    rank1 = [[f.mul(one, x) for x in row] for row in outer(f, u, u)]
+    forms = [symmetric(f, rng) for _ in range(4)]
+    forms += [((1, 0, 0), (0, 0, f.neg(one)), (0, f.neg(one), 0)), rank1, outer(f, u, v),
+              ((1, 0, 0), (0, 1, 0), (0, 0, 0)), ((0, 0, 0), (0, 0, 0), (0, 0, 0))]
+    return forms
+
+
+@pytest.mark.parametrize("field", [
+    Field(3), Field(5), Field(7), Field(3, 2), Field(5, 2),
+    QuadExtension(Field(3)).ext, QuadExtension(Field(5)).ext,
+    QuadExtension(Field(7)).ext, QuadExtension(Field(3, 2)).ext,
+], ids=lambda f: f.token)
+def test_points_match_scalar_evaluate(field):
+    space = ProjectiveSpace(2, field)
+    rng = random.Random(field.q)
+    forms = forms_over(field, rng)
+    for m in forms:
+        form = QuadraticForm(space, m)
+        expected = [p for p in space.points() if form.evaluate(p) == 0]
+        assert form.points() == expected
+    assert {1, 2} <= {len(rref(field, m)[0]) for m in forms}

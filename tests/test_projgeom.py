@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -175,6 +176,20 @@ def test_line_table_matches_subspace_enumeration(q, n):
         assert tuple(map(tuple, r)) == line.rows
         assert i == [index[p] for p in line.points()]
     assert space.point_ids(space.points()).tolist() == list(range(space.npoints))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_points_array_matches_enumeration(q, n):
+    """points_np() and points() against the leading-coordinate enumeration."""
+    space = ProjectiveSpace(n, Field(q) if q != 9 else Field(3, 2))
+    expected = [(0,) * lead + (1,) + rest for lead in range(n + 1)
+                for rest in itertools.product(range(q), repeat=n - lead)]
+    arr = space.points_np()
+    assert arr.dtype == np.int16 and not arr.flags.writeable
+    assert arr.tolist() == [list(p) for p in expected]
+    assert space.points() == expected
+    assert space.point_ids(arr).tolist() == list(range(space.npoints))
 
 
 def test_scan_heavy_planes_finds_planted_plane(pg4, gf7):

@@ -8,13 +8,14 @@ import pytest
 
 from pgconics.projgeom import (Subspace, matrix_inverse, points_array, rref,
                                rref_np, span)
-from pgconics.bruckbose import (baer_subplane_through, build_C,
+from pgconics.bruckbose import (BruckBoseFrame, baer_subplane_through, build_C,
                                 random_tangent_conic)
 from pgconics import reconstruct
-from pgconics.conics import DegenerateInput, tangent_line
+from pgconics.conics import DegenerateInput, QuadraticForm, tangent_line
 from pgconics.cli import main
-from pgconics.reconstruct import (ClosureViolation, NotSkew, PipelineState,
-                                  PlaneInfo, Spread, StructureViolation,
+from pgconics.reconstruct import (ClosureViolation, NotCollinear, NotSkew,
+                                  PipelineState, PlaneInfo, Spread,
+                                  StructureViolation, TangentDegenerate,
                                   _residual_groups, _three_space_tests,
                                   align_spreads, classical_spread,
                                   displace_point, full_pipeline, make_frame,
@@ -633,6 +634,36 @@ def test_three_space_and_klein_work_counts(frame7, conic7, c7, monkeypatch):
     assert calls == {"points": 1}
 
 
+def test_kernel_work_counts(monkeypatch):
+    """On the q = 7 pass path, make_frame converts no point one at a time,
+    the forward build and infinity_data evaluate no form point by point, and
+    assemble_spread makes no per-point tangent_trace call."""
+    calls = collections.Counter()
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(BruckBoseFrame, "point_up")
+    counted(BruckBoseFrame, "point_down")
+    counted(QuadraticForm, "evaluate")
+    counted(reconstruct, "tangent_trace")
+    frame = make_frame(7)
+    assert not calls
+    for seed in (0, 3):
+        conic = random_tangent_conic(frame, seed)
+        C = build_C(frame, conic)
+        assert not calls
+        st = PipelineState(frame, C, conic=conic)
+        records = run_stages(st, include=TRACE_STAGES | {"assemble_spread"})
+        assert [r.verdict for r in records] == ["pass"] * 5
+        assert not calls
+
+
 def test_dual_regularity_oracles_agree(run7, frame7, c7):
     """Klein verdict equals regulus-closure verdict on every tested spread."""
     _, state = run7
@@ -759,3 +790,189 @@ def test_strict_mode_raises_nothing_but_records(frame7, c7):
     bad = displace_point(frame7, c7, seed=3)
     records, _ = full_pipeline(bad, frame=frame7)
     assert any(r.verdict == "fail" for r in records)
+
+
+# ---------------------------------------------------------------------------
+# the batched tangent traces against the scalar construction
+
+
+def scalar_tangent_trace(state, cid):
+    """The tangent trace line of one input point, plane by plane."""
+    q = state.q
+    f = state.base
+    axis_set = set(state.axis.points())
+    pids = state.planes_through[cid]
+    if len(pids) != q + 1:
+        raise StructureViolation(f"point {cid} on {len(pids)} planes")
+    traces = []
+    for pid in pids:
+        info = state.planes[pid]
+        a_i = reconstruct._intrinsic(info, state.C[cid])
+        tangent_dual = info.form.polar_dual(a_i)
+        inf_dual = tuple(r[4] for r in info.plane.rows)
+        direction = (
+            f.sub(f.mul(tangent_dual[1], inf_dual[2]), f.mul(tangent_dual[2], inf_dual[1])),
+            f.sub(f.mul(tangent_dual[2], inf_dual[0]), f.mul(tangent_dual[0], inf_dual[2])),
+            f.sub(f.mul(tangent_dual[0], inf_dual[1]), f.mul(tangent_dual[1], inf_dual[0])),
+        )
+        if not any(direction):
+            raise TangentDegenerate(
+                "tangent line coincides with the trace line",
+                witness=info.plane.to_text())
+        pt5 = reconstruct._from_intrinsic(state, info, direction)
+        if pt5[4] != 0:
+            raise TangentDegenerate("tangent trace point is affine",
+                                    witness=info.plane.to_text())
+        traces.append(state.sigma.normalize(pt5[:4]))
+    if len(set(traces)) != q + 1:
+        raise StructureViolation(
+            f"point {cid} has {len(set(traces))} distinct trace points")
+    line = span(state.sigma, traces)
+    if line.dim != 1:
+        raise NotCollinear(
+            f"trace points of point {cid} are not collinear",
+            witness=";".join(",".join(map(str, p)) for p in traces))
+    if any(p in axis_set for p in line.points()):
+        raise StructureViolation(f"trace line of point {cid} meets the axis")
+    _, own = state.directions.plane_counts(state.sigma.line_point_ids([line.rows]),
+                                           np.array([[cid]]))
+    if own[0, 0] != 1:
+        raise StructureViolation(
+            f"plane of point {cid} and its trace line carries {own[0, 0]} points")
+    return line
+
+
+TRACE_STAGES = {"axioms", "parallel_classes", "infinity_data", "t_infinity"}
+
+
+def trace_state(frame, C):
+    """A state that has passed every stage before assemble_spread."""
+    st = PipelineState(frame, C)
+    assert [r.verdict for r in run_stages(st, include=TRACE_STAGES)] == ["pass"] * 4
+    return st
+
+
+@pytest.mark.parametrize("q", [5, 7, 9])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_tangent_traces_match_scalar_oracle(q, seed):
+    frame = make_frame(q)
+    st = trace_state(frame, build_C(frame, random_tangent_conic(frame, seed)))
+    assert run_stages(st, include={"assemble_spread"})[0].verdict == "pass"
+    expected = [scalar_tangent_trace(st, cid).rows for cid in range(q * q)]
+    assert [l.rows for l in st.spread.lines[:-1]] == expected
+    assert [reconstruct.tangent_trace(st, cid).rows for cid in (0, q * q - 1)] == \
+        [expected[0], expected[-1]]
+
+
+def set_planes_through(st, cid, pids):
+    through = list(st.planes_through)
+    through[cid] = tuple(pids)
+    st.planes_through = tuple(through)
+
+
+def inject_planes(st):
+    set_planes_through(st, 3, st.planes_through[3][:-1])
+
+
+def inject_degenerate(st):
+    """The rank-1 form d d^T, d the plane's x4 column: M a is a multiple of
+    d at every affine point, so the tangent is the plane's line at infinity."""
+    info = st.planes[st.planes_through[2][1]]
+    d = [r[4] for r in info.plane.rows]
+    info.form = QuadraticForm(st.plane2, [[st.base.mul(x, y) for y in d] for x in d])
+
+
+def inject_repeated(st):
+    t = st.planes_through[4]
+    set_planes_through(st, 4, (t[0], t[0]) + t[2:])
+
+
+def inject_not_collinear(st):
+    st.planes[st.planes_through[5][0]].form = QuadraticForm(
+        st.plane2, ((1, 1, 0), (1, 0, 1), (0, 1, 1)))
+
+
+def inject_axis(st):
+    """The axis replaced by the trace line of point 6."""
+    st.axis = Subspace(st.sigma, scalar_tangent_trace(st, 6).rows)
+
+
+def inject_own_plane(st):
+    """The last point moved onto the plane of point 0 and its trace line."""
+    line = scalar_tangent_trace(st, 0)
+    plane = span(st.space4, [Subspace(st.space4, tuple(r + (0,) for r in line.rows)), st.C[0]])
+    new = next(p for p in plane.points() if p[4] and p not in set(st.C))
+    st.C = st.C[:-1] + (new,)
+    st._C_arr = points_array(st.C)
+
+
+def inject_own_plane_and_axis(st):
+    """Point 0 fails checks 6 and 7; the earlier one is reported."""
+    line = scalar_tangent_trace(st, 0)
+    inject_own_plane(st)
+    st.axis = Subspace(st.sigma, line.rows)
+
+
+# records captured while assemble_spread still called tangent_trace per point
+TRACE_FAILURES = [
+    (inject_planes, "StructureViolation: point 3 on 7 planes"),
+    (inject_degenerate, "TangentDegenerate: tangent line coincides with the trace line "
+                        "[1,0,1,0,1;0,1,2,0,5;0,0,0,1,0]"),
+    (inject_repeated, "StructureViolation: point 4 has 7 distinct trace points"),
+    (inject_not_collinear, "NotCollinear: trace points of point 1 are not collinear "
+                           "[0,1,3,0;1,2,4,3;1,1,2,3;1,3,6,3;1,4,1,3;1,6,5,3;1,5,3,3;1,0,0,3]"),
+    (inject_axis, "StructureViolation: trace line of point 6 meets the axis"),
+    (inject_own_plane, "StructureViolation: plane of point 0 and its trace line carries 2 points"),
+    (inject_own_plane_and_axis, "StructureViolation: trace line of point 0 meets the axis"),
+]
+
+
+def first_scalar_failure(st):
+    for cid in range(st.q * st.q):
+        try:
+            scalar_tangent_trace(st, cid)
+        except reconstruct._CATCHABLE as exc:
+            return f"{type(exc).__name__}: {exc}" + (f" [{exc.witness}]" if exc.witness else "")
+    return None
+
+
+@pytest.mark.parametrize("inject,witness", TRACE_FAILURES,
+                         ids=[i.__name__ for i, _ in TRACE_FAILURES])
+def test_tangent_trace_failure_witnesses(frame7, c7, inject, witness):
+    st = trace_state(frame7, c7)
+    inject(st)
+    assert first_scalar_failure(st) == witness
+    rec = run_stages(st, include={"assemble_spread"})[0]
+    assert (rec.verdict, rec.witness) == ("fail", witness)
+
+
+def test_tangent_trace_affine_point_witness(frame7, c7, monkeypatch):
+    """Check 3 cannot fail on a real state (see _tangent_traces), so the lift
+    through one plane is patched to leave infinity; captured by patching the
+    scalar lift in the same way."""
+    st = trace_state(frame7, c7)
+    target = np.array(st.planes[st.planes_through[0][1]].plane.rows)
+    original = reconstruct._from_intrinsic_np
+
+    def lift(f, bases, coeffs):
+        out = original(f, bases, coeffs)
+        out[(bases == target).all(axis=(-2, -1)), 4] = 1
+        return out
+    monkeypatch.setattr(reconstruct, "_from_intrinsic_np", lift)
+    rec = run_stages(st, include={"assemble_spread"})[0]
+    assert (rec.verdict, rec.witness) == (
+        "fail", "TangentDegenerate: tangent trace point is affine [1,0,0,0,0;0,0,1,0,0;0,0,0,0,1]")
+
+
+# plane a's trace line replaced by plane b's; records captured while the
+# plane x trace-line test looped over Python bitmasks
+@pytest.mark.parametrize("a,b,witness", [
+    (3, 40, "plane 3 vs trace line of point 0: meet=False [1,2,0,0,0;0,0,1,3,0;0,0,0,0,1]"),
+    (17, 5, "plane 17 vs trace line of point 0: meet=True [1,0,0,5,5;0,1,0,1,5;0,0,1,3,0]"),
+    (50, 51, "plane 50 vs trace line of point 7: meet=False [1,0,0,0,1;0,1,0,2,0;0,0,1,0,0]"),
+])
+def test_trace_line_meet_witness(frame7, c7, a, b, witness):
+    st = trace_state(frame7, c7)
+    st.planes[a].cline = st.planes[b].cline
+    rec = run_stages(st, include={"assemble_spread"})[0]
+    assert (rec.verdict, rec.witness) == ("fail", "StructureViolation: " + witness)
