@@ -17,9 +17,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .projgeom import (ProjectiveSpace, Subspace, matrix_inverse, mat_mul,
-                       normalize_rows_np, rref, scan_heavy_planes, span)
-from .conics import (DegenerateInput, QuadraticForm, classify_vs_conic, is_arc,
-                     tangent_line)
+                       normalize_rows_np, nullspace, rref, span)
+from .conics import QuadraticForm, is_arc, tangent_line
 
 
 class ClosureOverflow(RuntimeError):
@@ -134,24 +133,8 @@ class BruckBoseFrame:
             raise ValueError(f"{pt} is not a normalized point of the line at infinity")
         return pt[1]
 
-    def sigma_embed_point(self, pt4):
-        return self.space4.normalize(tuple(pt4) + (0,))
-
-    def sigma_slice_point(self, pt5):
-        if pt5[4] != 0:
-            raise ValueError(f"{pt5} is not at infinity")
-        return self.sigma.normalize(pt5[:4])
-
     def sigma_embed_line(self, line):
         return Subspace(self.space4, tuple(r + (0,) for r in line.rows))
-
-    def sigma_slice_line(self, sub5):
-        rows = []
-        for r in sub5.rows:
-            if r[4] != 0:
-                raise ValueError(f"{sub5} is not contained in the hyperplane at infinity")
-            rows.append(r[:4])
-        return Subspace(self.sigma, tuple(rows))
 
     def line_down(self, line):
         """PG(2,q^2) line (not the line at infinity) -> affine plane of PG(4,q)."""
@@ -335,78 +318,65 @@ class Lemma1Report:
     exterior_plane_pairs: dict = dc_field(repr=False, default_factory=dict)
 
 
+def _tangent_counts(frame, form, pts):
+    """The number of tangents of a conic of PG(2,q^2) through each of pts (k, 3).
+
+    For q odd it is 0 at an interior point, 1 on the conic and 2 at an
+    exterior point: one table of the points on the q^2+1 tangent lines.
+    """
+    plane = frame.plane
+    tangents = [nullspace(frame.ext.ext, [d]) for d in form.tangent_duals()]
+    hits = np.bincount(plane.line_point_ids(tangents).ravel(), minlength=plane.npoints)
+    return hits[plane.point_ids(pts)]
+
+
 def verify_lemma1(frame, conic, spot_checks=10):
     """Check the three incidence properties of a tangent conic's affine part.
 
     In PG(4,q): (1) every affine plane on five or more image points carries
     exactly q of them forming an arc, (2) each point pair lies in exactly one
     such plane, (3) affine PG(2,q^2) points off the conic lie on 0 or 2 such
-    planes, matching the interior/exterior split by tangent counting.  A
-    sample of planes is rebuilt directly as Baer subplanes from a quadrangle.
+    planes, matching the interior/exterior split by tangent counting.  The
+    reconstruction's axioms stage checks (1)-(3).  A sample of planes is
+    rebuilt directly as Baer subplanes from a quadrangle.
     """
-    q = frame.q
-    C = build_C(frame, conic)
-    scan = scan_heavy_planes(frame.space4, C, 5)
-    if scan.collinear_triple is not None:
-        raise LemmaViolation("three image points are collinear",
-                             witness=scan.collinear_triple)
-    if scan.pair_conflict is not None:
-        raise LemmaViolation("a point pair lies in two planes",
-                             witness=scan.pair_conflict)
-    if scan.uncovered_pairs:
-        raise LemmaViolation(f"{scan.uncovered_pairs} point pairs lie in no plane")
-    if len(scan.planes) != q * q + q:
-        raise LemmaViolation(f"found {len(scan.planes)} planes, expected {q * q + q}")
-    arc_checks = 0
-    for plane, members in scan.planes:
-        if len(members) != q:
-            raise LemmaViolation(f"plane carries {len(members)} points, expected {q}",
-                                 witness=plane)
-        pivots = tuple(next(i for i, x in enumerate(r) if x) for r in plane.rows)
-        intr = [tuple(C[k][c] for c in pivots) for k in members]
-        ok, witness = is_arc(ProjectiveSpace(2, frame.base), intr)
-        if not ok:
-            raise LemmaViolation("plane points are not an arc", witness=plane)
-        arc_checks += 1
+    from .reconstruct import CheckViolation, PipelineState, stage_axioms  # imports this module
+
+    state = PipelineState(frame, build_C(frame, conic))
+    try:
+        stage_axioms(state)
+    except CheckViolation as exc:
+        raise LemmaViolation(str(exc), witness=exc.witness) from None
+    C, planes = state.C, state.planes
 
     # part 3: plane counts of affine PG(2,q^2) points vs interior/exterior
-    down_count = {}
-    for plane, members in scan.planes:
-        for p in plane.points():
-            if p[4] != 0:
-                down_count[p] = down_count.get(p, 0) + 1
-    cset = set(C)
-    interior = exterior = 0
-    plane_ids = {pl.rows: i for i, (pl, _) in enumerate(scan.planes)}
-    on_planes = {}
-    for plane, members in scan.planes:
-        for p in plane.points():
-            if p[4] != 0 and p not in cset:
-                on_planes.setdefault(p, []).append(plane_ids[plane.rows])
-    exterior_pairs = {}
     pts = frame.affine_plane_points()
-    for pt, down in zip(map(tuple, pts.tolist()), map(tuple, frame.points_down(pts).tolist())):
-        if pt in conic.points:
-            continue
-        k = down_count.get(down, 0)
-        try:
-            cls = classify_vs_conic(conic.form, pt)
-        except DegenerateInput as exc:
-            raise LemmaViolation(str(exc), witness=pt) from None
-        if k == 0 and cls == "interior":
-            interior += 1
-        elif k == 2 and cls == "exterior":
-            exterior += 1
-            exterior_pairs[pt] = tuple(on_planes[down])
-        else:
-            raise LemmaViolation(
-                f"point {pt} lies on {k} planes but classifies as {cls}",
-                witness=pt)
+    hits = _tangent_counts(frame, conic.form, pts)
+    down = frame.space4.point_ids(frame.points_down(pts))
+    k = state.affine_plane_counts[down]
+    off = ~np.isin(frame.plane.point_ids(pts), frame.plane.point_ids(np.array(conic.points)))
+    interior = off & (hits == 0) & (k == 0)
+    exterior = off & (hits == 2) & (k == 2)
+    bad = np.flatnonzero(off & ~interior & ~exterior)
+    if len(bad):
+        pt, h = tuple(pts[bad[0]].tolist()), hits[bad[0]]
+        if h > 2:
+            raise LemmaViolation(f"{pt} lies on {h} tangents", witness=pt)
+        cls = ("interior", "on", "exterior")[h]
+        raise LemmaViolation(f"point {pt} lies on {k[bad[0]]} planes but classifies as {cls}",
+                             witness=pt)
+    # the two planes of each exterior point, ascending: a stable sort of the
+    # plane-major point ids keeps each point's planes in plane order
+    ids = state.plane_point_ids
+    order = np.argsort(ids, axis=None, kind="stable")
+    at = np.searchsorted(ids.ravel()[order], down[exterior])
+    pid = order // ids.shape[1]
+    exterior_pairs = dict(zip(map(tuple, pts[exterior].tolist()),
+                              map(tuple, np.column_stack((pid[at], pid[at + 1])).tolist())))
 
     done = 0
-    plane_space = ProjectiveSpace(2, frame.base)
-    for plane, members in sorted(scan.planes)[:spot_checks]:
-        A, B = C[members[0]], C[members[1]]
+    for info in sorted(planes, key=lambda info: info.plane.rows)[:spot_checks]:
+        A, B = C[info.members[0]], C[info.members[1]]
         P, Q = frame.point_up(A), frame.point_up(B)
         t_p = tangent_line(conic.form, P)
         X = t_p.meet(frame.l_inf).rows[0]
@@ -417,15 +387,15 @@ def verify_lemma1(frame, conic, spot_checks=10):
             subplane = baer_subplane_through(frame, quad)
         down_affine = set(map(tuple, frame.points_down(
             [p for p in subplane if p[2] != 0]).tolist()))
-        plane_affine = {p for p in plane.points() if p[4] != 0}
+        plane_affine = {p for p in info.plane.points() if p[4] != 0}
         if down_affine != plane_affine:
             raise LemmaViolation("quadrangle subplane does not match the plane",
-                                 witness=plane)
+                                 witness=info.plane)
         done += 1
 
-    return Lemma1Report(q=q, plane_count=len(scan.planes), arc_checks=arc_checks,
-                        pair_coverage_ok=True, interior_count=interior,
-                        exterior_count=exterior, spot_checks=done,
+    return Lemma1Report(q=frame.q, plane_count=len(planes), arc_checks=len(planes),
+                        pair_coverage_ok=True, interior_count=int(interior.sum()),
+                        exterior_count=int(exterior.sum()), spot_checks=done,
                         exterior_plane_pairs=exterior_pairs)
 
 

@@ -428,9 +428,6 @@ class QuadExtension:
     def frobenius(self, x):
         return self.ext.pow(x, self.base.q)
 
-    def is_embedded(self, x):
-        return x < self.base.q
-
     def __repr__(self):
         return f"QuadExtension({self.base.token}; w^2={self.s}w+{self.t})"
 

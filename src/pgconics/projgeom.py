@@ -95,14 +95,6 @@ def mat_mul(field, a, b):
     return tuple(tuple(field.dot(ra, cb) for cb in bt) for ra in a)
 
 
-def mat_vec(field, m, v):
-    return tuple(field.dot(row, v) for row in m)
-
-
-def vec_mat(field, v, m):
-    return tuple(field.dot(v, col) for col in zip(*m))
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -114,7 +106,6 @@ class ProjectiveSpace:
         self.field = field
         self._points = None
         self._points_np = None
-        self._index = None
         self._lines = None
 
     @property
@@ -160,19 +151,11 @@ class ProjectiveSpace:
             self._points_np = arr
         return self._points_np
 
-    def point_index(self):
-        if self._index is None:
-            self._index = {p: i for i, p in enumerate(self.points())}
-        return self._index
-
-    def point_id(self, pt):
-        return self.point_index()[pt]
-
     def point_ids(self, arr):
         """Ids of the normalized points in the rows of arr, as an int64 array.
 
-        Vectorized point_id: the points with leading coordinate l come after
-        the q^n + ... + q^(n-l+1) points that lead earlier, in base-q order.
+        The points with leading coordinate l come after the q^n + ... +
+        q^(n-l+1) points that lead earlier, in base-q order.
         """
         arr = np.asarray(arr)
         place = self.field.q ** np.arange(self.n, -1, -1)
@@ -500,8 +483,6 @@ def scan_heavy_planes(space, pts, threshold):
     arr = points_array(pts)
     pair_plane = {}
     planes = []
-    collinear = None
-    conflict = None
     for i in range(n):
         for j in range(i + 1, n):
             if (i, j) in pair_plane:
@@ -530,4 +511,4 @@ def scan_heavy_planes(space, pts, threshold):
                     pair_plane[(a, b)] = pid
                 planes.append((plane, mem))
     uncovered = n * (n - 1) // 2 - len(pair_plane)
-    return HeavyPlaneScan(planes, collinear, conflict, uncovered)
+    return HeavyPlaneScan(planes, None, None, uncovered)

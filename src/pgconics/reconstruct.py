@@ -157,6 +157,8 @@ class PipelineState:
         self._directions = None
         # stage outputs
         self.planes = None
+        self.plane_point_ids = None      # (planes, q^2+q+1) PG(4,q) point ids
+        self.affine_plane_counts = None  # planes on each affine point off C, by id
         self.planes_through = None
         self.classes = None
         self.classification = None
@@ -528,6 +530,12 @@ def stage_axioms(state):
         raise Axiom2Violation(
             f"point pair ({a},{b}) lies in two planes",
             witness=scan.planes[p1][0].to_text())
+    # C is affine and repeat-free, so three of its points are collinear
+    # exactly when two of them have the same direction from the third, that
+    # is when some direction count T[P, a] is 2 or more (Bruck-Bose).  Below
+    # that, no three points of C are collinear, so every plane's members are
+    # an arc and the per-plane test is implied.
+    check_arcs = state.directions.T.max(initial=0) >= 2
     planes = []
     for plane, members in scan.planes:
         if len(members) != q:
@@ -537,10 +545,10 @@ def stage_axioms(state):
         pivots = tuple(next(i for i, x in enumerate(r) if x) for r in plane.rows)
         info = PlaneInfo(plane=plane, members=members,
                          mask=sum(1 << m for m in members), pivots=pivots)
-        intr = [_intrinsic(info, C[m]) for m in members]
-        ok, witness = is_arc(state.plane2, intr)
-        if not ok:
-            raise Axiom1Violation("plane points are not an arc", witness=plane.to_text())
+        if check_arcs:
+            ok, witness = is_arc(state.plane2, [_intrinsic(info, C[m]) for m in members])
+            if not ok:
+                raise Axiom1Violation("plane points are not an arc", witness=plane.to_text())
         planes.append(info)
     if scan.uncovered_pairs:
         covered = set()
@@ -554,17 +562,20 @@ def stage_axioms(state):
     if len(planes) != q * q + q:
         raise StructureViolation(f"{len(planes)} planes, expected {q * q + q}")
 
-    # axiom 3 over the affine points of PG(4,q)
-    cset = set(C)
-    on_count = {}
-    for info in planes:
-        for p in info.plane.points():
-            if p[4] != 0 and p not in cset:
-                on_count[p] = on_count.get(p, 0) + 1
-    for p, k in on_count.items():
-        if k != 2:
-            raise Axiom3Violation(f"affine point on {k} planes",
-                                  witness=",".join(map(str, p)))
+    # axiom 3 over the affine points of PG(4,q): every plane's points at
+    # once, in Subspace.points() order, which is the order of points_np()
+    f, space4 = state.base, state.space4
+    bases = np.array([info.plane.rows for info in planes], dtype=np.int16)
+    coeffs = state.plane2.points_np()
+    pts = dot_np(f, coeffs[None, :, None, :], bases.transpose(0, 2, 1)[:, None])
+    pts = normalize_rows_np(f, pts.reshape(-1, 5))[0]
+    ids = space4.point_ids(pts)
+    counted = (pts[:, 4] != 0) & ~np.isin(ids, space4.point_ids(state._C_arr))
+    counts = np.bincount(ids[counted], minlength=space4.npoints)
+    bad = np.flatnonzero(counted & (counts[ids] != 2))
+    if len(bad):
+        raise Axiom3Violation(f"affine point on {counts[ids[bad[0]]]} planes",
+                              witness=",".join(map(str, pts[bad[0]].tolist())))
     planes_through = [[] for _ in range(q * q)]
     for pid, info in enumerate(planes):
         for m in info.members:
@@ -574,8 +585,10 @@ def stage_axioms(state):
             raise StructureViolation(
                 f"point {cid} lies on {len(lst)} planes, expected {q + 1}")
     affine_total = q ** 4
-    on_two = len(on_count)
+    on_two = int(np.count_nonzero(counts))
     state.planes = planes
+    state.plane_point_ids = ids.reshape(len(planes), len(coeffs))
+    state.affine_plane_counts = counts
     state.planes_through = tuple(tuple(x) for x in planes_through)
     return {
         "points": q * q,
@@ -937,16 +950,18 @@ def stage_assemble_spread(state):
 
     if len({l.rows for l in lines}) != q * q + 1:
         raise SpreadViolation(f"{len({l.rows for l in lines})} distinct spread lines")
-    masks = [sum(1 << p for p in row) for row in ids.tolist()]
-    cover = 0
-    for i, m in enumerate(masks):
-        if cover & m:
-            j = next(j for j in range(i) if masks[j] & m)
-            raise SpreadViolation(
-                "spread lines overlap",
-                witness=lines[i].to_text() + " | " + lines[j].to_text())
-        cover |= m
-    if cover != (1 << sigma.npoints) - 1:
+    counts = np.bincount(ids.ravel(), minlength=sigma.npoints)
+    if (counts > 1).any():
+        # line i is the first to meet an earlier line; j the first line it meets
+        first = np.zeros(sigma.npoints, dtype=np.int64)  # point -> first line on it
+        uniq, at = np.unique(ids.ravel(), return_index=True)
+        first[uniq] = at // ids.shape[1]
+        i = int(np.flatnonzero((first[ids] < np.arange(len(lines))[:, None]).any(axis=1))[0])
+        j = int(first[ids[i]].min())
+        raise SpreadViolation(
+            "spread lines overlap",
+            witness=lines[i].to_text() + " | " + lines[j].to_text())
+    if (counts == 0).any():
         raise SpreadViolation("spread does not cover the hyperplane at infinity")
     provenance = {trace_lines[c].rows: c for c in range(q * q)}
     state.spread = Spread(lines=tuple(lines), axis=axis, provenance=provenance)

@@ -81,12 +81,6 @@ class Report:
         lines.append(f"verdict: {self.verdict}")
         return "\n".join(lines)
 
-    def first_failure(self):
-        for s in self.stages:
-            if s.verdict == FAIL:
-                return s
-        return None
-
 
 def file_digest(path):
     h = hashlib.sha256()

@@ -7,12 +7,12 @@ import pytest
 
 from pgconics.galois import Field, QuadExtension
 from pgconics.projgeom import Subspace, span
-from pgconics.conics import is_arc
+from pgconics.conics import classify_vs_conic, is_arc
 from pgconics.bruckbose import (BruckBoseFrame, ClosureOverflow, LemmaViolation,
-                                baer_closure, baer_subplane_through, build_C, build_frame,
-                                canonical_tangent_conic, random_tangent_conic,
-                                verify_lemma1, write_c_dump)
-from pgconics.reconstruct import regulus_from
+                                _tangent_counts, baer_closure, baer_subplane_through,
+                                build_C, build_frame, canonical_tangent_conic,
+                                random_tangent_conic, verify_lemma1, write_c_dump)
+from pgconics.reconstruct import CheckViolation, PipelineState, regulus_from, stage_axioms
 
 
 def test_frame_counts(frame7):
@@ -252,8 +252,33 @@ def test_lemma1_negative_control(frame7, conic7, c7):
         sorted(frame7.point_up(p) for p in bad))
     fake.form = conic7.form
     fake.p_inf = conic7.p_inf
-    with pytest.raises(LemmaViolation):
+    with pytest.raises(LemmaViolation) as info:
         verify_lemma1(frame7, fake)
+    # the violation is the one the reconstruction's axioms stage reports
+    with pytest.raises(CheckViolation) as expected:
+        stage_axioms(PipelineState(frame7, bad))
+    assert (str(info.value), info.value.witness) == (str(expected.value), expected.value.witness)
+    assert str(info.value) == "point pair (0,3) lies in two planes"
+    assert info.value.witness == "0,1,0,0,0;0,0,1,0,0;0,0,0,0,1"
+
+
+# sha256 of repr(list(exterior_plane_pairs.items())), captured while
+# verify_lemma1 classified each point with classify_vs_conic
+@pytest.mark.parametrize("seed,digest", [(0, "16f4fc022d78d5a7"), (3, "f3824107cedacfe8")])
+def test_lemma1_exterior_plane_pairs_q7(frame7, seed, digest):
+    rep = verify_lemma1(frame7, random_tangent_conic(frame7, seed))
+    text = repr(list(rep.exterior_plane_pairs.items()))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_tangent_counts_match_classify_vs_conic(frame7, seed):
+    conic = random_tangent_conic(frame7, seed)
+    pts = frame7.affine_plane_points()
+    hits = _tangent_counts(frame7, conic.form, pts)
+    classes = ("interior", "on", "exterior")
+    assert [classes[h] for h in hits] == \
+        [classify_vs_conic(conic.form, p) for p in map(tuple, pts.tolist())]
 
 
 def test_c_dump_roundtrip(tmp_path, frame7, c7):

@@ -150,7 +150,12 @@ def test_outdir_env(tmp_path, capsys, monkeypatch):
 def test_p_k_config(capsys):
     code, out = run_cli(["lemma1", "--p", "3", "--k", "2", "--threads", "1"], capsys)
     assert code == 0
-    assert json.loads(out)["config"]["q"] == 9
+    report = json.loads(out)
+    assert report["config"]["q"] == 9
+    lemma1 = next(s for s in report["stages"] if s["name"] == "lemma1")
+    assert lemma1["counts"] == {"planes": 90, "arc_checks": 90,
+                                "interior_on_no_plane": 3240, "exterior_on_two_planes": 3240,
+                                "subplane_spot_checks": 10}
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,7 @@ def test_line_table_incidence():
 def test_line_table_matches_subspace_enumeration(q, n):
     space = ProjectiveSpace(n, Field(q) if q != 9 else Field(3, 2))
     rows, ids = space.line_table()
-    index = space.point_index()
+    index = {p: i for i, p in enumerate(space.points())}
     lines = list(space.subspaces(1))
     assert len(lines) == len(rows) == gaussian_binomial(n + 1, 2, q)
     for line, r, i in zip(lines, rows.tolist(), ids.tolist()):

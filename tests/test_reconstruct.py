@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from pgconics.projgeom import (Subspace, matrix_inverse, points_array, rref,
-                               rref_np, span)
+from pgconics.projgeom import (HeavyPlaneScan, Subspace, matrix_inverse, points_array,
+                               rref, rref_np, scan_heavy_planes, span)
 from pgconics.bruckbose import (BruckBoseFrame, baer_subplane_through, build_C,
                                 random_tangent_conic)
 from pgconics import reconstruct
@@ -636,8 +636,9 @@ def test_three_space_and_klein_work_counts(frame7, conic7, c7, monkeypatch):
 
 def test_kernel_work_counts(monkeypatch):
     """On the q = 7 pass path, make_frame converts no point one at a time,
-    the forward build and infinity_data evaluate no form point by point, and
-    assemble_spread makes no per-point tangent_trace call."""
+    the forward build and infinity_data evaluate no form point by point,
+    axioms makes no per-plane arc test and assemble_spread makes no
+    per-point tangent_trace call."""
     calls = collections.Counter()
 
     def counted(owner, name):
@@ -652,6 +653,7 @@ def test_kernel_work_counts(monkeypatch):
     counted(BruckBoseFrame, "point_down")
     counted(QuadraticForm, "evaluate")
     counted(reconstruct, "tangent_trace")
+    counted(reconstruct, "is_arc")
     frame = make_frame(7)
     assert not calls
     for seed in (0, 3):
@@ -784,6 +786,28 @@ def test_exploratory_q3_downgrades_to_warnings():
     by = records_by_name(records)
     assert by["axioms"].verdict == "warn"
     assert by["parallel_classes"].verdict == "skipped"
+
+
+# axioms records of exploratory round trips on the canonical conic, captured
+# while axioms tested every plane with is_arc and counted axiom 3 in a dict
+EXPLORATORY_AXIOMS = {
+    3: ("warn", "Axiom2Violation: point pair (0, 1) lies in no plane "
+                "[0,0,0,0,1;0,1,1,0,2]", {}),
+    4: ("warn", "Axiom1Violation: three collinear points (ids 0,1,2) "
+                "[0,0,0,0,1;0,0,0,1,1;0,0,0,1,2]", {}),
+    5: ("pass", None, {"points": 25, "planes": 30, "pairs": 300, "points_on_two_planes": 300,
+                       "points_on_no_plane": 300, "planes_per_point": 6}),
+    8: ("warn", "Axiom1Violation: three collinear points (ids 0,1,2) "
+                "[0,0,0,0,1;0,0,0,1,1;0,0,0,1,2]", {}),
+}
+
+
+@pytest.mark.parametrize("q", sorted(EXPLORATORY_AXIOMS))
+def test_exploratory_axioms_records(q):
+    frame = make_frame(q)
+    st = PipelineState(frame, build_C(frame, random_tangent_conic(frame, 0)), exploratory=True)
+    rec = run_stages(st, include={"axioms"})[0]
+    assert (rec.verdict, rec.witness, rec.counts) == EXPLORATORY_AXIOMS[q]
 
 
 def test_strict_mode_raises_nothing_but_records(frame7, c7):
@@ -976,3 +1000,97 @@ def test_trace_line_meet_witness(frame7, c7, a, b, witness):
     st.planes[a].cline = st.planes[b].cline
     rec = run_stages(st, include={"assemble_spread"})[0]
     assert (rec.verdict, rec.witness) == ("fail", "StructureViolation: " + witness)
+
+
+# ---------------------------------------------------------------------------
+# axioms: the implied arc test and the array count of axiom 3
+
+
+def dict_axiom3_counts(C, planes):
+    """Planes on each affine point off C, by enumerating Subspace.points()."""
+    cset = set(C)
+    on_count = {}
+    for plane in planes:
+        for p in plane.points():
+            if p[4] != 0 and p not in cset:
+                on_count[p] = on_count.get(p, 0) + 1
+    return on_count
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_axiom3_counts_match_subspace_points(frame7, seed):
+    st = PipelineState(frame7, build_C(frame7, random_tangent_conic(frame7, seed)))
+    assert run_stages(st, include={"axioms"})[0].verdict == "pass"
+    counts = st.affine_plane_counts
+    ids = np.flatnonzero(counts)
+    pts = frame7.space4.points_np()[ids]
+    assert dict(zip(map(tuple, pts.tolist()), counts[ids].tolist())) == \
+        dict_axiom3_counts(st.C, [info.plane for info in st.planes])
+    assert [frame7.space4.point_ids(np.array(info.plane.points())).tolist()
+            for info in st.planes] == st.plane_point_ids.tolist()
+
+
+def patched_scan_state(monkeypatch, frame, C, planes):
+    """A state whose heavy-plane scan returns the given (plane, members) list."""
+    monkeypatch.setattr(reconstruct, "scan_heavy_planes",
+                        lambda space, pts, threshold: HeavyPlaneScan(planes, None, None, 0))
+    return PipelineState(frame, C)
+
+
+def test_collinear_triple_missed_by_the_scan(frame7, c7, monkeypatch):
+    """Point 2 moved onto the line of points 0 and 1, all three in plane 0,
+    behind a scan that reports the planes of the unmoved points: the
+    direction table sees the triple, so each plane is tested for an arc."""
+    planes = scan_heavy_planes(frame7.space4, c7, 5).planes
+    st = patched_scan_state(monkeypatch, frame7, c7, planes)
+    st.C = c7[:2] + ((0, 1, 1, 0, 1),) + c7[3:]
+    st._C_arr = points_array(st.C)
+    assert st.directions.T.max() >= 2
+    rec = run_stages(st, include={"axioms"})[0]
+    assert (rec.verdict, rec.witness) == (
+        "fail", "Axiom1Violation: plane points are not an arc [0,1,0,0,0;0,0,1,0,0;0,0,0,0,1]")
+
+
+# plane dst of the scan replaced by plane src; records captured while
+# axiom 3 was counted in a dict over Subspace.points()
+@pytest.mark.parametrize("dst,src,witness", [
+    (5, 0, "affine point on 3 planes [0,1,0,0,1]"),
+    (1, 40, "affine point on 1 planes [0,0,1,0,1]"),
+    (30, 31, "affine point on 3 planes [1,1,0,0,4]"),
+])
+def test_axiom3_witness(frame7, c7, monkeypatch, dst, src, witness):
+    planes = list(scan_heavy_planes(frame7.space4, c7, 5).planes)
+    planes[dst] = planes[src]
+    st = patched_scan_state(monkeypatch, frame7, c7, planes)
+    rec = run_stages(st, include={"axioms"})[0]
+    assert (rec.verdict, rec.witness) == ("fail", "Axiom3Violation: " + witness)
+    first = next((p, k) for p, k in dict_axiom3_counts(c7, [pl for pl, _ in planes]).items()
+                 if k != 2)
+    assert witness == f"affine point on {first[1]} planes [{','.join(map(str, first[0]))}]"
+
+
+# the spread assembled with, in place of the axis, the line through a point
+# of trace line a and one of trace line b; the trace kernel still checks the
+# real axis.  Records captured while the overlap test looped over bitmasks
+@pytest.mark.parametrize("a,b,witness", [
+    (5, 2, "1,0,0,1;0,1,4,0 | 1,0,0,6;0,1,4,0"),
+    (30, 12, "1,0,2,6;0,1,0,5 | 1,0,2,0;0,1,0,2"),
+    (0, 48, "1,0,0,0;0,1,5,3 | 1,0,0,0;0,1,0,0"),
+])
+def test_spread_overlap_witness(frame7, c7, monkeypatch, a, b, witness):
+    st = trace_state(frame7, c7)
+    axis = st.axis
+    traces = reconstruct._tangent_traces(st, range(49))
+    line = Subspace.from_vectors(st.sigma, [traces[a][0].tolist(), traces[b][1].tolist()])
+    original = reconstruct._tangent_traces
+
+    def traces_against_real_axis(state, cids):
+        state.axis = axis
+        try:
+            return original(state, cids)
+        finally:
+            state.axis = line
+    monkeypatch.setattr(reconstruct, "_tangent_traces", traces_against_real_axis)
+    st.axis = line
+    rec = run_stages(st, include={"assemble_spread"})[0]
+    assert (rec.verdict, rec.witness) == ("fail", f"SpreadViolation: spread lines overlap [{witness}]")
