@@ -27,7 +27,7 @@ print("  interior points on 0 planes:", report.interior_count)
 print("  exterior points on 2 planes:", report.exterior_count)
 print("  subplane rebuilds matched:  ", report.spot_checks)
 
-path = "/tmp/demo-C-q7.txt"
+path = "demo-C-q7.txt"
 write_c_dump(path, frame, C, seed=0)
 print("\npoint dump written to", path, "(reconstruct it with:")
 print("  pgconics reconstruct --q 7 --in", path, ")")

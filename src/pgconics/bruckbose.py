@@ -375,22 +375,19 @@ def verify_lemma1(frame, conic, spot_checks=10):
                               map(tuple, np.column_stack((pid[at], pid[at + 1])).tolist())))
 
     done = 0
-    for info in sorted(planes, key=lambda info: info.plane.rows)[:spot_checks]:
-        A, B = C[info.members[0]], C[info.members[1]]
+    for pid in sorted(range(len(planes)), key=lambda p: planes.bases[p].tolist())[:spot_checks]:
+        A, B = C[planes.members[pid, 0]], C[planes.members[pid, 1]]
         P, Q = frame.point_up(A), frame.point_up(B)
         t_p = tangent_line(conic.form, P)
         X = t_p.meet(frame.l_inf).rows[0]
-        quad = (P, Q, X, conic.p_inf)
-        if frame.base.k == 1:
-            subplane = baer_closure(frame.plane, quad)
-        else:
-            subplane = baer_subplane_through(frame, quad)
+        subplane = baer_subplane_through(frame, (P, Q, X, conic.p_inf))
         down_affine = set(map(tuple, frame.points_down(
             [p for p in subplane if p[2] != 0]).tolist()))
-        plane_affine = {p for p in info.plane.points() if p[4] != 0}
+        plane = Subspace(frame.space4, tuple(map(tuple, planes.bases[pid].tolist())))
+        plane_affine = {p for p in plane.points() if p[4] != 0}
         if down_affine != plane_affine:
             raise LemmaViolation("quadrangle subplane does not match the plane",
-                                 witness=info.plane)
+                                 witness=plane)
         done += 1
 
     return Lemma1Report(q=frame.q, plane_count=len(planes), arc_checks=len(planes),

@@ -251,18 +251,6 @@ class Field:
             r = add[r][mul[x][y]]
         return r
 
-    def elements(self):
-        return range(self.q)
-
-    def coeffs(self, a):
-        """Coefficient vector of an element over GF(p), little-endian, length k."""
-        p = self.p
-        out = []
-        for _ in range(self.k):
-            out.append(a % p)
-            a //= p
-        return tuple(out)
-
     def __call__(self, value):
         return FieldElement(self, int(value) % self.q if self.k == 1 else int(value))
 

@@ -30,7 +30,7 @@ from .projgeom import (ProjectiveSpace, Subspace, dot_np, group_rows,
                        points_array, reduce_rows_np, rref, rref_np,
                        scan_heavy_planes, span)
 from .conics import (CompletionNotUnique, DegenerateInput, NotAnArc,
-                     QuadraticForm, complete_q_arc, conic_through_5, is_arc)
+                     complete_q_arc, conic_through_5, is_arc)
 from .bruckbose import build_frame
 from .report import FAIL, PASS, SKIPPED, WARN, StageRecord
 
@@ -95,15 +95,44 @@ _CATCHABLE = (CheckViolation, NotAnArc, CompletionNotUnique, DegenerateInput)
 
 
 @dataclass
-class PlaneInfo:
-    plane: Subspace            # affine plane of PG(4,q)
-    members: tuple             # ids of carried points
-    mask: int                  # bitmask of members
-    pivots: tuple = ()
-    cline: Subspace = None     # trace in the hyperplane at infinity (PG(3,q))
-    completion: tuple = None   # arc completion point, PG(3,q) coordinates
-    form: QuadraticForm = None  # intrinsic conic through members + completion
-    class_id: int = -1
+class Planes:
+    """The planes meeting the input in q points, one row per plane.
+
+    axioms sets bases, the RREF bases (n, 3, 5), and members, the ids of
+    the input points on each plane (n, q).  infinity_data adds traces, the
+    RREF bases (n, 2, 4) of the lines in which the planes meet the
+    hyperplane at infinity; completions, the points (n, 4) completing the
+    members to a conic; and forms, the matrices (n, 3, 3) of those conics
+    in plane coordinates.  A point's plane coordinates are its entries at
+    the pivot columns of the plane's basis.
+    """
+    bases: np.ndarray
+    members: np.ndarray
+    traces: np.ndarray = None
+    completions: np.ndarray = None
+    forms: np.ndarray = None
+
+    def __len__(self):
+        return len(self.bases)
+
+    @property
+    def pivots(self):
+        """The pivot column of each basis row, (n, 3)."""
+        return (self.bases != 0).argmax(axis=2)
+
+    def arcs(self, points):
+        """The members, rows of points, in plane coordinates: (n, q, 3)."""
+        return points[self.members[:, :, None], self.pivots[:, None, :]]
+
+    def member_table(self, width):
+        """Boolean table (n, width): whether plane p carries input point k."""
+        table = np.zeros((len(self), width), dtype=bool)
+        table[np.arange(len(self))[:, None], self.members] = True
+        return table
+
+    def text(self, p):
+        """The basis of plane p, written as Subspace.to_text writes it."""
+        return ";".join(",".join(map(str, row)) for row in self.bases[p].tolist())
 
 
 @dataclass
@@ -229,44 +258,6 @@ class DirectionTable:
 # small geometric helpers
 
 
-def _hyperplane_trace(state, plane):
-    """The line in which an affine plane meets the hyperplane x4 = 0."""
-    f = state.base
-    rows = plane.rows
-    last = [r[4] for r in rows]
-    sol = []
-    # coefficient vectors c with sum c_i * last_i = 0
-    red, pivots = rref(f, [last])
-    freecols = [c for c in range(3) if c not in pivots]
-    for fc in freecols:
-        v = [0, 0, 0]
-        v[fc] = 1
-        for i, c in enumerate(pivots):
-            v[c] = f.neg(red[i][fc])
-        sol.append(v)
-    vecs = []
-    for c in sol:
-        vec = [0] * 5
-        for ci, row in zip(c, rows):
-            if ci:
-                vec = [f.add(x, f.mul(ci, y)) for x, y in zip(vec, row)]
-        vecs.append(tuple(vec[:4]))
-    return Subspace.from_vectors(state.sigma, vecs)
-
-
-def _intrinsic(plane_info, pt):
-    return tuple(pt[c] for c in plane_info.pivots)
-
-
-def _from_intrinsic(state, plane_info, coeffs):
-    f = state.base
-    vec = [0] * 5
-    for ci, row in zip(coeffs, plane_info.plane.rows):
-        if ci:
-            vec = [f.add(x, f.mul(ci, y)) for x, y in zip(vec, row)]
-    return state.space4.normalize(vec)
-
-
 def _embed_line5(state, line):
     return tuple(r + (0,) for r in line.rows)
 
@@ -286,18 +277,10 @@ def _residual_groups(state, basis5, threshold=None):
     return counts, inverse, norm
 
 
-def _member_table(planes, n):
-    """Boolean table (planes, n): whether plane pid carries input point k."""
-    member_of = np.zeros((len(planes), n), dtype=bool)
-    for pid, info in enumerate(planes):
-        member_of[pid, list(info.members)] = True
-    return member_of
-
-
-def _three_space_tests(f, spans, arr, member_of, pairs):
-    """Per plane pair (i, j) and its 3-space, given by four RREF rows in spans:
-    whether the points of arr inside it differ from the members of i and j,
-    and how many planes have all their members inside.
+def _three_space_tests(f, spans, arr, planes, pairs):
+    """Per pair (i, j) of planes and its 3-space, given by four RREF rows in
+    spans: whether the points of arr inside it differ from the members of i
+    and j, and how many planes have all their members inside.
 
     A 3-space of PG(4,q) is a hyperplane, so a point lies in it exactly when
     it is orthogonal to its dual vector: 1 on the free column c and -row[c]
@@ -311,12 +294,7 @@ def _three_space_tests(f, spans, arr, member_of, pairs):
     dual = np.zeros((len(spans), 5), dtype=np.int16)
     dual[k, free] = 1
     dual[k[:, None], lead] = f.neg_np[spans[k[:, None], np.arange(4), free[:, None]]]
-    # each plane's members as point ids, padded with the id of an extra
-    # column that is always inside
-    sizes = member_of.sum(axis=1)
-    width = sizes.max(initial=0)
-    members = np.argsort(~member_of, axis=1, kind="stable")[:, :width]
-    members[np.arange(width) >= sizes[:, None]] = len(arr)
+    member_of = planes.member_table(len(arr))
     foreign = np.zeros(len(spans), dtype=bool)
     third = np.zeros(len(spans), dtype=np.int64)
     for lo in range(0, len(spans), DirectionTable.BLOCK):
@@ -324,8 +302,7 @@ def _three_space_tests(f, spans, arr, member_of, pairs):
         inside = dot_np(f, dual[block, None, :], arr[None, :, :]) == 0
         own = member_of[pairs[block, 0]] | member_of[pairs[block, 1]]
         foreign[block] = (inside != own).any(axis=1)
-        padded = np.concatenate((inside, np.ones((len(inside), 1), dtype=bool)), axis=1)
-        third[block] = padded[:, members].all(axis=2).sum(axis=1)
+        third[block] = inside[:, planes.members].all(axis=2).sum(axis=1)
     return foreign, third
 
 
@@ -536,38 +513,41 @@ def stage_axioms(state):
     # that, no three points of C are collinear, so every plane's members are
     # an arc and the per-plane test is implied.
     check_arcs = state.directions.T.max(initial=0) >= 2
-    planes = []
-    for plane, members in scan.planes:
-        if len(members) != q:
-            raise Axiom1Violation(
-                f"plane carries {len(members)} points, expected {q}",
-                witness=plane.to_text())
-        pivots = tuple(next(i for i, x in enumerate(r) if x) for r in plane.rows)
-        info = PlaneInfo(plane=plane, members=members,
-                         mask=sum(1 << m for m in members), pivots=pivots)
-        if check_arcs:
-            ok, witness = is_arc(state.plane2, [_intrinsic(info, C[m]) for m in members])
-            if not ok:
-                raise Axiom1Violation("plane points are not an arc", witness=plane.to_text())
-        planes.append(info)
+    # the planes before the first one of the wrong size are tested first,
+    # so that the first failing plane raises
+    full = next((p for p, (_, members) in enumerate(scan.planes) if len(members) != q),
+                len(scan.planes))
+    planes = Planes(
+        bases=np.array([plane.rows for plane, _ in scan.planes[:full]],
+                       dtype=np.int16).reshape(-1, 3, 5),
+        members=np.array([members for _, members in scan.planes[:full]],
+                         dtype=np.int64).reshape(-1, q))
+    if check_arcs:
+        for p, arc in enumerate(planes.arcs(state._C_arr).tolist()):
+            if not is_arc(state.plane2, arc)[0]:
+                raise Axiom1Violation("plane points are not an arc", witness=planes.text(p))
+    if full < len(scan.planes):
+        plane, members = scan.planes[full]
+        raise Axiom1Violation(f"plane carries {len(members)} points, expected {q}",
+                              witness=plane.to_text())
     if scan.uncovered_pairs:
-        covered = set()
-        for info in planes:
-            covered.update(itertools.combinations(info.members, 2))
+        covered = {pair for members in planes.members.tolist()
+                   for pair in itertools.combinations(members, 2)}
         missing = next(p for p in itertools.combinations(range(q * q), 2)
                        if p not in covered)
         raise Axiom2Violation(
             f"point pair {missing} lies in no plane",
             witness=";".join(",".join(map(str, C[x])) for x in missing))
-    if len(planes) != q * q + q:
-        raise StructureViolation(f"{len(planes)} planes, expected {q * q + q}")
+    # Now each pair of input points lies in exactly one plane and each plane
+    # carries q of them, so the planes through a point split the other
+    # q^2 - 1 points q - 1 at a time: every point lies on q + 1 planes, and
+    # there are q^2 (q + 1) / q = q^2 + q planes.  Neither count is tested.
 
     # axiom 3 over the affine points of PG(4,q): every plane's points at
     # once, in Subspace.points() order, which is the order of points_np()
     f, space4 = state.base, state.space4
-    bases = np.array([info.plane.rows for info in planes], dtype=np.int16)
     coeffs = state.plane2.points_np()
-    pts = dot_np(f, coeffs[None, :, None, :], bases.transpose(0, 2, 1)[:, None])
+    pts = dot_np(f, coeffs[None, :, None, :], planes.bases.transpose(0, 2, 1)[:, None])
     pts = normalize_rows_np(f, pts.reshape(-1, 5))[0]
     ids = space4.point_ids(pts)
     counted = (pts[:, 4] != 0) & ~np.isin(ids, space4.point_ids(state._C_arr))
@@ -576,20 +556,13 @@ def stage_axioms(state):
     if len(bad):
         raise Axiom3Violation(f"affine point on {counts[ids[bad[0]]]} planes",
                               witness=",".join(map(str, pts[bad[0]].tolist())))
-    planes_through = [[] for _ in range(q * q)]
-    for pid, info in enumerate(planes):
-        for m in info.members:
-            planes_through[m].append(pid)
-    for cid, lst in enumerate(planes_through):
-        if len(lst) != q + 1:
-            raise StructureViolation(
-                f"point {cid} lies on {len(lst)} planes, expected {q + 1}")
     affine_total = q ** 4
     on_two = int(np.count_nonzero(counts))
     state.planes = planes
     state.plane_point_ids = ids.reshape(len(planes), len(coeffs))
     state.affine_plane_counts = counts
-    state.planes_through = tuple(tuple(x) for x in planes_through)
+    state.planes_through = tuple(tuple(np.flatnonzero(on).tolist())
+                                 for on in planes.member_table(q * q).T)
     return {
         "points": q * q,
         "planes": len(planes),
@@ -604,72 +577,74 @@ def stage_parallel_classes(state):
     q = state.q
     planes = state.planes
     n = len(planes)
+    # shared[i, j]: the members of plane j that plane i carries
+    shared = planes.member_table(len(state.C))[:, planes.members].sum(axis=2)
     assigned = [-1] * n
     classes = []
     for i in range(n):
         if assigned[i] >= 0:
             continue
-        group = [i] + [j for j in range(n)
-                       if j != i and planes[i].mask & planes[j].mask == 0]
+        group = [i] + np.flatnonzero(shared[i] == 0).tolist()
         if len(group) != q:
             raise StructureViolation(
                 f"parallel class of plane {i} has {len(group)} members",
-                witness=planes[i].plane.to_text())
-        for a, b in itertools.combinations(group, 2):
-            if planes[a].mask & planes[b].mask:
-                raise StructureViolation(
-                    "parallel relation is not transitive",
-                    witness=planes[a].plane.to_text())
+                witness=planes.text(i))
+        meeting = np.argwhere(np.triu(shared[np.ix_(group, group)], 1))
+        if len(meeting):
+            raise StructureViolation(
+                "parallel relation is not transitive",
+                witness=planes.text(group[meeting[0, 0]]))
         cid = len(classes)
         for j in group:
             if assigned[j] >= 0:
                 raise StructureViolation("plane in two parallel classes")
             assigned[j] = cid
-            planes[j].class_id = cid
         classes.append(tuple(group))
     if len(classes) != q + 1:
         raise StructureViolation(f"{len(classes)} parallel classes, expected {q + 1}")
-    cross_pairs = 0
-    for i, j in itertools.combinations(range(n), 2):
-        if assigned[i] != assigned[j]:
-            common = (planes[i].mask & planes[j].mask).bit_count()
-            if common != 1:
-                raise StructureViolation(
-                    f"cross-class planes share {common} points",
-                    witness=planes[i].plane.to_text())
-            cross_pairs += 1
+    assigned = np.array(assigned)
+    cross = np.triu(assigned[:, None] != assigned, 1)
+    bad = np.argwhere(cross & (shared != 1))
+    if len(bad):
+        i, j = bad[0]
+        raise StructureViolation(f"cross-class planes share {shared[i, j]} points",
+                                 witness=planes.text(i))
     state.classes = tuple(classes)
     return {
         "classes": len(classes),
         "class_size": q,
         "same_class_pairs": (q + 1) * q * (q - 1) // 2,
-        "cross_class_pairs_sharing_one": cross_pairs,
+        "cross_class_pairs_sharing_one": int(cross.sum()),
     }
 
 
 def stage_infinity_data(state):
     q = state.q
     f = state.base
-    C = state.C
     planes = state.planes
-    plane2 = state.plane2
-    for info in planes:
-        arc = [_intrinsic(info, C[m]) for m in info.members]
+    completions, forms = [], []
+    for p, arc in enumerate(planes.arcs(state._C_arr).tolist()):
         try:
-            completion_i, form = complete_q_arc(plane2, arc)
+            completion, form = complete_q_arc(state.plane2, arc)
         except (NotAnArc, CompletionNotUnique) as exc:
             raise StructureViolation(
-                f"arc completion failed: {exc}", witness=info.plane.to_text())
-        comp5 = _from_intrinsic(state, info, completion_i)
+                f"arc completion failed: {exc}", witness=planes.text(p))
+        comp5 = state.space4.normalize(
+            _from_intrinsic_np(f, planes.bases[p], np.array(completion)).tolist())
         if comp5[4] != 0:
             raise StructureViolation(
                 "completion point is affine", witness=",".join(map(str, comp5)))
-        info.completion = state.sigma.normalize(comp5[:4])
-        info.form = form
-        info.cline = _hyperplane_trace(state, info.plane)
-        if not info.cline.contains(info.completion):
-            raise StructureViolation("completion point off the trace line",
-                                     witness=info.plane.to_text())
+        completions.append(comp5[:4])
+        forms.append(form.matrix)
+    planes.completions = np.array(completions, dtype=np.int16)
+    planes.forms = np.array(forms, dtype=np.int16)
+    # With column x4 moved first, the RREF of an affine plane's basis has
+    # its x4 pivot in row 0, so rows 1 and 2, without that column, are the
+    # RREF basis of the plane's line at infinity, its trace line.  The
+    # completion point has x4 = 0 and lies in the plane, so it lies on the
+    # trace line: that is not tested.
+    red, _ = rref_np(f, planes.bases[:, :, [4, 0, 1, 2, 3]])
+    planes.traces = red[:, 1:, 1:]
 
     # Plane pairs, in one row reduction of their stacked bases: two planes
     # meet in a point exactly when the rank is 5 (Grassmann), and in a line
@@ -678,28 +653,28 @@ def stage_infinity_data(state):
     # completion point.
     classes_of_comp = {}
     for cid, group in enumerate(state.classes):
-        classes_of_comp.setdefault(planes[group[0]].completion, []).append(cid)
+        classes_of_comp.setdefault(completions[group[0]], []).append(cid)
     same = [list(itertools.combinations(group, 2)) for group in state.classes]
     cross = [(i, j) for cids in classes_of_comp.values() if len(cids) == 2
              for i in state.classes[cids[0]] for j in state.classes[cids[1]]]
     pairs = np.array([p for ps in same for p in ps] + cross, dtype=np.int64).reshape(-1, 2)
-    bases = np.array([info.plane.rows for info in planes], dtype=np.int16)
+    bases = planes.bases
     red, rank = rref_np(f, np.concatenate((bases[pairs[:, 0]], bases[pairs[:, 1]]), axis=1))
 
-    # planes of one class share their completion and pairwise meet only there
+    # Planes of one class share their completion and pairwise meet only
+    # there.  Each plane holds its own completion, so once a class's
+    # completions are equal, its planes hold it; only the meet is tested.
     met = (rank == 5).tolist()
     start = 0
     for cid, group in enumerate(state.classes):
-        comps = {planes[i].completion for i in group}
+        comps = {completions[i] for i in group}
         if len(comps) != 1:
             raise StructureViolation(f"class {cid} has {len(comps)} completion points")
-        comp5 = planes[group[0]].completion + (0,)
-        holds = {i: planes[i].plane.contains(comp5) for i in group}
         for p, (a, b) in enumerate(same[cid], start):
-            if not (met[p] and holds[a] and holds[b]):
+            if not met[p]:
                 raise StructureViolation(
                     f"class {cid} planes do not meet exactly in their completion point",
-                    witness=planes[a].plane.to_text())
+                    witness=planes.text(a))
         start += len(same[cid])
 
     # each completion point belongs to exactly two classes
@@ -713,14 +688,12 @@ def stage_infinity_data(state):
             f"{len(completion_points)} completion points, expected {(q + 1) // 2}")
 
     # trace lines and the classification of the points at infinity
-    cline_rows = {}
-    for pid, info in enumerate(planes):
-        cline_rows.setdefault(info.cline.rows, []).append(pid)
-    if len(cline_rows) != q * q + q:
+    trace_lines = len(np.unique(planes.traces.reshape(len(planes), -1), axis=0))
+    if trace_lines != q * q + q:
         raise StructureViolation(
-            f"{len(cline_rows)} distinct trace lines, expected {q * q + q}")
-    on_lines = np.bincount(state.sigma.line_point_ids(
-        [info.cline.rows for info in planes]).ravel(), minlength=state.sigma.npoints)
+            f"{trace_lines} distinct trace lines, expected {q * q + q}")
+    on_lines = np.bincount(state.sigma.line_point_ids(planes.traces).ravel(),
+                           minlength=state.sigma.npoints)
     comp_set = set(completion_points)
     free_points = []
     simple = 0
@@ -752,21 +725,20 @@ def stage_infinity_data(state):
     # arc, so they span it: a plane lies in a 3-space exactly when all its
     # members do.  Flags are computed for every pair; the first failing pair
     # raises its first failing check.
-    member_of = _member_table(planes, len(C))
     n_same = len(pairs) - len(cross)
     cross = pairs[n_same:]
     spans = red[n_same:, :4]
     in_line = rank[n_same:] == 4
-    shared = np.array([(planes[i].mask & planes[j].mask).bit_count() for i, j in cross.tolist()],
-                      dtype=np.int64)
-    foreign, third = _three_space_tests(f, spans, state._C_arr, member_of, cross)
+    member_of = planes.member_table(len(state.C))
+    shared = member_of[cross[:, :1], planes.members[cross[:, 1]]].sum(axis=1)
+    foreign, third = _three_space_tests(f, spans, state._C_arr, planes, cross)
     bad = np.flatnonzero(~in_line | (shared != 1) | foreign | (third != 2))
     if len(bad):
         p = bad[0]
         if not in_line[p]:
             raise StructureViolation(
                 "completion-sharing planes do not meet in a line",
-                witness=planes[cross[p, 0]].plane.to_text())
+                witness=planes.text(cross[p, 0]))
         if shared[p] != 1:
             raise StructureViolation("line-meeting planes share != 1 point")
         sigma3 = Subspace(state.space4, tuple(map(tuple, spans[p].tolist())))
@@ -783,7 +755,7 @@ def stage_infinity_data(state):
         "completion_points": len(completion_points),
         "free_points": len(free_points),
         "simple_points": simple,
-        "trace_lines": len(cline_rows),
+        "trace_lines": trace_lines,
         "lines_per_completion": 2 * q,
         "line_meeting_pairs": len(cross),
         "three_space_checks": len(cross),
@@ -804,9 +776,8 @@ def stage_t_infinity(state):
     if set(axis.points()) != set(special):
         raise NotCollinear("axis does not consist of the special points")
     # every trace line meets the axis exactly in its completion point
-    for info in state.planes:
-        if info.cline.rows == axis.rows:
-            raise StructureViolation("a trace line equals the axis")
+    if (state.planes.traces == np.array(axis.rows)).all(axis=(1, 2)).any():
+        raise StructureViolation("a trace line equals the axis")
     # every affine plane through the axis carries exactly one point
     largest, _ = state.directions.plane_counts(state.sigma.line_point_ids([axis.rows]))
     if largest[0] != 1 or len(state.C) != q * q:
@@ -860,11 +831,9 @@ def _tangent_traces(state, cids):
     flag(1, np.array([len(t) != q + 1 for t in through], dtype=bool))
     pids = np.array([(list(t) + [0] * (q + 1))[:q + 1] for t in through],
                     dtype=np.int64).reshape(-1, q + 1)
-    bases = np.array([info.plane.rows for info in planes], dtype=np.int16)[pids]
-    forms = np.array([info.form.matrix for info in planes], dtype=np.int16)[pids]
-    pivots = np.array([info.pivots for info in planes], dtype=np.int64)[pids]
-    a = state._C_arr[cids[:, None, None], pivots]  # intrinsic coordinates
-    t = dot_np(f, forms, a[..., None, :])  # the tangent's dual
+    bases = planes.bases[pids]
+    a = state._C_arr[cids[:, None, None], planes.pivots[pids]]  # plane coordinates
+    t = dot_np(f, planes.forms[pids], a[..., None, :])  # the tangent's dual
     x4 = bases[..., 4]
     direction = f.sub_np[f.mul_np[t[..., [1, 2, 0]], x4[..., [2, 0, 1]]],
                          f.mul_np[t[..., [2, 0, 1]], x4[..., [1, 2, 0]]]]
@@ -894,7 +863,7 @@ def _tangent_traces(state, cids):
         if check == 1:
             raise StructureViolation(f"point {cid} on {len(through[k])} planes")
         if check in (2, 3):
-            witness = planes[int(pids[k, first_bad[k]])].plane.to_text()
+            witness = planes.text(pids[k, first_bad[k]])
             if check == 2:
                 raise TangentDegenerate("tangent line coincides with the trace line",
                                         witness=witness)
@@ -934,19 +903,19 @@ def stage_assemble_spread(state):
                    for rows in _tangent_traces(state, range(q * q)).tolist()]
     lines = trace_lines + [axis]
     ids = sigma.line_point_ids([l.rows for l in lines])
-    cline_ids = sigma.line_point_ids([info.cline.rows for info in planes])
+    cline_ids = sigma.line_point_ids(planes.traces)
 
     # trace lines vs planes: a plane's trace meets exactly the trace lines of
     # its own members; the first failing (plane, point) pair is reported
     on_trace = np.zeros((q * q, sigma.npoints), dtype=bool)
     on_trace[np.arange(q * q)[:, None], ids[:-1]] = True
     meets = on_trace[:, cline_ids].any(axis=2).T
-    wrong = np.argwhere(meets != _member_table(planes, q * q))
+    wrong = np.argwhere(meets != planes.member_table(q * q))
     if len(wrong):
         pid, cid = wrong[0].tolist()
         raise StructureViolation(
             f"plane {pid} vs trace line of point {cid}: meet={bool(meets[pid, cid])}",
-            witness=planes[pid].plane.to_text())
+            witness=planes.text(pid))
 
     if len({l.rows for l in lines}) != q * q + 1:
         raise SpreadViolation(f"{len({l.rows for l in lines})} distinct spread lines")
@@ -1045,8 +1014,7 @@ def stage_regulus_closure(state):
             covered[np.ix_(members, members)] = True
             accepted.append((batch, t))
     if state.planes:
-        cline_keys = set(_line_key_np(f, np.array(
-            [info.cline.rows for info in state.planes], dtype=np.int16)).tolist())
+        cline_keys = set(_line_key_np(f, state.planes.traces).tolist())
         for batch, t in accepted:
             hits = sum(1 for k in batch.opposite_keys[t].tolist() if k in cline_keys)
             if hits != 1:

@@ -17,3 +17,5 @@ def test_demo_exits_zero(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    if demo.name == "04_forward_construction.py":
+        assert (tmp_path / "demo-C-q7.txt").read_text().startswith("q=7 ")

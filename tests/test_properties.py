@@ -197,13 +197,13 @@ def infinity_data_corruption(kind, a, b, rng):
         planes, classes = state.planes, [list(g) for g in state.classes]
         i, j = a % len(planes), b % len(planes)
         if kind == "foreign":  # an affine point of the span of two planes
-            inside = span(state.space4, [planes[i].plane, planes[j].plane])
+            inside = span(state.space4, planes.bases[[i, j]].reshape(-1, 5).tolist())
             cset = set(state.C)
             point = next(p for p in inside.points() if p[4] and p not in cset)
             state.C += (point,)
             state._C_arr = points_array(state.C)
-        elif kind == "mask":
-            planes[i].mask ^= 1 << (b % len(state.C))
+        elif kind == "member":  # a plane's member listed twice, another dropped
+            planes.members[i, a % state.q] = planes.members[i, b % state.q]
         elif kind == "swap":  # exchange two planes of two classes
             ca, cb = a % len(classes), b % len(classes)
             classes[ca][0], classes[cb][-1] = classes[cb][-1], classes[ca][0]
@@ -214,7 +214,7 @@ def infinity_data_corruption(kind, a, b, rng):
 
 
 @settings(max_examples=16)
-@given(st.sampled_from([5, 7]), st.sampled_from(["foreign", "mask", "swap", "shuffle"]),
+@given(st.sampled_from([5, 7]), st.sampled_from(["foreign", "member", "swap", "shuffle"]),
        st.integers(0, 10 ** 4), st.integers(0, 10 ** 4), st.randoms(use_true_random=False))
 def test_main_exit_code_on_corrupted_infinity_data_states(q, kind, a, b, rng):
     stages = roundtrip_with(q, "parallel_classes", infinity_data_corruption(kind, a, b, rng))

@@ -14,7 +14,7 @@ from pgconics import reconstruct
 from pgconics.conics import DegenerateInput, QuadraticForm, tangent_line
 from pgconics.cli import main
 from pgconics.reconstruct import (ClosureViolation, NotCollinear, NotSkew,
-                                  PipelineState, PlaneInfo, Spread,
+                                  Planes, PipelineState, Spread,
                                   StructureViolation, TangentDegenerate,
                                   _residual_groups, _three_space_tests,
                                   align_spreads, classical_spread,
@@ -25,6 +25,16 @@ from pgconics.reconstruct import (ClosureViolation, NotCollinear, NotSkew,
 
 def records_by_name(records):
     return {r.name: r for r in records}
+
+
+def plane_subspace(st, pid):
+    """Plane pid of the state as a Subspace of PG(4,q)."""
+    return Subspace(st.space4, tuple(map(tuple, st.planes.bases[pid].tolist())))
+
+
+def class_of(st):
+    """Plane id -> id of its parallel class."""
+    return {pid: cid for cid, group in enumerate(st.classes) for pid in group}
 
 
 # ---------------------------------------------------------------------------
@@ -89,26 +99,26 @@ def test_plane_intersection_trichotomy(run7, frame7):
     """Two planes meet in one point, or in a line carrying exactly one point;
     same-class pairs meet exactly in their shared completion point."""
     _, state = run7
-    planes = state.planes
     cset = set(state.C)
-    for a, b in itertools.combinations(range(len(planes)), 2):
-        pa, pb = planes[a], planes[b]
-        m = pa.plane.meet(pb.plane)
+    cls = class_of(state)
+    completion = [tuple(c) for c in state.planes.completions.tolist()]
+    for a, b in itertools.combinations(range(len(state.planes)), 2):
+        m = plane_subspace(state, a).meet(plane_subspace(state, b))
         assert m is not None
-        same_class = pa.class_id == pb.class_id
+        same_class = cls[a] == cls[b]
         if same_class:
             assert m.dim == 0
             pt = m.rows[0]
-            assert pt[4] == 0 and pt[:4] == pa.completion == pb.completion
+            assert pt[4] == 0 and pt[:4] == completion[a] == completion[b]
         elif m.dim == 0:
             assert m.rows[0] in cset
         else:
             assert m.dim == 1
             on_c = [p for p in m.points() if p in cset]
             assert len(on_c) == 1
-            comp5 = frame7.space4.normalize(pa.completion + (0,))
+            comp5 = frame7.space4.normalize(completion[a] + (0,))
             assert m.contains(comp5)
-            assert pa.completion == pb.completion
+            assert completion[a] == completion[b]
 
 
 def baer_cplanes(frame, conic, C):
@@ -126,13 +136,10 @@ def baer_cplanes(frame, conic, C):
         sub = baer_subplane_through(frame, (P, Q, X, conic.p_inf))
         plane = span(frame.space4, sorted(frame.point_down(p) for p in sub if p[2]))
         found[plane.rows] = plane
-    planes = []
-    for pl in sorted(found.values()):
-        members = tuple(k for k, c in enumerate(C) if pl.contains(c))
-        planes.append(PlaneInfo(
-            plane=pl, members=members, mask=sum(1 << m for m in members),
-            pivots=tuple(next(i for i, x in enumerate(r) if x) for r in pl.rows)))
-    return planes
+    planes = sorted(found.values())
+    return Planes(bases=np.array([pl.rows for pl in planes], dtype=np.int16),
+                  members=np.array([[k for k, c in enumerate(C) if pl.contains(c)]
+                                    for pl in planes]))
 
 
 def cplane_state(q, seed):
@@ -151,8 +158,10 @@ def test_baer_cplanes_match_axioms_q5():
     frame = make_frame(5)
     conic = random_tangent_conic(frame, 0)
     st = cplane_state(5, 0)
-    assert [(i.plane, i.members, i.mask) for i in baer_cplanes(frame, conic, st.C)] == \
-        sorted((i.plane, i.members, i.mask) for i in st.planes)
+    expected = baer_cplanes(frame, conic, st.C)
+    order = sorted(range(len(st.planes)), key=lambda p: st.planes.bases[p].tolist())
+    assert st.planes.bases[order].tolist() == expected.bases.tolist()
+    assert st.planes.members[order].tolist() == expected.members.tolist()
 
 
 def assert_three_space_confinement(st, pairs):
@@ -166,28 +175,26 @@ def assert_three_space_confinement(st, pairs):
     q = 3, where a third plane is not excluded by counting (it meets each
     of the two planes in a line, so carries <= 4 points).
     """
-    planes, C, f = st.planes, st.C, st.base
-    member_of = np.zeros((len(planes), len(C)), dtype=bool)
-    for pid, info in enumerate(planes):
-        member_of[pid, list(info.members)] = True
+    C, f = st.C, st.base
+    planes = [plane_subspace(st, p) for p in range(len(st.planes))]
+    members = st.planes.members.tolist()
     all_pairs = np.array(list(itertools.combinations(range(len(planes)), 2)))
-    bases = np.array([info.plane.rows for info in planes], dtype=np.int16)
+    bases = st.planes.bases
     red, rank = rref_np(f, np.concatenate((bases[all_pairs[:, 0]], bases[all_pairs[:, 1]]), axis=1))
-    foreign, third_count = _three_space_tests(f, red[:, :4], st._C_arr, member_of, all_pairs)
+    foreign, third_count = _three_space_tests(f, red[:, :4], st._C_arr, st.planes, all_pairs)
     found = 0
     for p, (a, b) in enumerate(all_pairs.tolist()):
-        pa, pb = planes[a], planes[b]
-        m = pa.plane.meet(pb.plane)
+        m = planes[a].meet(planes[b])
         assert rank[p] == 6 - len(m.rows)  # Grassmann
         if m.dim != 1:
             continue
-        sigma3 = span(st.space4, [pa.plane, pb.plane])
+        sigma3 = span(st.space4, [planes[a], planes[b]])
         assert sigma3.dim == 3
         assert tuple(map(tuple, red[p, :4].tolist())) == sigma3.rows
         dual = sigma3.dual()[0]
         inside = {i for i, x in enumerate(C) if f.dot(dual, x) == 0}
-        assert inside == set(pa.members) | set(pb.members)
-        third = [i for i, info in enumerate(planes) if info.plane.is_subspace_of(sigma3)]
+        assert inside == set(members[a]) | set(members[b])
+        third = [i for i, plane in enumerate(planes) if plane.is_subspace_of(sigma3)]
         assert third == [a, b]
         assert not foreign[p] and third_count[p] == 2
         found += 1
@@ -212,26 +219,41 @@ def test_three_space_confinement_other_fields(q, seed, pairs):
     assert_three_space_confinement(cplane_state(q, seed), pairs)
 
 
+@pytest.mark.parametrize("q", [5, 7, 9])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_trace_lines_match_subspace_meet(q, seed):
+    """infinity_data's trace lines, from one rref_np of the bases with x4
+    moved first, against Subspace.meet with the hyperplane x4 = 0."""
+    st = cplane_state(q, seed)
+    recs = run_stages(st, include={"parallel_classes", "infinity_data"})
+    assert [r.verdict for r in recs] == ["pass", "pass"]
+    infinity = st.space4.hyperplane(4)
+    assert st.planes.traces.tolist() == [
+        [list(row[:4]) for row in plane_subspace(st, p).meet(infinity).rows]
+        for p in range(len(st.planes))]
+
+
 def test_three_space_tests_flags():
     """A member missing from its plane makes the 3-space hold a foreign
     point; a second copy of a plane makes it hold three planes."""
     st = cplane_state(7, 0)
-    planes = st.planes
+    planes = [plane_subspace(st, p) for p in range(len(st.planes))]
     a, b = next((a, b) for a, b in itertools.combinations(range(len(planes)), 2)
-                if planes[a].plane.meet(planes[b].plane).dim == 1)
-    sigma3 = span(st.space4, [planes[a].plane, planes[b].plane])
+                if planes[a].meet(planes[b]).dim == 1)
+    sigma3 = span(st.space4, [planes[a], planes[b]])
     spans = np.array([sigma3.rows], dtype=np.int16)
-    member_of = np.zeros((len(planes), len(st.C)), dtype=bool)
-    for pid, info in enumerate(planes):
-        member_of[pid, list(info.members)] = True
     pair = np.array([[a, b]])
-    assert [x.tolist() for x in _three_space_tests(st.base, spans, st._C_arr, member_of, pair)] \
+    assert [x.tolist() for x in _three_space_tests(st.base, spans, st._C_arr, st.planes, pair)] \
         == [[False], [2]]
-    copied = np.concatenate((member_of, member_of[a:a + 1]))
+    bases, members = st.planes.bases, st.planes.members
+    copied = Planes(bases=np.concatenate((bases, bases[a:a + 1])),
+                    members=np.concatenate((members, members[a:a + 1])))
     assert [x.tolist() for x in _three_space_tests(st.base, spans, st._C_arr, copied, pair)] \
         == [[False], [3]]
-    member_of[a, next(m for m in planes[a].members if m not in planes[b].members)] = False
-    assert _three_space_tests(st.base, spans, st._C_arr, member_of, pair)[0].tolist() == [True]
+    # plane a lists another of its members in place of one that plane b lacks
+    k = next(k for k, m in enumerate(members[a]) if m not in members[b])
+    members[a, k] = members[a, k - 1]
+    assert _three_space_tests(st.base, spans, st._C_arr, st.planes, pair)[0].tolist() == [True]
 
 
 def inject_foreign_point(q, seed, pair):
@@ -239,11 +261,11 @@ def inject_foreign_point(q, seed, pair):
     pair-th line-meeting plane pair (not in C) is appended to the input."""
     st = cplane_state(q, seed)
     assert run_stages(st, include={"parallel_classes"})[0].verdict == "pass"
-    planes = st.planes
+    planes = [plane_subspace(st, p) for p in range(len(st.planes))]
     pairs = [(a, b) for a, b in itertools.combinations(range(len(planes)), 2)
-             if (m := planes[a].plane.meet(planes[b].plane)) is not None and m.dim == 1]
+             if (m := planes[a].meet(planes[b])) is not None and m.dim == 1]
     a, b = pairs[pair]
-    sigma3 = span(st.space4, [planes[a].plane, planes[b].plane])
+    sigma3 = span(st.space4, [planes[a], planes[b]])
     st.C += (next(p for p in sigma3.points() if p[4] and p not in set(st.C)),)
     st._C_arr = points_array(st.C)
     return run_stages(st, include={"infinity_data"})[0]
@@ -275,14 +297,15 @@ def test_planes_at_infinity_through_axis(run7, frame7):
         if not axis.contains(p):
             planes_thru_axis.add(span(sigma, [axis, p]).rows)
     assert len(planes_thru_axis) == 8  # q + 1
+    cls = class_of(state)
     for rows in planes_thru_axis:
         plane = Subspace(sigma, rows)
-        carried = [i for i, info in enumerate(state.planes)
-                   if info.cline.is_subspace_of(plane)]
+        carried = [i for i, trace in enumerate(state.planes.traces.tolist())
+                   if Subspace(sigma, tuple(map(tuple, trace))).is_subspace_of(plane)]
         assert len(carried) == 7  # q trace lines
-        completions = {state.planes[i].completion for i in carried}
+        completions = {tuple(state.planes.completions[i].tolist()) for i in carried}
         assert len(completions) == 1
-        classes = {state.planes[i].class_id for i in carried}
+        classes = {cls[i] for i in carried}
         assert len(classes) == 1
 
 
@@ -318,7 +341,7 @@ def test_transversal_points_lie_on_common_plane(run7, frame7):
             plane = span(frame7.space4, [state.C[i] for i in members[:3]])
             assert plane.dim == 2
             assert all(plane.contains(state.C[i]) for i in members)
-            assert any(set(members) <= set(info.members) for info in state.planes)
+            assert any(set(members) <= set(row) for row in state.planes.members.tolist())
             checked += 1
     assert checked == 448  # (q+1)(q^2+q) lines meeting the axis
 
@@ -830,10 +853,12 @@ def scalar_tangent_trace(state, cid):
         raise StructureViolation(f"point {cid} on {len(pids)} planes")
     traces = []
     for pid in pids:
-        info = state.planes[pid]
-        a_i = reconstruct._intrinsic(info, state.C[cid])
-        tangent_dual = info.form.polar_dual(a_i)
-        inf_dual = tuple(r[4] for r in info.plane.rows)
+        rows = state.planes.bases[pid].tolist()
+        witness = plane_subspace(state, pid).to_text()
+        a_i = tuple(state.C[cid][c] for c in state.planes.pivots[pid].tolist())
+        form = QuadraticForm(state.plane2, state.planes.forms[pid].tolist())
+        tangent_dual = form.polar_dual(a_i)
+        inf_dual = tuple(r[4] for r in rows)
         direction = (
             f.sub(f.mul(tangent_dual[1], inf_dual[2]), f.mul(tangent_dual[2], inf_dual[1])),
             f.sub(f.mul(tangent_dual[2], inf_dual[0]), f.mul(tangent_dual[0], inf_dual[2])),
@@ -841,12 +866,13 @@ def scalar_tangent_trace(state, cid):
         )
         if not any(direction):
             raise TangentDegenerate(
-                "tangent line coincides with the trace line",
-                witness=info.plane.to_text())
-        pt5 = reconstruct._from_intrinsic(state, info, direction)
+                "tangent line coincides with the trace line", witness=witness)
+        pt5 = [0] * 5
+        for c, row in zip(direction, rows):
+            pt5 = [f.add(x, f.mul(c, y)) for x, y in zip(pt5, row)]
+        pt5 = state.space4.normalize(pt5)
         if pt5[4] != 0:
-            raise TangentDegenerate("tangent trace point is affine",
-                                    witness=info.plane.to_text())
+            raise TangentDegenerate("tangent trace point is affine", witness=witness)
         traces.append(state.sigma.normalize(pt5[:4]))
     if len(set(traces)) != q + 1:
         raise StructureViolation(
@@ -901,9 +927,9 @@ def inject_planes(st):
 def inject_degenerate(st):
     """The rank-1 form d d^T, d the plane's x4 column: M a is a multiple of
     d at every affine point, so the tangent is the plane's line at infinity."""
-    info = st.planes[st.planes_through[2][1]]
-    d = [r[4] for r in info.plane.rows]
-    info.form = QuadraticForm(st.plane2, [[st.base.mul(x, y) for y in d] for x in d])
+    pid = st.planes_through[2][1]
+    d = st.planes.bases[pid, :, 4].tolist()
+    st.planes.forms[pid] = [[st.base.mul(x, y) for y in d] for x in d]
 
 
 def inject_repeated(st):
@@ -912,8 +938,7 @@ def inject_repeated(st):
 
 
 def inject_not_collinear(st):
-    st.planes[st.planes_through[5][0]].form = QuadraticForm(
-        st.plane2, ((1, 1, 0), (1, 0, 1), (0, 1, 1)))
+    st.planes.forms[st.planes_through[5][0]] = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 
 def inject_axis(st):
@@ -975,7 +1000,7 @@ def test_tangent_trace_affine_point_witness(frame7, c7, monkeypatch):
     through one plane is patched to leave infinity; captured by patching the
     scalar lift in the same way."""
     st = trace_state(frame7, c7)
-    target = np.array(st.planes[st.planes_through[0][1]].plane.rows)
+    target = st.planes.bases[st.planes_through[0][1]]
     original = reconstruct._from_intrinsic_np
 
     def lift(f, bases, coeffs):
@@ -997,7 +1022,7 @@ def test_tangent_trace_affine_point_witness(frame7, c7, monkeypatch):
 ])
 def test_trace_line_meet_witness(frame7, c7, a, b, witness):
     st = trace_state(frame7, c7)
-    st.planes[a].cline = st.planes[b].cline
+    st.planes.traces[a] = st.planes.traces[b]
     rec = run_stages(st, include={"assemble_spread"})[0]
     assert (rec.verdict, rec.witness) == ("fail", "StructureViolation: " + witness)
 
@@ -1022,12 +1047,13 @@ def test_axiom3_counts_match_subspace_points(frame7, seed):
     st = PipelineState(frame7, build_C(frame7, random_tangent_conic(frame7, seed)))
     assert run_stages(st, include={"axioms"})[0].verdict == "pass"
     counts = st.affine_plane_counts
+    planes = [plane_subspace(st, p) for p in range(len(st.planes))]
     ids = np.flatnonzero(counts)
     pts = frame7.space4.points_np()[ids]
     assert dict(zip(map(tuple, pts.tolist()), counts[ids].tolist())) == \
-        dict_axiom3_counts(st.C, [info.plane for info in st.planes])
-    assert [frame7.space4.point_ids(np.array(info.plane.points())).tolist()
-            for info in st.planes] == st.plane_point_ids.tolist()
+        dict_axiom3_counts(st.C, planes)
+    assert [frame7.space4.point_ids(np.array(plane.points())).tolist()
+            for plane in planes] == st.plane_point_ids.tolist()
 
 
 def patched_scan_state(monkeypatch, frame, C, planes):
@@ -1094,3 +1120,103 @@ def test_spread_overlap_witness(frame7, c7, monkeypatch, a, b, witness):
     st.axis = line
     rec = run_stages(st, include={"assemble_spread"})[0]
     assert (rec.verdict, rec.witness) == ("fail", f"SpreadViolation: spread lines overlap [{witness}]")
+
+
+# ---------------------------------------------------------------------------
+# parallel_classes and infinity_data: witnesses of injected plane states
+
+
+def append_fresh_points(st, k):
+    """Append k affine points off C; plane members may then refer to them."""
+    cset = set(st.C)
+    st.C += tuple(p for p in st.space4.points() if p[4] and p not in cset)[:k]
+    st._C_arr = points_array(st.C)
+
+
+def inject_class_size(st):
+    """Plane 0 takes a point of plane 50, a plane of its own class."""
+    st.planes.members[0] = (0, 1, 2, 3, 4, 5, 16)
+
+
+def inject_not_transitive(st):
+    """Plane 51 takes a point of plane 52 in place of one on plane 1, so it
+    still meets the leaders 1-7 and misses plane 0, but meets plane 52."""
+    st.planes.members[51] = (9, 13, 23, 29, 32, 41, 43)
+
+
+def inject_two_classes(st):
+    """Plane 50 is moved onto fresh points, so it misses every plane; plane
+    14 takes point 7 of plane 1, so it leaves the class of plane 1."""
+    append_fresh_points(st, 7)
+    st.planes.members[50] = range(49, 56)
+    st.planes.members[14] = (1, 7, 19, 27, 33, 42, 43)
+
+
+def inject_cross_share(st):
+    """Planes in reverse order, so the class leaders no longer all pass
+    through point 0; the last plane trades point 0 for a fresh point and
+    then misses the planes of other classes through point 0."""
+    st.planes = Planes(bases=st.planes.bases[::-1], members=st.planes.members[::-1])
+    append_fresh_points(st, 1)
+    st.planes.members[55, 0] = 49
+
+
+# records captured while parallel_classes compared Python bitmasks of
+# PlaneInfo objects
+PARALLEL_CLASS_FAILURES = [
+    (inject_class_size, "StructureViolation: parallel class of plane 0 has 12 members "
+                        "[0,1,0,0,0;0,0,1,0,0;0,0,0,0,1]"),
+    (inject_not_transitive, "StructureViolation: parallel relation is not transitive "
+                            "[1,0,0,0,4;0,1,0,4,0;0,0,1,0,0]"),
+    (inject_two_classes, "StructureViolation: plane in two parallel classes"),
+    (inject_cross_share, "StructureViolation: cross-class planes share 0 points "
+                         "[1,6,0,0,0;0,0,1,3,0;0,0,0,0,1]"),
+]
+
+
+@pytest.mark.parametrize("inject,witness", PARALLEL_CLASS_FAILURES,
+                         ids=[i.__name__ for i, _ in PARALLEL_CLASS_FAILURES])
+def test_parallel_class_failure_witnesses(frame7, c7, inject, witness):
+    st = PipelineState(frame7, c7)
+    assert run_stages(st, include={"axioms"})[0].verdict == "pass"
+    inject(st)
+    rec = run_stages(st, include={"parallel_classes"})[0]
+    assert (rec.verdict, rec.witness) == ("fail", witness)
+
+
+def classes_state(frame, C):
+    """A state that has passed axioms and parallel_classes."""
+    st = PipelineState(frame, C)
+    assert [r.verdict for r in run_stages(st, include={"axioms", "parallel_classes"})] == \
+        ["pass", "pass"]
+    return st
+
+
+# plane pid takes input point m in place of its k-th member; records
+# captured while infinity_data read PlaneInfo objects
+@pytest.mark.parametrize("pid,k,m,witness", [
+    (0, 6, 16, "arc completion failed: three collinear points: ((0, 0, 1), (1, 4, 6), (1, 4, 1)) "
+               "[0,1,0,0,0;0,0,1,0,0;0,0,0,0,1]"),
+    (20, 3, 1, "arc completion failed: expected 7 distinct points, got 6 "
+               "[1,0,6,0,6;0,1,2,0,5;0,0,0,1,0]"),
+    (30, 0, 1, "3-space contains foreign points [1,0,2,0,0;0,1,4,0,0;0,0,0,1,0;0,0,0,0,1]"),
+])
+def test_member_swap_witness(frame7, c7, pid, k, m, witness):
+    st = classes_state(frame7, c7)
+    st.planes.members[pid, k] = m
+    rec = run_stages(st, include={"infinity_data"})[0]
+    assert (rec.verdict, rec.witness) == ("fail", "StructureViolation: " + witness)
+
+
+def test_affine_completion_witness(frame7, c7, monkeypatch):
+    """complete_q_arc patched to return the arc's first point, which the
+    lift through the plane's basis takes to an affine point."""
+    original = reconstruct.complete_q_arc
+
+    def first_point(space, arc):
+        return space.normalize(arc[0]), original(space, arc)[1]
+    monkeypatch.setattr(reconstruct, "complete_q_arc", first_point)
+    st = classes_state(frame7, c7)
+    rec = run_stages(st, include={"infinity_data"})[0]
+    assert (rec.verdict, rec.witness) == (
+        "fail", "StructureViolation: completion point is affine [0,0,0,0,1]")
