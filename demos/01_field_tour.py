@@ -12,10 +12,6 @@ print("  3 * 5 =", f7.mul(3, 5))
 print("  4^-1  =", f7.inv(4))
 print("  characters:", {a: quadratic_character(f7, a) for a in range(7)})
 
-# operator-friendly wrappers
-a, b = f7(3), f7(5)
-print("  wrapped: (3 + 5) * 5^-1 =", ((a + b) / b).code)
-
 f9 = Field(3, 2)
 print("\nGF(9) with modulus", f9.modulus, "(x^2 + 1 over GF(3))")
 x = 3  # the class of x

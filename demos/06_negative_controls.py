@@ -34,6 +34,6 @@ print("\n-- control 3: corrupted points against the classical spread --")
 state = PipelineState(frame, displace_point(frame, C, seed=2))
 state._C_arr = points_array(state.C)
 state.spread = classical_spread(frame)
-state.assume_regular = True
+state.regular = True
 for r in run_stages(state, include={"rebuild_arc"}):
     print(f"  [{r.verdict}] {r.name}: {r.witness}")

@@ -3,11 +3,10 @@ spreads and reguli of PG(3,q), and reconstruction of a conic from the
 combinatorial footprint of its q^2 affine points.
 """
 
-from .galois import (DivisionByZero, Field, FieldElement, FieldMismatch,
-                     QuadExtension, field_arith, quadratic_character,
+from .galois import (DivisionByZero, Field, QuadExtension, quadratic_character,
                      verify_field_axioms)
 from .projgeom import (AmbientMismatch, ProjectiveSpace, Subspace,
-                       affine_filter, gaussian_binomial, meet, span)
+                       gaussian_binomial, meet, span)
 from .conics import (CompletionNotUnique, DegenerateInput, NotAnArc,
                      PointNotOnConic, QuadraticForm, classify_vs_conic,
                      complete_q_arc, complete_q_arc_by_secants,
@@ -17,8 +16,8 @@ from .bruckbose import (BruckBoseFrame, ClosureOverflow, LemmaViolation,
                         build_C, build_frame, canonical_tangent_conic,
                         random_tangent_conic, verify_lemma1, write_c_dump)
 from .reconstruct import (Axiom1Violation, Axiom2Violation, Axiom3Violation,
-                          CheckViolation, ClosureViolation, KleinImage,
-                          NotCollinear, NotSkew, PipelineState, Regulus,
+                          CheckViolation, ClosureViolation, NotCollinear,
+                          NotSkew, PipelineState, Regulus,
                           SigmaClassification, Spread, SpreadViolation,
                           StructureViolation, TangentDegenerate,
                           UniquenessViolation, align_spreads, classical_spread,

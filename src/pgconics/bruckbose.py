@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .projgeom import (ProjectiveSpace, Subspace, matrix_inverse, mat_mul,
-                       normalize_rows_np, nullspace, rref, span)
+                       normalize_rows_np, nullspace, rref)
 from .conics import QuadraticForm, is_arc, tangent_line
 
 
@@ -126,26 +126,8 @@ class BruckBoseFrame:
             return (0, 1, 0)
         return self.plane.normalize((1, m, 0))
 
-    def slope_of_linf_point(self, pt):
-        if pt == (0, 1, 0):
-            return "inf"
-        if pt[2] != 0 or pt[0] != 1:
-            raise ValueError(f"{pt} is not a normalized point of the line at infinity")
-        return pt[1]
-
     def sigma_embed_line(self, line):
         return Subspace(self.space4, tuple(r + (0,) for r in line.rows))
-
-    def line_down(self, line):
-        """PG(2,q^2) line (not the line at infinity) -> affine plane of PG(4,q)."""
-        if line == self.l_inf:
-            raise ValueError("the line at infinity has no affine plane image")
-        inf_meet = line.meet(self.l_inf)
-        m = self.slope_of_linf_point(inf_meet.rows[0])
-        spread_line = self.line_of_slope[m]
-        affine = next(p for p in line.points() if p[2] != 0)
-        return span(self.space4, [self.sigma_embed_line(spread_line),
-                                  self.point_down(affine)])
 
     # -- construction checks ---------------------------------------------------
 
@@ -311,7 +293,6 @@ class Lemma1Report:
     q: int
     plane_count: int
     arc_checks: int
-    pair_coverage_ok: bool
     interior_count: int
     exterior_count: int
     spot_checks: int
@@ -391,7 +372,7 @@ def verify_lemma1(frame, conic, spot_checks=10):
         done += 1
 
     return Lemma1Report(q=frame.q, plane_count=len(planes), arc_checks=len(planes),
-                        pair_coverage_ok=True, interior_count=int(interior.sum()),
+                        interior_count=int(interior.sum()),
                         exterior_count=int(exterior.sum()), spot_checks=done,
                         exterior_plane_pairs=exterior_pairs)
 

@@ -293,7 +293,7 @@ def run(config):
                                        counts={"displaced": 1}))
             state = PipelineState(frame, bad)
             state.spread = classical_spread(frame)
-            state.assume_regular = True
+            state.regular = True
             records.extend(run_stages(state, include={"rebuild_arc"}))
 
     report = Report.from_stages(config.echo(), records,

@@ -152,20 +152,11 @@ def conic_through_5(space, points):
     sol = nullspace(f, rows)
     if len(sol) != 1:
         raise DegenerateInput(f"solution space has dimension {len(sol)}")
-    coeffs = space_normalize6(space, sol[0])
-    form = QuadraticForm.from_coefficients(space, coeffs)
+    # nullspace returns RREF rows, so the solution is already scaled to a leading 1
+    form = QuadraticForm.from_coefficients(space, sol[0])
     if not form.is_nondegenerate():
         raise DegenerateInput("five points lie on a degenerate conic")
     return form
-
-
-def space_normalize6(space, vec):
-    f = space.field
-    for x in vec:
-        if x:
-            inv = f.inv(x)
-            return tuple(f.mul(inv, y) for y in vec)
-    raise DegenerateInput("zero solution vector")
 
 
 def tangent_line(form, pt):
@@ -209,6 +200,8 @@ def complete_q_arc(space, arc):
     NotAnArc with the first collinear triple.
     """
     q = space.field.q
+    if not all(any(p) for p in arc):
+        raise NotAnArc("zero vector is not a projective point")
     arc = [space.normalize(p) for p in arc]
     if len(set(arc)) != q:
         raise NotAnArc(f"expected {q} distinct points, got {len(set(arc))}")

@@ -17,10 +17,6 @@ import itertools
 import numpy as np
 
 
-class FieldMismatch(ValueError):
-    """Operands belong to different fields."""
-
-
 class DivisionByZero(ZeroDivisionError):
     """Division or inversion of the zero element."""
 
@@ -251,9 +247,6 @@ class Field:
             r = add[r][mul[x][y]]
         return r
 
-    def __call__(self, value):
-        return FieldElement(self, int(value) % self.q if self.k == 1 else int(value))
-
     def __eq__(self, other):
         return isinstance(other, Field) and self.token == other.token
 
@@ -264,110 +257,10 @@ class Field:
         return self.token
 
 
-class FieldElement:
-    """Operator-friendly wrapper around an int-coded field element."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field, code):
-        if not 0 <= code < field.q:
-            raise ValueError(f"code {code} out of range for {field.token}")
-        self.field = field
-        self.code = code
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatch(f"{self.field.token} vs {other.field.token}")
-            return other.code
-        if isinstance(other, int):
-            return other % self.field.q if self.field.k == 1 else other
-        return NotImplemented
-
-    def __add__(self, other):
-        c = self._coerce(other)
-        return FieldElement(self.field, self.field.add(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        return FieldElement(self.field, self.field.sub(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._coerce(other)
-        return FieldElement(self.field, self.field.sub(c, self.code))
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        return FieldElement(self.field, self.field.mul(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._coerce(other)
-        return FieldElement(self.field, self.field.div(self.code, c))
-
-    def __rtruediv__(self, other):
-        c = self._coerce(other)
-        return FieldElement(self.field, self.field.div(c, self.code))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __pow__(self, e):
-        return FieldElement(self.field, self.field.pow(self.code, e))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.code))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.code == other.code
-        if isinstance(other, int):
-            return self.code == (other % self.field.q if self.field.k == 1 else other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.token, self.code))
-
-    def __int__(self):
-        return self.code
-
-    def __repr__(self):
-        return f"{self.field.token}:{self.code}"
-
-
-def field_arith(a, b, op):
-    """Dispatch a named field operation on wrapped elements.
-
-    op is one of add, sub, mul, div, neg, inv, pow; for neg/inv the second
-    operand is ignored, for pow it is a plain integer exponent.
-    """
-    if not isinstance(a, FieldElement):
-        raise TypeError("field_arith expects FieldElement operands")
-    f = a.field
-    if op in ("neg",):
-        return -a
-    if op in ("inv",):
-        return a.inverse()
-    if op == "pow":
-        return a ** int(b)
-    if isinstance(b, FieldElement) and b.field != f:
-        raise FieldMismatch(f"{f.token} vs {b.field.token}")
-    table = {"add": a.__add__, "sub": a.__sub__, "mul": a.__mul__, "div": a.__truediv__}
-    try:
-        fn = table[op]
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}") from None
-    return fn(b)
-
-
 def quadratic_character(field, a):
     """Classify a as "square", "nonsquare" or "zero" in a field of odd order."""
     if field.q % 2 == 0:
         raise ValueError("quadratic character requires odd order")
-    a = int(a)
     if a == 0:
         return "zero"
     return "square" if field.pow(a, (field.q - 1) // 2) == 1 else "nonsquare"

@@ -315,15 +315,6 @@ class Subspace:
     def to_text(self):
         return ";".join(",".join(str(x) for x in row) for row in self.rows)
 
-    @classmethod
-    def from_text(cls, space, text):
-        rows = tuple(tuple(int(x) for x in part.split(","))
-                     for part in text.strip().split(";"))
-        red, _ = rref(space.field, rows)
-        if red != rows:
-            raise ValueError(f"rows are not in canonical form: {text!r}")
-        return cls(space, rows)
-
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.space == other.space
                 and self.rows == other.rows)
@@ -358,15 +349,6 @@ def span(space, parts):
 def meet(a, b):
     """Intersection of two subspaces; None when empty."""
     return a.meet(b)
-
-
-def affine_filter(s, hyperplane):
-    """Classify s as "contained" in the hyperplane or "meets_in_lower"."""
-    if s.space != hyperplane.space:
-        raise AmbientMismatch(f"{s.space} vs {hyperplane.space}")
-    if hyperplane.dim != s.space.n - 1:
-        raise ValueError("second argument must be a hyperplane")
-    return "contained" if s.is_subspace_of(hyperplane) else "meets_in_lower"
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,6 @@ class Planes:
 class SigmaClassification:
     completion_points: tuple
     free_points: tuple
-    simple_count: int
 
 
 @dataclass
@@ -158,14 +157,6 @@ class Regulus:
     opposite: tuple
 
 
-@dataclass
-class KleinImage:
-    points: tuple              # normalized 6-tuples, one per spread line
-    span_dim: int
-    section: frozenset
-    verdict: bool
-
-
 class PipelineState:
     """Mutable context threaded through the stages."""
 
@@ -182,7 +173,6 @@ class PipelineState:
         self.conic = conic
         self.exploratory = exploratory
         self.expect_classical = expect_classical
-        self.assume_regular = False
         self._directions = None
         # stage outputs
         self.planes = None
@@ -194,10 +184,8 @@ class PipelineState:
         self.axis = None
         self.spread = None
         self.reguli = None
-        self.klein = None
-        self.arc_certified = None
+        self.regular = False  # set by klein_regularity; rebuild_arc aligns only a regular spread
         self.fitted_form = None
-        self.uniqueness_verdict = None
 
     @property
     def directions(self):
@@ -262,7 +250,7 @@ def _embed_line5(state, line):
     return tuple(r + (0,) for r in line.rows)
 
 
-def _residual_groups(state, basis5, threshold=None):
+def _residual_groups(state, basis5):
     """Group the input points by the plane they span with a basis (line) of PG(4,q).
 
     Returns (counts, inverse, normalized residuals).  Residuals are never zero
@@ -319,18 +307,8 @@ _PLUCKER = (np.array([0, 0, 0, 1, 1, 2]), np.array([1, 2, 3, 2, 3, 3]))
 _DUAL_V = np.array([[1, 0, 0, 0], [2, 2, 1, 1], [3, 3, 3, 2]])
 _DUAL_P = np.array([[5, 11, 4, 9], [10, 2, 8, 1], [3, 7, 0, 6]])
 
-# the checks of regulus_from, in order; a batch flags each triple with the
-# number of the first one it fails (0: none).  Once the three lines are
-# pairwise skew the later ones cannot fail (transversals of skew lines are
-# skew, Hirschfeld 1985); they are kept so that a triple fails as it always did.
-_REGULUS_CHECKS = (
-    None, (0, 1), (0, 2), (1, 2),  # pairs of generating lines that must be skew
-    "third line lies in the plane of the first two",
-    "transversals are not distinct",
-    "third line lies in the plane of the first two",
-    "regulus lines are not distinct",
-    "regulus does not contain its generating lines",
-)
+# the pairs of generating lines that regulus_from tests for skewness, in order
+_SKEW_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def _plucker_np(f, x, y):
@@ -366,23 +344,24 @@ def _transversals_np(f, V, p2, r1, r2):
     """Through each point V (..., m, 4), the line meeting the line with Plucker
     coordinates p2 and the line <r1, r2> (skew).  The plane <l2, V> has dual
     d, and l3 meets it in W = (d.r2) r1 - (d.r1) r2; the transversal is <V, W>.
-    Returns (W, degenerate), degenerate where l3 lies in the plane."""
+    Returns W."""
     signed = np.concatenate((p2, f.neg_np[p2]), axis=-1)[..., _DUAL_P]
     t = f.mul_np[V[..., _DUAL_V], signed[..., None, :, :]]
     d = f.add_np[f.add_np[t[..., 0, :], t[..., 1, :]], t[..., 2, :]]
     a, b = dot_np(f, d, r1[..., None, :]), dot_np(f, d, r2[..., None, :])
-    W = f.sub_np[f.mul_np[b[..., None], r1[..., None, :]], f.mul_np[a[..., None], r2[..., None, :]]]
-    return W, (a == 0) & (b == 0)
+    return f.sub_np[f.mul_np[b[..., None], r1[..., None, :]],
+                    f.mul_np[a[..., None], r2[..., None, :]]]
 
 
 @dataclass
 class _ReguliBatch:
     """The reguli through triples (l1, l2, l3) of lines of PG(3,q).
 
-    failed[k] is the number of the first check of _REGULUS_CHECKS triple k
-    fails, 0 if none.  lines and opposite hold each regulus's q+1 lines as
-    spanning pairs, shape (k, q+1, 2, 4), and keys holds _line_key_np of the
-    lines.  opposite[k, t] is the transversal through the t-th point of l1.
+    failed[k] is 1 + the index in _SKEW_PAIRS of the first pair of triple k
+    whose lines meet, 0 if none.  lines and opposite hold each regulus's q+1
+    lines as spanning pairs, shape (k, q+1, 2, 4), and keys holds
+    _line_key_np of the lines.  opposite[k, t] is the transversal through
+    the t-th point of l1.
     """
     failed: np.ndarray
     lines: np.ndarray
@@ -391,51 +370,38 @@ class _ReguliBatch:
     opposite_keys: np.ndarray
 
 
-def _repeats(keys):
-    s = np.sort(keys, axis=-1)
-    return (s[..., 1:] == s[..., :-1]).any(axis=-1)
-
-
 def _regulus_batch(f, l1, l2, l3):
     """The regulus through each triple of lines given by bases (k, 2, 4),
     broadcasting, built as regulus_from does: through each point of l1 the
     line meeting l2 and l3 (the opposite regulus), then the common
     transversals of three of those."""
     l1, l2, l3 = np.broadcast_arrays(*(np.asarray(l, dtype=np.int16) for l in (l1, l2, l3)))
-    p1, p2, p3 = (_plucker_np(f, l[:, 0], l[:, 1]) for l in (l1, l2, l3))
+    p = [_plucker_np(f, l[:, 0], l[:, 1]) for l in (l1, l2, l3)]
     failed = np.zeros(len(l1), dtype=np.int64)
-
-    def flag(check, bad):
-        failed[(failed == 0) & bad] = check
-
-    flag(1, _meet_np(f, p1, p2))
-    flag(2, _meet_np(f, p1, p3))
-    flag(3, _meet_np(f, p2, p3))
+    for check, (i, j) in enumerate(_SKEW_PAIRS, 1):
+        failed[(failed == 0) & _meet_np(f, p[i], p[j])] = check
+    # Once the three lines are pairwise skew nothing below can fail, so it
+    # is not tested.  A point V of l1 is off l2, and l3, skew to l2, does not
+    # lie in the plane <l2, V>, so each transversal is a line.  The
+    # transversals of three pairwise skew lines are pairwise skew, and the
+    # transversals of three of those are q+1 distinct lines forming the
+    # unique regulus through l1, l2 and l3 (Hirschfeld 1985).
     V = _line_points_np(f, l1[:, 0], l1[:, 1])
-    W, degenerate = _transversals_np(f, V, p2, l3[:, 0], l3[:, 1])
-    flag(4, degenerate.any(axis=1))
+    W = _transversals_np(f, V, p[1], l3[:, 0], l3[:, 1])
     opposite = np.stack((V, W), axis=2)
-    opposite_keys = _line_key_np(f, opposite)
-    flag(5, _repeats(opposite_keys))
     U = _line_points_np(f, V[:, 0], W[:, 0])
-    W2, degenerate = _transversals_np(f, U, _plucker_np(f, V[:, 1], W[:, 1]), V[:, 2], W[:, 2])
-    flag(6, degenerate.any(axis=1))
+    W2 = _transversals_np(f, U, _plucker_np(f, V[:, 1], W[:, 1]), V[:, 2], W[:, 2])
     lines = np.stack((U, W2), axis=2)
     keys = _line_key_np(f, lines)
-    flag(7, _repeats(keys))
-    own = _line_key_np(f, np.stack((l1, l2, l3), axis=1))
-    flag(8, ~(own[:, :, None] == keys[:, None, :]).any(axis=2).all(axis=1))
+    opposite_keys = _line_key_np(f, opposite)
     return _ReguliBatch(failed=failed, lines=lines, keys=keys,
                        opposite=opposite, opposite_keys=opposite_keys)
 
 
 def _regulus_failure(check, triple):
     """The NotSkew that regulus_from raises for a failed check number."""
-    what = _REGULUS_CHECKS[check]
-    if isinstance(what, tuple):
-        a, b = (triple[i] for i in what)
-        return NotSkew(f"lines are not pairwise skew: {a.to_text()} / {b.to_text()}")
-    return NotSkew(what)
+    a, b = (triple[i] for i in _SKEW_PAIRS[check - 1])
+    return NotSkew(f"lines are not pairwise skew: {a.to_text()} / {b.to_text()}")
 
 
 def _reguli(sigma, picks):
@@ -750,7 +716,7 @@ def stage_infinity_data(state):
 
     state.classification = SigmaClassification(
         completion_points=completion_points,
-        free_points=tuple(sorted(free_points)), simple_count=simple)
+        free_points=tuple(sorted(free_points)))
     return {
         "completion_points": len(completion_points),
         "free_points": len(free_points),
@@ -773,8 +739,8 @@ def stage_t_infinity(state):
         raise NotCollinear(
             f"special points span a {axis.dim}-dimensional subspace",
             witness=";".join(",".join(map(str, p)) for p in special))
-    if set(axis.points()) != set(special):
-        raise NotCollinear("axis does not consist of the special points")
+    # The q+1 special points are distinct and span a line, which has q+1
+    # points, so they are all of its points: that is not tested.
     # every trace line meets the axis exactly in its completion point
     if (state.planes.traces == np.array(axis.rows)).all(axis=(1, 2)).any():
         raise StructureViolation("a trace line equals the axis")
@@ -1037,13 +1003,10 @@ def stage_regulus_closure(state):
 def stage_klein_regularity(state):
     q = state.q
     f = state.base
-    spread = state.spread
-    pts = []
-    for line in spread.lines:
-        p = plucker(f, line)
-        if not on_klein_quadric(f, p):
-            raise StructureViolation(f"Plucker image off the quadric: {p}")
-        pts.append(p)
+    # The Plucker vector of every line satisfies the Plucker relation
+    # p01 p23 - p02 p13 + p03 p12 = 0, so no line's image is tested for
+    # lying on the Klein quadric.
+    pts = [plucker(f, line) for line in state.spread.lines]
     image = frozenset(pts)
     red, _ = rref(f, pts)
     span_dim = len(red) - 1
@@ -1059,8 +1022,7 @@ def stage_klein_regularity(state):
     # points, so this one is an elliptic quadric Q-(3,q), an ovoid
     # (Hirschfeld 1985).  Directly: for a, b on it, Q(a + tb) = t B(a, b),
     # and B(a, b) != 0 as Q-(3,q) holds no line, so ab meets it in a, b only.
-    state.klein = KleinImage(points=tuple(pts), span_dim=span_dim,
-                             section=section, verdict=verdict)
+    state.regular = verdict
     counts = {
         "lines_mapped": len(pts),
         "span_dim": span_dim,
@@ -1096,12 +1058,10 @@ def stage_rebuild_arc(state):
                 f"plane through a spread line carries {int(counts.max())} points",
                 witness=witness.to_text())
         raise NotAnArc("axis planes do not each carry one point")
-    state.arc_certified = True
 
-    regular = state.assume_regular or (state.klein is not None and state.klein.verdict)
     counts_out = {"arc_size": q * q + 1, "spread_lines_checked": len(spread.lines),
                   "conic_fit": 0, "alignment_identity": 0}
-    if regular:
+    if state.regular:
         A = align_spreads(state.sigma, spread,
                           [Subspace(state.sigma, l.rows) for l in frame.spread])
         identity4 = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
@@ -1249,7 +1209,6 @@ def stage_uniqueness(state):
             "a line outside the spread admits no 3-point plane",
             witness=Subspace.from_vectors(sigma, rows[violations[0]].tolist()).to_text())
     disjoint_outside = int(outside.sum())
-    state.uniqueness_verdict = True
     out = {
         "lines_disjoint_outside": disjoint_outside,
         "incompatible": disjoint_outside,

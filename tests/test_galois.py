@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pgconics.galois import (DivisionByZero, Field, FieldElement, FieldMismatch,
-                             QuadExtension, default_modulus, field_arith,
+from pgconics.galois import (DivisionByZero, Field, QuadExtension, default_modulus,
                              is_irreducible, quadratic_character,
                              verify_field_axioms)
 
@@ -32,27 +31,6 @@ def test_field_axioms_exhaustive(build):
     field = build()
     checks = verify_field_axioms(field)
     assert all(checks.values()), checks
-
-
-def test_field_element_wrapper(gf7):
-    a, b = gf7(3), gf7(5)
-    assert (a * b).code == 1
-    assert (a + b).code == 1
-    assert (a - b).code == 5
-    assert (-a).code == 4
-    assert (a / b).code == gf7.div(3, 5)
-    assert (a ** 6).code == 1
-    assert a.inverse().code == 5
-    assert field_arith(a, b, "mul") == gf7(1)
-    assert field_arith(a, None, "neg") == gf7(4)
-    assert field_arith(a, 2, "pow") == gf7(2)
-
-
-def test_field_mismatch(gf7, gf9):
-    with pytest.raises(FieldMismatch):
-        gf7(1) + gf9(1)
-    with pytest.raises(FieldMismatch):
-        field_arith(gf7(1), gf9(1), "add")
 
 
 def test_division_by_zero(gf7):

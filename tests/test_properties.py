@@ -12,6 +12,7 @@ import functools
 import io
 import json
 import os
+import random
 import tempfile
 from unittest import mock
 
@@ -204,6 +205,9 @@ def infinity_data_corruption(kind, a, b, rng):
             state._C_arr = points_array(state.C)
         elif kind == "member":  # a plane's member listed twice, another dropped
             planes.members[i, a % state.q] = planes.members[i, b % state.q]
+        elif kind == "offplane":  # a member replaced by an input point off the plane
+            off = sorted(set(range(len(state.C))) - set(planes.members[i].tolist()))
+            planes.members[i, a % state.q] = off[b % len(off)]
         elif kind == "swap":  # exchange two planes of two classes
             ca, cb = a % len(classes), b % len(classes)
             classes[ca][0], classes[cb][-1] = classes[cb][-1], classes[ca][0]
@@ -214,8 +218,10 @@ def infinity_data_corruption(kind, a, b, rng):
 
 
 @settings(max_examples=16)
-@given(st.sampled_from([5, 7]), st.sampled_from(["foreign", "member", "swap", "shuffle"]),
+@given(st.sampled_from([5, 7]),
+       st.sampled_from(["foreign", "member", "offplane", "swap", "shuffle"]),
        st.integers(0, 10 ** 4), st.integers(0, 10 ** 4), st.randoms(use_true_random=False))
+@example(7, "offplane", 30, 0, random.Random(0))  # every plane coordinate of the point is 0
 def test_main_exit_code_on_corrupted_infinity_data_states(q, kind, a, b, rng):
     stages = roundtrip_with(q, "parallel_classes", infinity_data_corruption(kind, a, b, rng))
     if kind == "shuffle":

@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from pgconics.projgeom import (HeavyPlaneScan, Subspace, matrix_inverse, points_array,
-                               rref, rref_np, scan_heavy_planes, span)
+from pgconics.projgeom import (HeavyPlaneScan, Subspace, dot_np, matrix_inverse,
+                               points_array, rref, rref_np, scan_heavy_planes, span)
 from pgconics.bruckbose import (BruckBoseFrame, baer_subplane_through, build_C,
                                 random_tangent_conic)
 from pgconics import reconstruct
@@ -587,19 +587,30 @@ def test_regulus_closure_matches_scalar_oracle(q):
         assert reguli_rows(st.reguli) == reguli_rows(scalar_closure(frame.sigma, st.spread)[0])
 
 
-@pytest.mark.parametrize("q", [5, 7, 9])
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_regulus_from_matches_scalar_oracle(q):
-    """On spread triples and on random line triples, meeting ones included."""
+    """On spread triples and on random triples of sigma.line_table(),
+    meeting and coplanar ones included, regulus_from passes or fails with
+    the message of the scalar construction, which keeps the checks the
+    batch leaves out as implied by skewness."""
     frame = make_frame(q)
     sigma = frame.sigma
     spread_lines = list(classical_spread(frame).lines)
+    rows, _ = sigma.line_table()
     rng = random.Random(q)
-    outcomes = collections.Counter()
-    for t in range(40):
-        if t % 2:
-            triple = rng.sample(spread_lines, 3)
+    triples = [rng.sample(spread_lines, 3) if t % 2 else
+               [span(sigma, rng.sample(sigma.points(), 2)) for _ in range(3)]
+               for t in range(40)]
+    for t in range(200):
+        if t % 5 == 4:  # three lines of one plane
+            dual = np.array(rng.choice(sigma.points()), dtype=np.int16)
+            in_plane = np.flatnonzero((dot_np(sigma.field, rows, dual) == 0).all(axis=1))
+            picks = rng.sample(in_plane.tolist(), 3)
         else:
-            triple = [span(sigma, rng.sample(sigma.points(), 2)) for _ in range(3)]
+            picks = rng.sample(range(len(rows)), 3)
+        triples.append([Subspace(sigma, tuple(map(tuple, rows[k].tolist()))) for k in picks])
+    outcomes = collections.Counter()
+    for triple in triples:
         try:
             expected = reguli_rows([scalar_regulus_from(sigma, *triple)])
         except NotSkew as exc:
@@ -610,7 +621,7 @@ def test_regulus_from_matches_scalar_oracle(q):
             continue
         assert reguli_rows([regulus_from(sigma, *triple)]) == expected
         outcomes["regulus"] += 1
-    assert outcomes["regulus"] >= 20 and outcomes["not skew"] >= 1
+    assert outcomes["regulus"] >= 40 and outcomes["not skew"] >= 40
 
 
 def test_regulus_closure_witness_past_the_first_pair(frame7, c7):
@@ -736,7 +747,7 @@ def test_corrupted_points_against_classical_spread(frame7, c7):
     st = PipelineState(frame7, bad)
     st._C_arr = points_array(st.C)
     st.spread = classical_spread(frame7)
-    st.assume_regular = True
+    st.regular = True
     recs = run_stages(st, include={"rebuild_arc"})
     assert recs[0].verdict == "fail"
     assert "NotAnArc" in recs[0].witness
@@ -1200,6 +1211,9 @@ def classes_state(frame, C):
     (20, 3, 1, "arc completion failed: expected 7 distinct points, got 6 "
                "[1,0,6,0,6;0,1,2,0,5;0,0,0,1,0]"),
     (30, 0, 1, "3-space contains foreign points [1,0,2,0,0;0,1,4,0,0;0,0,0,1,0;0,0,0,0,1]"),
+    # point 0 is off plane 30 and all its plane coordinates are 0
+    (30, 0, 0, "arc completion failed: zero vector is not a projective point "
+               "[1,0,2,0,4;0,1,4,0,6;0,0,0,1,0]"),
 ])
 def test_member_swap_witness(frame7, c7, pid, k, m, witness):
     st = classes_state(frame7, c7)
