@@ -126,9 +126,6 @@ class BruckBoseFrame:
             return (0, 1, 0)
         return self.plane.normalize((1, m, 0))
 
-    def sigma_embed_line(self, line):
-        return Subspace(self.space4, tuple(r + (0,) for r in line.rows))
-
     # -- construction checks ---------------------------------------------------
 
     def _verify(self):

@@ -9,6 +9,7 @@ in lexicographic order, free entries in ascending code order.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -277,9 +278,6 @@ class Subspace:
                 v = [f.sub(v[j], f.mul(coef, row[j])) for j in range(len(v))]
         return not any(v)
 
-    def is_subspace_of(self, other):
-        return all(other.contains(r) for r in self.rows)
-
     def points(self):
         """All points of the subspace (q^(d+1)-1)/(q-1) of them), normalized."""
         f = self.space.field
@@ -433,20 +431,19 @@ def group_rows(arr):
     return uniq.view(a.dtype).reshape(-1, a.shape[1]), inverse, counts
 
 
-class HeavyPlaneScan:
+class HeavyPlaneScan(NamedTuple):
     """Result of scan_heavy_planes: the planes, plus any anomalies found."""
-
-    __slots__ = ("planes", "collinear_triple", "pair_conflict", "uncovered_pairs")
-
-    def __init__(self, planes, collinear_triple, pair_conflict, uncovered_pairs):
-        self.planes = planes
-        self.collinear_triple = collinear_triple
-        self.pair_conflict = pair_conflict
-        self.uncovered_pairs = uncovered_pairs
+    planes: list
+    collinear_triple: tuple
+    pair_conflict: tuple
+    uncovered_pair: tuple
 
 
-def scan_heavy_planes(space, pts, threshold):
-    """Planes meeting a point set in >= threshold points, by pair-seeded spans.
+HEAVY = 5  # axiom 1's planes meet the point set in more than four points
+
+
+def scan_heavy_planes(space, pts):
+    """Planes meeting a point set in >= HEAVY points, by pair-seeded spans.
 
     For each point pair not yet known to lie in a found plane, all remaining
     points are reduced modulo the pair's line; equal canonical residues mean
@@ -458,13 +455,15 @@ def scan_heavy_planes(space, pts, threshold):
       collinear_triple  indices of three collinear input points, or None
       pair_conflict     (i, j, plane_a, plane_b) if a pair lies in two found
                         planes, else None
-      uncovered_pairs   count of pairs lying in no found plane
+      uncovered_pair    the first pair, in itertools.combinations order,
+                        lying in no found plane, else None
     """
     field = space.field
     n = len(pts)
     arr = points_array(pts)
     pair_plane = {}
     planes = []
+    uncovered = None
     for i in range(n):
         for j in range(i + 1, n):
             if (i, j) in pair_plane:
@@ -476,11 +475,11 @@ def scan_heavy_planes(space, pts, threshold):
                 if k != i and k != j:
                     return HeavyPlaneScan(planes, (i, j, int(k)), None, None)
             _, inverse, counts = group_rows(norm)
-            heavy = np.flatnonzero(counts >= threshold - 2)
+            heavy = np.flatnonzero(counts >= HEAVY - 2)
             for g in heavy:
                 members = [int(k) for k in np.flatnonzero(inverse == g)
                            if k != i and k != j]
-                if len(members) < threshold - 2:
+                if len(members) < HEAVY - 2:
                     continue
                 rows, _ = rref(field, list(basis) + [tuple(int(x) for x in norm[members[0]])])
                 plane = Subspace(space, rows)
@@ -492,5 +491,9 @@ def scan_heavy_planes(space, pts, threshold):
                         return HeavyPlaneScan(planes, None, (a, b, prev, pid), None)
                     pair_plane[(a, b)] = pid
                 planes.append((plane, mem))
-    uncovered = n * (n - 1) // 2 - len(pair_plane)
+            # A heavy plane through i and j is found from this pair, so if
+            # none was, the pair lies in none, and every earlier pair lies
+            # in a found plane.
+            if uncovered is None and (i, j) not in pair_plane:
+                uncovered = (i, j)
     return HeavyPlaneScan(planes, None, None, uncovered)

@@ -132,7 +132,7 @@ class Planes:
 
     def text(self, p):
         """The basis of plane p, written as Subspace.to_text writes it."""
-        return ";".join(",".join(map(str, row)) for row in self.bases[p].tolist())
+        return _rows_text(self.bases[p])
 
 
 @dataclass
@@ -143,12 +143,18 @@ class SigmaClassification:
 
 @dataclass
 class Spread:
-    lines: tuple               # q^2+1 Subspaces of PG(3,q); axis last
-    axis: Subspace
-    provenance: dict           # line rows -> point id (absent for foreign lines)
+    """Lines of PG(3,q) as RREF bases (n, 2, 4) int16, the axis at row axis;
+    provenance maps the rows of a tangent trace line to its input point."""
+    lines: np.ndarray
+    axis: int
+    provenance: dict
+
+    def is_axis(self):
+        """Which lines equal the axis, (n,) bool."""
+        return (self.lines == self.lines[self.axis]).all(axis=(1, 2))
 
     def rows_set(self):
-        return {l.rows for l in self.lines}
+        return {tuple(map(tuple, rows)) for rows in self.lines.tolist()}
 
 
 @dataclass
@@ -246,8 +252,9 @@ class DirectionTable:
 # small geometric helpers
 
 
-def _embed_line5(state, line):
-    return tuple(r + (0,) for r in line.rows)
+def _rows_text(rows):
+    """Rows of coordinates, written as Subspace.to_text writes a basis."""
+    return ";".join(",".join(map(str, row)) for row in np.asarray(rows).tolist())
 
 
 def _residual_groups(state, basis5):
@@ -263,6 +270,15 @@ def _residual_groups(state, basis5):
         raise StructureViolation("input point inside the hyperplane at infinity")
     _, inverse, counts = group_rows(norm)
     return counts, inverse, norm
+
+
+def _heaviest_plane(state, rows):
+    """The most input points on one plane through a line at infinity, given
+    by its basis rows (2, 4), and that plane's basis as text (a witness)."""
+    basis5 = [tuple(row) + (0,) for row in np.asarray(rows).tolist()]
+    counts, inverse, _ = _residual_groups(state, basis5)
+    first = int(np.flatnonzero(inverse == counts.argmax())[0])
+    return int(counts.max()), span(state.space4, basis5 + [state.C[first]]).to_text()
 
 
 def _three_space_tests(f, spans, arr, planes, pairs):
@@ -358,16 +374,14 @@ class _ReguliBatch:
     """The reguli through triples (l1, l2, l3) of lines of PG(3,q).
 
     failed[k] is 1 + the index in _SKEW_PAIRS of the first pair of triple k
-    whose lines meet, 0 if none.  lines and opposite hold each regulus's q+1
-    lines as spanning pairs, shape (k, q+1, 2, 4), and keys holds
-    _line_key_np of the lines.  opposite[k, t] is the transversal through
-    the t-th point of l1.
+    whose lines meet, 0 if none.  spans[k] holds regulus k's q+1 lines, then
+    its q+1 opposite lines, as spanning pairs: shape (k, 2, q+1, 2, 4).  The
+    opposite line spans[k, 1, t] is the transversal through the t-th point
+    of l1.  keys holds _line_key_np of the lines, (k, q+1).
     """
     failed: np.ndarray
-    lines: np.ndarray
+    spans: np.ndarray
     keys: np.ndarray
-    opposite: np.ndarray
-    opposite_keys: np.ndarray
 
 
 def _regulus_batch(f, l1, l2, l3):
@@ -388,27 +402,23 @@ def _regulus_batch(f, l1, l2, l3):
     # unique regulus through l1, l2 and l3 (Hirschfeld 1985).
     V = _line_points_np(f, l1[:, 0], l1[:, 1])
     W = _transversals_np(f, V, p[1], l3[:, 0], l3[:, 1])
-    opposite = np.stack((V, W), axis=2)
     U = _line_points_np(f, V[:, 0], W[:, 0])
     W2 = _transversals_np(f, U, _plucker_np(f, V[:, 1], W[:, 1]), V[:, 2], W[:, 2])
     lines = np.stack((U, W2), axis=2)
-    keys = _line_key_np(f, lines)
-    opposite_keys = _line_key_np(f, opposite)
-    return _ReguliBatch(failed=failed, lines=lines, keys=keys,
-                       opposite=opposite, opposite_keys=opposite_keys)
+    spans = np.stack((lines, np.stack((V, W), axis=2)), axis=1)
+    return _ReguliBatch(failed=failed, spans=spans, keys=_line_key_np(f, lines))
 
 
 def _regulus_failure(check, triple):
-    """The NotSkew that regulus_from raises for a failed check number."""
-    a, b = (triple[i] for i in _SKEW_PAIRS[check - 1])
-    return NotSkew(f"lines are not pairwise skew: {a.to_text()} / {b.to_text()}")
+    """The NotSkew that regulus_from raises for a failed check number; the
+    triple holds the three lines' basis rows."""
+    a, b = (_rows_text(triple[i]) for i in _SKEW_PAIRS[check - 1])
+    return NotSkew(f"lines are not pairwise skew: {a} / {b}")
 
 
-def _reguli(sigma, picks):
-    """Regulus objects for (batch, index) picks, with one row reduction."""
-    if not picks:
-        return []
-    spans = np.stack([(b.lines[i], b.opposite[i]) for b, i in picks])  # (k, 2, q+1, 2, 4)
+def _reguli(sigma, spans):
+    """Regulus objects for reguli given as spanning pairs (k, 2, q+1, 2, 4),
+    lines then opposite lines, with one row reduction."""
     red, _ = rref_np(sigma.field, spans.reshape(-1, 2, 4))
 
     def subspaces(bases):
@@ -425,10 +435,11 @@ def regulus_from(sigma, l1, l2, l3):
     l2 and l3 (the opposite regulus), then the common transversals of those.
     The single-triple case of _regulus_batch.
     """
-    batch = _regulus_batch(sigma.field, *([l.rows] for l in (l1, l2, l3)))
+    triple = [l.rows for l in (l1, l2, l3)]
+    batch = _regulus_batch(sigma.field, *([rows] for rows in triple))
     if batch.failed[0]:
-        raise _regulus_failure(batch.failed[0], (l1, l2, l3))
-    return _reguli(sigma, [(batch, 0)])[0]
+        raise _regulus_failure(batch.failed[0], triple)
+    return _reguli(sigma, batch.spans)[0]
 
 
 def plucker(field, line):
@@ -459,20 +470,21 @@ def stage_axioms(state):
     C = state.C
     if len(set(C)) != q * q:
         raise StructureViolation(f"expected {q * q} distinct points, got {len(set(C))}")
+    if len(C) != q * q:  # q^2 distinct points and more entries; C is sorted
+        repeated = next(p for p, r in zip(C, C[1:]) if p == r)
+        raise StructureViolation(f"repeated point in the input: {repeated}")
     for p in C:
         if p[4] == 0:
             raise StructureViolation(f"point at infinity in the input: {p}")
-    scan = scan_heavy_planes(state.space4, C, 5)
+    scan = scan_heavy_planes(state.space4, C)
     if scan.collinear_triple is not None:
         i, j, k = scan.collinear_triple
-        raise Axiom1Violation(
-            f"three collinear points (ids {i},{j},{k})",
-            witness=";".join(",".join(map(str, C[x])) for x in (i, j, k)))
+        raise Axiom1Violation(f"three collinear points (ids {i},{j},{k})",
+                              witness=_rows_text([C[x] for x in (i, j, k)]))
     if scan.pair_conflict is not None:
-        a, b, p1, p2 = scan.pair_conflict
-        raise Axiom2Violation(
-            f"point pair ({a},{b}) lies in two planes",
-            witness=scan.planes[p1][0].to_text())
+        a, b, p1, _ = scan.pair_conflict
+        raise Axiom2Violation(f"point pair ({a},{b}) lies in two planes",
+                              witness=scan.planes[p1][0].to_text())
     # C is affine and repeat-free, so three of its points are collinear
     # exactly when two of them have the same direction from the third, that
     # is when some direction count T[P, a] is 2 or more (Bruck-Bose).  Below
@@ -496,14 +508,9 @@ def stage_axioms(state):
         plane, members = scan.planes[full]
         raise Axiom1Violation(f"plane carries {len(members)} points, expected {q}",
                               witness=plane.to_text())
-    if scan.uncovered_pairs:
-        covered = {pair for members in planes.members.tolist()
-                   for pair in itertools.combinations(members, 2)}
-        missing = next(p for p in itertools.combinations(range(q * q), 2)
-                       if p not in covered)
-        raise Axiom2Violation(
-            f"point pair {missing} lies in no plane",
-            witness=";".join(",".join(map(str, C[x])) for x in missing))
+    if scan.uncovered_pair is not None:
+        raise Axiom2Violation(f"point pair {scan.uncovered_pair} lies in no plane",
+                              witness=_rows_text([C[x] for x in scan.uncovered_pair]))
     # Now each pair of input points lies in exactly one plane and each plane
     # carries q of them, so the planes through a point split the other
     # q^2 - 1 points q - 1 at a time: every point lies on q + 1 planes, and
@@ -522,7 +529,6 @@ def stage_axioms(state):
     if len(bad):
         raise Axiom3Violation(f"affine point on {counts[ids[bad[0]]]} planes",
                               witness=",".join(map(str, pts[bad[0]].tolist())))
-    affine_total = q ** 4
     on_two = int(np.count_nonzero(counts))
     state.planes = planes
     state.plane_point_ids = ids.reshape(len(planes), len(coeffs))
@@ -534,7 +540,7 @@ def stage_axioms(state):
         "planes": len(planes),
         "pairs": q * q * (q * q - 1) // 2,
         "points_on_two_planes": on_two,
-        "points_on_no_plane": affine_total - q * q - on_two,
+        "points_on_no_plane": q ** 4 - q * q - on_two,
         "planes_per_point": q + 1,
     }
 
@@ -707,12 +713,10 @@ def stage_infinity_data(state):
                 witness=planes.text(cross[p, 0]))
         if shared[p] != 1:
             raise StructureViolation("line-meeting planes share != 1 point")
-        sigma3 = Subspace(state.space4, tuple(map(tuple, spans[p].tolist())))
+        sigma3 = _rows_text(spans[p])
         if foreign[p]:
-            raise StructureViolation("3-space contains foreign points",
-                                     witness=sigma3.to_text())
-        raise StructureViolation(f"3-space contains {int(third[p])} planes",
-                                 witness=sigma3.to_text())
+            raise StructureViolation("3-space contains foreign points", witness=sigma3)
+        raise StructureViolation(f"3-space contains {int(third[p])} planes", witness=sigma3)
 
     state.classification = SigmaClassification(
         completion_points=completion_points,
@@ -736,26 +740,18 @@ def stage_t_infinity(state):
         raise StructureViolation(f"{len(special)} special points, expected {q + 1}")
     axis = span(state.sigma, special)
     if axis.dim != 1:
-        raise NotCollinear(
-            f"special points span a {axis.dim}-dimensional subspace",
-            witness=";".join(",".join(map(str, p)) for p in special))
+        raise NotCollinear(f"special points span a {axis.dim}-dimensional subspace",
+                           witness=_rows_text(special))
     # The q+1 special points are distinct and span a line, which has q+1
-    # points, so they are all of its points: that is not tested.
-    # every trace line meets the axis exactly in its completion point
-    if (state.planes.traces == np.array(axis.rows)).all(axis=(1, 2)).any():
-        raise StructureViolation("a trace line equals the axis")
+    # points, so they are all of its points: that is not tested.  No trace
+    # line equals the axis, which is not tested either: infinity_data left
+    # (q+1)/2 >= 1 free points on no trace line, and they lie on the axis.
     # every affine plane through the axis carries exactly one point
     largest, _ = state.directions.plane_counts(state.sigma.line_point_ids([axis.rows]))
     if largest[0] != 1 or len(state.C) != q * q:
-        counts, inverse, _ = _residual_groups(state, _embed_line5(state, axis))
-        k = int(counts.max())
-        first = int(np.flatnonzero(inverse == int(counts.argmax()))[0])
-        witness = span(state.space4,
-                       [Subspace(state.space4, _embed_line5(state, axis)),
-                        state.C[first]])
-        raise StructureViolation(
-            f"a plane through the axis carries {k} points",
-            witness=witness.to_text())
+        k, witness = _heaviest_plane(state, axis.rows)
+        raise StructureViolation(f"a plane through the axis carries {k} points",
+                                 witness=witness)
     state.axis = axis
     return {
         "axis_points": q + 1,
@@ -764,7 +760,7 @@ def stage_t_infinity(state):
 
 
 def _from_intrinsic_np(f, bases, coeffs):
-    """The points sum_j coeffs_j bases_j of planes with bases (..., 3, 5)."""
+    """The points sum_j coeffs_j bases_j of subspaces with bases (..., k, n)."""
     return dot_np(f, coeffs[..., None, :], np.swapaxes(bases, -1, -2))
 
 
@@ -837,9 +833,8 @@ def _tangent_traces(state, cids):
         if check == 4:
             raise StructureViolation(f"point {cid} has {int(distinct[k])} distinct trace points")
         if check == 5:
-            raise NotCollinear(
-                f"trace points of point {cid} are not collinear",
-                witness=";".join(",".join(map(str, p)) for p in traces[k].tolist()))
+            raise NotCollinear(f"trace points of point {cid} are not collinear",
+                               witness=_rows_text(traces[k]))
         if check == 6:
             raise StructureViolation(f"trace line of point {cid} meets the axis")
         raise StructureViolation(
@@ -861,14 +856,10 @@ def tangent_trace(state, cid):
 
 
 def stage_assemble_spread(state):
-    q = state.q
-    planes = state.planes
-    axis = state.axis
-    sigma = state.sigma
-    trace_lines = [Subspace(sigma, tuple(map(tuple, rows)))
-                   for rows in _tangent_traces(state, range(q * q)).tolist()]
-    lines = trace_lines + [axis]
-    ids = sigma.line_point_ids([l.rows for l in lines])
+    q, planes, sigma = state.q, state.planes, state.sigma
+    traces = _tangent_traces(state, range(q * q))
+    lines = np.concatenate((traces, np.array([state.axis.rows], dtype=np.int16)))
+    ids = sigma.line_point_ids(lines)
     cline_ids = sigma.line_point_ids(planes.traces)
 
     # trace lines vs planes: a plane's trace meets exactly the trace lines of
@@ -883,8 +874,9 @@ def stage_assemble_spread(state):
             f"plane {pid} vs trace line of point {cid}: meet={bool(meets[pid, cid])}",
             witness=planes.text(pid))
 
-    if len({l.rows for l in lines}) != q * q + 1:
-        raise SpreadViolation(f"{len({l.rows for l in lines})} distinct spread lines")
+    distinct = len(np.unique(lines.reshape(len(lines), -1), axis=0))
+    if distinct != q * q + 1:
+        raise SpreadViolation(f"{distinct} distinct spread lines")
     counts = np.bincount(ids.ravel(), minlength=sigma.npoints)
     if (counts > 1).any():
         # line i is the first to meet an earlier line; j the first line it meets
@@ -895,11 +887,11 @@ def stage_assemble_spread(state):
         j = int(first[ids[i]].min())
         raise SpreadViolation(
             "spread lines overlap",
-            witness=lines[i].to_text() + " | " + lines[j].to_text())
-    if (counts == 0).any():
-        raise SpreadViolation("spread does not cover the hyperplane at infinity")
-    provenance = {trace_lines[c].rows: c for c in range(q * q)}
-    state.spread = Spread(lines=tuple(lines), axis=axis, provenance=provenance)
+            witness=_rows_text(lines[i]) + " | " + _rows_text(lines[j]))
+    # The q^2+1 lines are distinct and pairwise disjoint, so they hold
+    # (q^2+1)(q+1) points, all of PG(3,q): that they cover it is not tested.
+    provenance = {tuple(map(tuple, rows)): c for c, rows in enumerate(traces.tolist())}
+    state.spread = Spread(lines=lines, axis=q * q, provenance=provenance)
 
     # lines meeting the axis that are not trace lines: planes through them
     # carry at most two points, and exactly one together with a met trace line
@@ -920,15 +912,14 @@ def stage_assemble_spread(state):
         axis_pos = np.argmax(pts[:, :, None] == ids[-1][None, None, :], axis=2).max(axis=1)
         first = np.where(np.isin(pts, ids[-1]), sigma.npoints, pts).min(axis=1)
         i = bad[np.lexsort((first, axis_pos))[0]]
-        line = Subspace.from_vectors(sigma, all_rows[sweep[i]].tolist())
+        line = _rows_text(all_rows[sweep[i]])  # line_table rows are RREF
         if largest[i] > 2:
             raise StructureViolation(
-                "plane through an axis-meeting line carries > 2 points",
-                witness=line.to_text())
+                "plane through an axis-meeting line carries > 2 points", witness=line)
         cid = int(met[i][np.flatnonzero(extra[i])[0]])
         raise StructureViolation(
             f"plane through point {cid} and an axis-meeting line "
-            "carries extra points", witness=line.to_text())
+            "carries extra points", witness=line)
     return {
         "lines": q * q + 1,
         "trace_points_per_line": q + 1,
@@ -945,15 +936,10 @@ def stage_regulus_closure(state):
     and that regulus is accepted.  The reguli for all open pairs of row i are
     built at once; a pair that an earlier one of its row covers is passed over.
     """
-    q = state.q
-    f = state.base
-    spread = state.spread
-    sigma = state.sigma
-    axis = spread.axis
-    lines = [l for l in spread.lines if l.rows != axis.rows]
-    n = len(lines)
-    bases = np.array([l.rows for l in lines], dtype=np.int16).reshape(n, 2, 4)
-    axis_rows = np.array([axis.rows], dtype=np.int16)
+    q, f, spread = state.q, state.base, state.spread
+    bases = spread.lines[~spread.is_axis()]
+    n = len(bases)
+    axis_rows = spread.lines[[spread.axis]]
     idx = {k: i for i, k in enumerate(_line_key_np(f, bases).tolist())}
     in_spread = set(idx) | set(_line_key_np(f, axis_rows).tolist())
     covered = np.zeros((n, n), dtype=bool)
@@ -970,52 +956,57 @@ def stage_regulus_closure(state):
             if covered[i, j]:
                 continue
             if batch.failed[t]:
-                raise _regulus_failure(batch.failed[t], (axis, lines[i], lines[j]))
+                raise _regulus_failure(batch.failed[t], (axis_rows[0], bases[i], bases[j]))
             reg_keys = batch.keys[t].tolist()
             if any(k not in in_spread for k in reg_keys):
                 raise ClosureViolation(
                     f"regulus through pair ({i},{j}) leaves the spread",
-                    witness=lines[i].to_text() + " | " + lines[j].to_text())
+                    witness=_rows_text(bases[i]) + " | " + _rows_text(bases[j]))
             members = [idx[k] for k in reg_keys if k in idx]
             covered[np.ix_(members, members)] = True
-            accepted.append((batch, t))
+            accepted.append(batch.spans[t])
+    # each regulus as its spanning pairs (2, q+1, 2, 4), lines then opposite
+    reguli = np.array(accepted, dtype=np.int16).reshape(-1, 2, q + 1, 2, 4)
     if state.planes:
         cline_keys = set(_line_key_np(f, state.planes.traces).tolist())
-        for batch, t in accepted:
-            hits = sum(1 for k in batch.opposite_keys[t].tolist() if k in cline_keys)
+        for opposite in _line_key_np(f, reguli[:, 1]).tolist():
+            hits = sum(k in cline_keys for k in opposite)
             if hits != 1:
                 raise StructureViolation(
                     f"opposite regulus contains {hits} trace lines")
-    if len(accepted) != q * q + q:
+    if len(reguli) != q * q + q:
         raise StructureViolation(
-            f"{len(accepted)} distinct reguli through the axis, expected {q * q + q}")
-    state.reguli = _reguli(sigma, accepted)
+            f"{len(reguli)} distinct reguli through the axis, expected {q * q + q}")
+    state.reguli = reguli
     out = {
         "pairs": n * (n - 1) // 2,
         "passes": passes,
-        "distinct_reguli": len(accepted),
+        "distinct_reguli": len(reguli),
     }
     if state.planes:
-        out["opposites_with_one_trace_line"] = len(accepted)
+        out["opposites_with_one_trace_line"] = len(reguli)
     return out
 
 
 def stage_klein_regularity(state):
-    q = state.q
-    f = state.base
+    q, f, lines = state.q, state.base, state.spread.lines
+    space5 = ProjectiveSpace(5, f)
     # The Plucker vector of every line satisfies the Plucker relation
     # p01 p23 - p02 p13 + p03 p12 = 0, so no line's image is tested for
     # lying on the Klein quadric.
-    pts = [plucker(f, line) for line in state.spread.lines]
-    image = frozenset(pts)
-    red, _ = rref(f, pts)
-    span_dim = len(red) - 1
+    pts = _plucker_np(f, lines[:, 0], lines[:, 1])
+    image = np.unique(space5.point_ids(normalize_rows_np(f, pts)[0]))
+    red, rank = rref_np(f, pts[None])
+    span_dim = int(rank[0]) - 1
     verdict = span_dim == 3
-    section = frozenset()
+    section = image[:0]
     if verdict:
-        three_space = Subspace(ProjectiveSpace(5, f), red)
-        section = frozenset(p for p in three_space.points() if on_klein_quadric(f, p))
-        verdict = section == image and len(section) == q * q + 1
+        # the 3-space's points through its RREF rows, each leading with a 1
+        x = _from_intrinsic_np(f, red[0, :4], state.sigma.points_np())
+        klein = f.add_np[f.sub_np[f.mul_np[x[:, 0], x[:, 5]], f.mul_np[x[:, 1], x[:, 4]]],
+                         f.mul_np[x[:, 2], x[:, 3]]]
+        section = np.sort(space5.point_ids(x[klein == 0]))
+        verdict = len(section) == q * q + 1 and np.array_equal(section, image)
     # A passing section is a cap, so it is not checked line by line.  It is
     # the section of the Klein quadric Q+(5,q) by a 3-space and has q^2+1
     # points; the other 3-space sections have (q+1)^2, q^2+q+1 or 2q^2+q+1
@@ -1024,7 +1015,7 @@ def stage_klein_regularity(state):
     # and B(a, b) != 0 as Q-(3,q) holds no line, so ab meets it in a, b only.
     state.regular = verdict
     counts = {
-        "lines_mapped": len(pts),
+        "lines_mapped": len(lines),
         "span_dim": span_dim,
         "section_size": len(section),
         "cap": int(verdict),
@@ -1038,40 +1029,29 @@ def stage_klein_regularity(state):
 
 
 def stage_rebuild_arc(state):
-    q = state.q
-    spread = state.spread
-    frame = state.frame
-    is_axis = np.array([line.rows == spread.axis.rows for line in spread.lines])
-    largest, _ = state.directions.plane_counts(
-        state.sigma.line_point_ids([line.rows for line in spread.lines]))
+    q, spread, frame = state.q, state.spread, state.frame
+    is_axis = spread.is_axis()
+    largest, _ = state.directions.plane_counts(state.sigma.line_point_ids(spread.lines))
     bad = np.flatnonzero((largest > np.where(is_axis, 1, 2))
                          | (is_axis & (len(state.C) != q * q)))
     if len(bad):
-        line = spread.lines[bad[0]]
         if not is_axis[bad[0]] or largest[bad[0]] > 1:
-            basis5 = _embed_line5(state, line)
-            counts, inverse, _ = _residual_groups(state, basis5)
-            members = [int(k) for k in np.flatnonzero(inverse == int(counts.argmax()))]
-            witness = span(state.space4, [Subspace(state.space4, basis5),
-                                          state.C[members[0]]])
-            raise NotAnArc(
-                f"plane through a spread line carries {int(counts.max())} points",
-                witness=witness.to_text())
+            k, witness = _heaviest_plane(state, spread.lines[bad[0]])
+            raise NotAnArc(f"plane through a spread line carries {k} points",
+                           witness=witness)
         raise NotAnArc("axis planes do not each carry one point")
 
     counts_out = {"arc_size": q * q + 1, "spread_lines_checked": len(spread.lines),
                   "conic_fit": 0, "alignment_identity": 0}
     if state.regular:
-        A = align_spreads(state.sigma, spread,
-                          [Subspace(state.sigma, l.rows) for l in frame.spread])
-        identity4 = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
-        is_identity = A == identity4
+        A = align_spreads(state.sigma, spread, frame.spread)
+        is_identity = A == _IDENTITY4
         f = state.base
         arr = state._C_arr
-        moved = dot_np(f, arr[:, None, :4], np.array(A, dtype=np.int16).T)
+        cols = np.array(A, dtype=np.int16).T
+        moved = dot_np(f, arr[:, None, :4], cols)
         up_points = list(map(tuple, frame.points_up(np.column_stack((moved, arr[:, 4]))).tolist()))
-        axis_img_rows, _ = rref(f, [tuple(f.dot(r, col) for col in zip(*A))
-                                    for r in spread.axis.rows])
+        axis_img_rows, _ = rref(f, dot_np(f, spread.lines[spread.axis][:, None], cols).tolist())
         slope = frame.slope_of_line[axis_img_rows]
         t_inf_point = frame.linf_point_of_slope(slope)
         arc = sorted(up_points) + [t_inf_point]
@@ -1091,8 +1071,11 @@ def stage_rebuild_arc(state):
     return counts_out
 
 
+_IDENTITY4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+
+
 def _spread_set(sigma, lines):
-    """Graph-matrix coordinates of a spread with respect to its first lines.
+    """Graph-matrix coordinates of a spread (line bases) relative to its first lines.
 
     Writes PG(3,q) as a + b for the two lexicographically least spread lines
     and rescales so the third line is the identity graph; every further line
@@ -1103,10 +1086,8 @@ def _spread_set(sigma, lines):
     """
     f = sigma.field
     lines = sorted(lines)
-    a, b, c = lines[0], lines[1], lines[2]
-    u1, u2 = a.rows
-    w1, w2 = b.rows
-    mc = matrix_inverse(f, (c.rows[0], c.rows[1], w1, w2))
+    (u1, u2), (w1, w2), (c1, c2) = lines[:3]
+    mc = matrix_inverse(f, (c1, c2, w1, w2))
     if mc is None:
         raise StructureViolation("spread lines are not skew")
 
@@ -1120,14 +1101,14 @@ def _spread_set(sigma, lines):
     if binv is None:
         raise StructureViolation("alignment basis is degenerate")
     mats = {}
-    for line in lines[2:]:
-        e = tuple(tuple(f.dot(r, col) for col in zip(*binv)) for r in line.rows)
+    for rows in lines[2:]:
+        e = tuple(tuple(f.dot(r, col) for col in zip(*binv)) for r in rows)
         X = ((e[0][0], e[0][1]), (e[1][0], e[1][1]))
         Y = ((e[0][2], e[0][3]), (e[1][2], e[1][3]))
         xinv = matrix_inverse(f, X)
         if xinv is None:
             raise StructureViolation("spread line is not a graph over the base line")
-        mats[mat_mul(f, xinv, Y)] = line.rows
+        mats[mat_mul(f, xinv, Y)] = rows
     return basis, mats
 
 
@@ -1142,13 +1123,12 @@ def align_spreads(sigma, spread_from, lines_to):
     non-scalar member).
     """
     f = sigma.field
-    identity4 = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
-    from_lines = [Subspace(sigma, l.rows) for l in spread_from.lines]
+    from_rows = spread_from.rows_set()
     to_rows = {l.rows for l in lines_to}
-    if {l.rows for l in from_lines} == to_rows:
-        return identity4
-    basis_s, mats_s = _spread_set(sigma, from_lines)
-    basis_t, mats_t = _spread_set(sigma, list(lines_to))
+    if from_rows == to_rows:
+        return _IDENTITY4
+    basis_s, mats_s = _spread_set(sigma, from_rows)
+    basis_t, mats_t = _spread_set(sigma, to_rows)
 
     def char_key(m):
         tr = f.add(m[0][0], m[1][1])
@@ -1181,23 +1161,21 @@ def align_spreads(sigma, spread_from, lines_to):
     blk = tuple(tuple(P[i % 2][j % 2] if (i < 2) == (j < 2) else 0 for j in range(4))
                 for i in range(4))
     A = mat_mul(f, mat_mul(f, matrix_inverse(f, basis_s), blk), basis_t)
-    for line in from_lines:
-        img, _ = rref(f, [tuple(f.dot(r, col) for col in zip(*A)) for r in line.rows])
+    for rows in from_rows:
+        img, _ = rref(f, [tuple(f.dot(r, col) for col in zip(*A)) for r in rows])
         if img not in to_rows:
             raise StructureViolation("alignment does not map the spreads onto each other")
     return A
 
 
 def stage_uniqueness(state):
-    spread = state.spread
-    sigma = state.sigma
+    spread, sigma = state.spread, state.sigma
     rows, ids = sigma.line_table()
     keys = _line_keys(sigma, ids)
-    axis_ids = sigma.line_point_ids([spread.axis.rows])
+    axis_ids = sigma.line_point_ids(spread.lines[[spread.axis]])
     axis = keys == _line_keys(sigma, axis_ids)[0]
     meeting = np.isin(ids, axis_ids).any(axis=1) & ~axis
-    in_spread = np.isin(keys, _line_keys(
-        sigma, sigma.line_point_ids([l.rows for l in spread.lines])))
+    in_spread = np.isin(keys, _line_keys(sigma, sigma.line_point_ids(spread.lines)))
     outside = ~(axis | meeting | in_spread)
 
     # opposite reguli of the axis reguli each contain a trace line (checked in
@@ -1207,7 +1185,7 @@ def stage_uniqueness(state):
     if len(violations):
         raise UniquenessViolation(
             "a line outside the spread admits no 3-point plane",
-            witness=Subspace.from_vectors(sigma, rows[violations[0]].tolist()).to_text())
+            witness=_rows_text(rows[violations[0]]))  # line_table rows are RREF
     disjoint_outside = int(outside.sum())
     out = {
         "lines_disjoint_outside": disjoint_outside,
@@ -1215,7 +1193,7 @@ def stage_uniqueness(state):
         "spread_lines_compatible": int((in_spread & ~axis & ~meeting).sum()) + 1,
         "axis_meeting_lines": int(meeting.sum()),
         "axis_meeting_compatible": int((meeting & (largest <= 2)).sum()),
-        "opposites_with_trace_line": len(state.reguli) if state.reguli else 0,
+        "opposites_with_trace_line": len(state.reguli),
     }
     if state.expect_classical:
         classical = {l.rows for l in state.frame.spread}
@@ -1292,17 +1270,13 @@ def make_frame(q, modulus=None):
 
 
 def _factor_prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                k += 1
-            if n != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, k
-    raise ValueError(f"{q} is not a prime power")
+    p = next((p for p in range(2, q + 1) if q % p == 0), None)  # the least prime factor
+    k = 1
+    while p and p ** k < q:
+        k += 1
+    if p is None or p ** k != q:
+        raise ValueError(f"{q} is not a prime power")
+    return p, k
 
 
 # ---------------------------------------------------------------------------
@@ -1323,8 +1297,8 @@ def displace_point(frame, C, seed=0):
 
 def classical_spread(frame):
     """The frame's classical regular spread as a Spread object."""
-    return Spread(lines=tuple(Subspace(frame.sigma, l.rows) for l in frame.spread),
-                  axis=frame.line_of_slope["inf"], provenance={})
+    return Spread(lines=np.array([l.rows for l in frame.spread], dtype=np.int16),
+                  axis=frame.spread.index(frame.line_of_slope["inf"]), provenance={})
 
 
 def perturb_spread_by_regulus(sigma, spread):
@@ -1333,15 +1307,16 @@ def perturb_spread_by_regulus(sigma, spread):
     The result is still a spread but is no longer regular; used as a
     negative control for the regularity checks.
     """
-    axis = spread.axis
-    others = sorted((l for l in spread.lines if l.rows != axis.rows))
-    for triple in itertools.combinations(others[: len(others)], 3):
-        reg = regulus_from(sigma, *triple)
+    rows = [tuple(map(tuple, line)) for line in spread.lines.tolist()]
+    axis = rows[spread.axis]
+    others = sorted(r for r in rows if r != axis)
+    for triple in itertools.combinations(others, 3):
+        reg = regulus_from(sigma, *(Subspace(sigma, r) for r in triple))
         reg_rows = {l.rows for l in reg.lines}
-        if axis.rows in reg_rows:
+        if axis in reg_rows or not reg_rows <= set(rows):
             continue
-        if not reg_rows <= spread.rows_set():
-            continue
-        lines = tuple(l for l in spread.lines if l.rows not in reg_rows) + reg.opposite
-        return Spread(lines=lines, axis=axis, provenance={}), reg
+        keep = [i for i, r in enumerate(rows) if r not in reg_rows]
+        lines = np.concatenate((spread.lines[keep],
+                                np.array([l.rows for l in reg.opposite], dtype=np.int16)))
+        return Spread(lines=lines, axis=keep.index(spread.axis), provenance={}), reg
     raise RuntimeError("no regulus avoiding the axis found")

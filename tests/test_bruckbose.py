@@ -54,8 +54,8 @@ def test_collinear_triples_map_to_coplanar_triples(frame7):
         b = (E.add(x, t1), E.add(y, E.mul(t1, m)), 1)
         c = (E.add(x, t2), E.add(y, E.mul(t2, m)), 1)
         downs = {frame7.point_down(p) for p in (a, b, c)}
-        plane = span(frame7.space4,
-                     [frame7.sigma_embed_line(frame7.line_of_slope[m])] + sorted(downs))
+        line = [row + (0,) for row in frame7.line_of_slope[m].rows]
+        plane = span(frame7.space4, line + sorted(downs))
         assert plane.dim == 2
 
 

@@ -182,7 +182,7 @@ def test_scan_heavy_planes_finds_planted_plane(pg4, gf7):
     assert all(plane.contains(p) for p in pts)
     # pad with points off the plane
     pts += [(1, 1, 1, 0, 1), (1, 2, 0, 1, 1)]
-    scan = scan_heavy_planes(pg4, pts, 5)
+    scan = scan_heavy_planes(pg4, pts)
     assert scan.collinear_triple is None
     found = [(pl, mem) for pl, mem in scan.planes if len(mem) >= 5]
     assert len(found) == 1

@@ -16,6 +16,7 @@ import random
 import tempfile
 from unittest import mock
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from pgconics import reconstruct
@@ -231,18 +232,19 @@ def test_main_exit_code_on_corrupted_infinity_data_states(q, kind, a, b, rng):
 def regulus_closure_corruption(kind, a, b, rng):
     def corrupt_state(state):
         spread = state.spread
-        lines = [l for l in spread.lines if l.rows != spread.axis.rows]
+        axis = spread.lines[spread.axis].tolist()
+        lines = spread.lines[~spread.is_axis()].tolist()
         if kind == "perturbed":
             pert = perturb_spread_by_regulus(state.sigma, spread)[0]
-            lines = [l for l in pert.lines if l.rows != spread.axis.rows]
+            lines = pert.lines[~pert.is_axis()].tolist()
         elif kind == "meeting":  # a line through a point of the axis
-            outside = lines[a % len(lines)].rows[0]
-            lines.insert(b % len(lines), span(state.sigma, [spread.axis.rows[0], outside]))
+            outside = lines[a % len(lines)][0]
+            lines.insert(b % len(lines), span(state.sigma, [axis[0], outside]).rows)
         elif kind == "repeated":
             lines.insert(b % len(lines), lines[a % len(lines)])
         rng.shuffle(lines)
-        state.spread = Spread(lines=tuple(lines) + (spread.axis,), axis=spread.axis,
-                              provenance=spread.provenance)
+        state.spread = Spread(lines=np.array(lines + [axis], dtype=np.int16),
+                              axis=len(lines), provenance=spread.provenance)
     return corrupt_state
 
 

@@ -2,12 +2,14 @@ import collections
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
 
-from pgconics.projgeom import (HeavyPlaneScan, Subspace, dot_np, matrix_inverse,
-                               points_array, rref, rref_np, scan_heavy_planes, span)
+from pgconics.projgeom import (HeavyPlaneScan, ProjectiveSpace, Subspace, dot_np,
+                               matrix_inverse, points_array, rref, rref_np,
+                               scan_heavy_planes, span)
 from pgconics.bruckbose import (BruckBoseFrame, baer_subplane_through, build_C,
                                 random_tangent_conic)
 from pgconics import reconstruct
@@ -168,10 +170,10 @@ def assert_three_space_confinement(st, pairs):
     """Planes spanning a 3-space: its points are exactly theirs, no third plane.
 
     The oracle is Subspace.meet and span, the dual-vector test and
-    is_subspace_of over all planes.  infinity_data reads the meet from the
-    rank of the stacked bases (rref_np), tests input points against the
-    3-space's dual vector and counts the planes whose members are all
-    inside (_three_space_tests).  Both must agree on every pair, also at
+    Subspace.contains of every plane's basis rows.  infinity_data reads the
+    meet from the rank of the stacked bases (rref_np), tests input points
+    against the 3-space's dual vector and counts the planes whose members
+    are all inside (_three_space_tests).  Both must agree on every pair, also at
     q = 3, where a third plane is not excluded by counting (it meets each
     of the two planes in a line, so carries <= 4 points).
     """
@@ -194,7 +196,8 @@ def assert_three_space_confinement(st, pairs):
         dual = sigma3.dual()[0]
         inside = {i for i, x in enumerate(C) if f.dot(dual, x) == 0}
         assert inside == set(members[a]) | set(members[b])
-        third = [i for i, plane in enumerate(planes) if plane.is_subspace_of(sigma3)]
+        third = [i for i, plane in enumerate(planes)
+                 if all(sigma3.contains(row) for row in plane.rows)]
         assert third == [a, b]
         assert not foreign[p] and third_count[p] == 2
         found += 1
@@ -301,7 +304,7 @@ def test_planes_at_infinity_through_axis(run7, frame7):
     for rows in planes_thru_axis:
         plane = Subspace(sigma, rows)
         carried = [i for i, trace in enumerate(state.planes.traces.tolist())
-                   if Subspace(sigma, tuple(map(tuple, trace))).is_subspace_of(plane)]
+                   if all(plane.contains(row) for row in trace)]
         assert len(carried) == 7  # q trace lines
         completions = {tuple(state.planes.completions[i].tolist()) for i in carried}
         assert len(completions) == 1
@@ -316,9 +319,9 @@ def test_transversal_points_lie_on_common_plane(run7, frame7):
     sigma = frame7.sigma
     spread = state.spread
     line_of_point = {}
-    for l in spread.lines:
-        for p in l.points():
-            line_of_point[p] = l.rows
+    for rows in spread.rows_set():
+        for p in Subspace(sigma, rows).points():
+            line_of_point[p] = rows
     axis_pts = set(axis.points())
     seen = {axis.rows}
     checked = 0
@@ -537,10 +540,17 @@ def scalar_regulus_from(sigma, l1, l2, l3):
     return reconstruct.Regulus(lines=tuple(sorted(lines)), opposite=tuple(sorted(opposite)))
 
 
+def spread_subspaces(sigma, spread):
+    """(axis, the other lines in order) of a Spread, as Subspaces."""
+    def subspace(rows):
+        return Subspace(sigma, tuple(map(tuple, rows)))
+    return (subspace(spread.lines[spread.axis].tolist()),
+            [subspace(rows) for rows in spread.lines[~spread.is_axis()].tolist()])
+
+
 def scalar_closure(sigma, spread):
     """(reguli, passes) of the greedy closure, one regulus_from per open pair."""
-    axis = spread.axis
-    lines = [l for l in spread.lines if l.rows != axis.rows]
+    axis, lines = spread_subspaces(sigma, spread)
     rows_set = spread.rows_set()
     idx = {l.rows: i for i, l in enumerate(lines)}
     covered, reguli, passes = set(), [], 0
@@ -571,7 +581,7 @@ def test_regulus_closure_matches_scalar_oracle(q):
     closure = records_by_name(records)["regulus_closure"]
     assert closure.verdict == "pass"
     reguli, passes = scalar_closure(frame.sigma, state.spread)
-    assert reguli_rows(state.reguli) == reguli_rows(reguli)
+    assert reguli_rows(reconstruct._reguli(frame.sigma, state.reguli)) == reguli_rows(reguli)
     n = q * q
     assert closure.counts == {"pairs": n * (n - 1) // 2, "passes": passes,
                               "distinct_reguli": len(reguli),
@@ -579,12 +589,14 @@ def test_regulus_closure_matches_scalar_oracle(q):
     # shuffled line orders change the greedy choices, not the agreement
     rng = random.Random(q)
     for _ in range(2):
-        lines = list(state.spread.lines)
-        rng.shuffle(lines)
+        order = list(range(len(state.spread.lines)))
+        rng.shuffle(order)
         st = PipelineState(frame, C)
-        st.spread = Spread(lines=tuple(lines), axis=state.axis, provenance={})
+        st.spread = Spread(lines=state.spread.lines[order],
+                           axis=order.index(state.spread.axis), provenance={})
         assert run_stages(st, include={"regulus_closure"})[0].verdict == "pass"
-        assert reguli_rows(st.reguli) == reguli_rows(scalar_closure(frame.sigma, st.spread)[0])
+        assert reguli_rows(reconstruct._reguli(frame.sigma, st.reguli)) == \
+            reguli_rows(scalar_closure(frame.sigma, st.spread)[0])
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
@@ -595,7 +607,7 @@ def test_regulus_from_matches_scalar_oracle(q):
     batch leaves out as implied by skewness."""
     frame = make_frame(q)
     sigma = frame.sigma
-    spread_lines = list(classical_spread(frame).lines)
+    spread_lines = list(frame.spread)
     rows, _ = sigma.line_table()
     rng = random.Random(q)
     triples = [rng.sample(spread_lines, 3) if t % 2 else
@@ -630,9 +642,10 @@ def test_regulus_closure_witness_past_the_first_pair(frame7, c7):
     0, and pair (0, 7) is the first whose regulus leaves it.  Captured with
     the scalar closure."""
     pert, _ = perturb_spread_by_regulus(frame7.sigma, classical_spread(frame7))
-    others = sorted((l for l in pert.lines if l.rows != pert.axis.rows), reverse=True)
+    others = sorted(pert.lines[~pert.is_axis()].tolist(), reverse=True)
     st = PipelineState(frame7, c7)
-    st.spread = Spread(lines=tuple(others) + (pert.axis,), axis=pert.axis, provenance={})
+    st.spread = Spread(lines=np.array(others + [pert.lines[pert.axis].tolist()], dtype=np.int16),
+                       axis=len(others), provenance={})
     rec = run_stages(st, include={"regulus_closure"})[0]
     assert (rec.verdict, rec.witness) == (
         "fail", "ClosureViolation: regulus through pair (0,7) leaves the spread "
@@ -643,7 +656,7 @@ def test_regulus_closure_witness_past_the_first_pair(frame7, c7):
 
 def test_three_space_and_klein_work_counts(frame7, conic7, c7, monkeypatch):
     """On the q = 7 pass path, infinity_data tests no subspace inclusion and
-    klein_regularity enumerates the points of one subspace, its 3-space."""
+    klein_regularity enumerates no subspace point by point."""
     calls = collections.Counter()
 
     def counted(name):
@@ -657,15 +670,15 @@ def test_three_space_and_klein_work_counts(frame7, conic7, c7, monkeypatch):
     st = PipelineState(frame7, c7, conic=conic7)
     assert [r.verdict for r in run_stages(st, include={"axioms", "parallel_classes"})] == \
         ["pass", "pass"]
-    counted("is_subspace_of")
+    counted("contains")
     counted("points")
     assert run_stages(st, include={"infinity_data"})[0].verdict == "pass"
-    assert calls["is_subspace_of"] == 0
+    assert calls["contains"] == 0
     calls.clear()
     st.spread = classical_spread(frame7)
     rec = run_stages(st, include={"klein_regularity"})[0]
     assert rec.verdict == "pass" and rec.counts["cap"] == 1
-    assert calls == {"points": 1}
+    assert not calls
 
 
 def test_kernel_work_counts(monkeypatch):
@@ -715,6 +728,50 @@ def test_dual_regularity_oracles_agree(run7, frame7, c7):
             (by["klein_regularity"].verdict == "pass")
 
 
+def scalar_klein(sigma, spread):
+    """(span dimension, section size, verdict) of klein_regularity, point by
+    point: plucker, rref, Subspace.points and on_klein_quadric."""
+    f = sigma.field
+    q = f.q
+    image = {plucker(f, Subspace(sigma, tuple(map(tuple, rows))))
+             for rows in spread.lines.tolist()}
+    red, _ = rref(f, sorted(image))
+    section = set()
+    if len(red) == 4:
+        section = {p for p in Subspace(ProjectiveSpace(5, f), red).points()
+                   if on_klein_quadric(f, p)}
+    return len(red) - 1, len(section), section == image and len(section) == q * q + 1
+
+
+@pytest.mark.parametrize("q", [5, 7, 9])
+def test_klein_section_matches_scalar_oracle(q):
+    """The array Klein section against the scalar one, on the reconstructed,
+    classical and Hall-perturbed spreads."""
+    frame = make_frame(q)
+    C = build_C(frame, random_tangent_conic(frame, 0 if q != 9 else 5))
+    records, state = full_pipeline(C, frame=frame, exploratory=q < 7)
+    assert records_by_name(records)["assemble_spread"].verdict == "pass"
+    spreads = {"reconstructed": state.spread, "classical": classical_spread(frame),
+               "perturbed": perturb_spread_by_regulus(frame.sigma, state.spread)[0]}
+    verdicts = {}
+    for label, spread in spreads.items():
+        st = PipelineState(frame, C)
+        st.spread = spread
+        rec = run_stages(st, include={"klein_regularity"})[0]
+        if rec.verdict == "pass":
+            verdicts[label] = (rec.counts["span_dim"], rec.counts["section_size"], True)
+        else:
+            dim, size = re.fullmatch(r"StructureViolation: spread is not regular "
+                                     r"\(span dimension (\d+), section (\d+)\)",
+                                     rec.witness).groups()
+            verdicts[label] = (int(dim), int(size), False)
+        assert verdicts[label] == scalar_klein(frame.sigma, spread), label
+        assert st.regular == verdicts[label][2]
+    assert verdicts == {"reconstructed": (3, q * q + 1, True),
+                        "classical": (3, q * q + 1, True),
+                        "perturbed": (5, 0, False)}
+
+
 # ---------------------------------------------------------------------------
 # negative controls and alignment
 
@@ -740,6 +797,19 @@ def test_displaced_point_fails_axioms(frame7, c7):
     assert by["axioms"].verdict == "fail"
     assert by["axioms"].witness
     assert by["parallel_classes"].verdict == "skipped"
+
+
+def test_repeated_point_fails_axioms(frame7, c7):
+    """q^2 distinct points with one listed twice: the first check names the
+    repeat (the pair scan would take it for a pair lying in two planes)."""
+    records, state = full_pipeline(c7 + (c7[5],), frame=frame7)
+    rec = records_by_name(records)["axioms"]
+    assert (rec.verdict, rec.witness) == (
+        "fail", "StructureViolation: repeated point in the input: (0, 1, 5, 0, 2)")
+    assert state.C.count(c7[5]) == 2
+    records, _ = full_pipeline(c7[:-1] + (c7[5],), frame=frame7)
+    assert records_by_name(records)["axioms"].witness == \
+        "StructureViolation: expected 49 distinct points, got 48"
 
 
 def test_corrupted_points_against_classical_spread(frame7, c7):
@@ -790,7 +860,8 @@ def test_align_spreads_maps_line_sets(frame7):
 
     reg_lines = [Subspace(sigma, l.rows) for l in frame7.spread]
     moved = [map_line(l) for l in reg_lines]
-    spread = Spread(lines=tuple(moved), axis=map_line(reg_lines[0]), provenance={})
+    spread = Spread(lines=np.array([l.rows for l in moved], dtype=np.int16), axis=0,
+                    provenance={})
     A = align_spreads(sigma, spread, reg_lines)
     tgt = {l.rows for l in reg_lines}
     for l in moved:
@@ -920,7 +991,7 @@ def test_tangent_traces_match_scalar_oracle(q, seed):
     st = trace_state(frame, build_C(frame, random_tangent_conic(frame, seed)))
     assert run_stages(st, include={"assemble_spread"})[0].verdict == "pass"
     expected = [scalar_tangent_trace(st, cid).rows for cid in range(q * q)]
-    assert [l.rows for l in st.spread.lines[:-1]] == expected
+    assert [tuple(map(tuple, rows)) for rows in st.spread.lines[:-1].tolist()] == expected
     assert [reconstruct.tangent_trace(st, cid).rows for cid in (0, q * q - 1)] == \
         [expected[0], expected[-1]]
 
@@ -1070,7 +1141,7 @@ def test_axiom3_counts_match_subspace_points(frame7, seed):
 def patched_scan_state(monkeypatch, frame, C, planes):
     """A state whose heavy-plane scan returns the given (plane, members) list."""
     monkeypatch.setattr(reconstruct, "scan_heavy_planes",
-                        lambda space, pts, threshold: HeavyPlaneScan(planes, None, None, 0))
+                        lambda space, pts: HeavyPlaneScan(planes, None, None, None))
     return PipelineState(frame, C)
 
 
@@ -1078,7 +1149,7 @@ def test_collinear_triple_missed_by_the_scan(frame7, c7, monkeypatch):
     """Point 2 moved onto the line of points 0 and 1, all three in plane 0,
     behind a scan that reports the planes of the unmoved points: the
     direction table sees the triple, so each plane is tested for an arc."""
-    planes = scan_heavy_planes(frame7.space4, c7, 5).planes
+    planes = scan_heavy_planes(frame7.space4, c7).planes
     st = patched_scan_state(monkeypatch, frame7, c7, planes)
     st.C = c7[:2] + ((0, 1, 1, 0, 1),) + c7[3:]
     st._C_arr = points_array(st.C)
@@ -1096,7 +1167,7 @@ def test_collinear_triple_missed_by_the_scan(frame7, c7, monkeypatch):
     (30, 31, "affine point on 3 planes [1,1,0,0,4]"),
 ])
 def test_axiom3_witness(frame7, c7, monkeypatch, dst, src, witness):
-    planes = list(scan_heavy_planes(frame7.space4, c7, 5).planes)
+    planes = list(scan_heavy_planes(frame7.space4, c7).planes)
     planes[dst] = planes[src]
     st = patched_scan_state(monkeypatch, frame7, c7, planes)
     rec = run_stages(st, include={"axioms"})[0]
@@ -1234,3 +1305,20 @@ def test_affine_completion_witness(frame7, c7, monkeypatch):
     rec = run_stages(st, include={"infinity_data"})[0]
     assert (rec.verdict, rec.witness) == (
         "fail", "StructureViolation: completion point is affine [0,0,0,0,1]")
+
+
+def test_axis_plane_witness(frame7, c7):
+    """The last input point moved onto the plane through the axis and point
+    0; captured while t_infinity built this witness with its own copy of
+    the code that rebuild_arc shares with it now."""
+    st = classes_state(frame7, c7)
+    assert run_stages(st, include={"infinity_data"})[0].verdict == "pass"
+    cls = st.classification
+    axis = span(st.sigma, sorted(set(cls.completion_points) | set(cls.free_points)))
+    plane = span(st.space4, [row + (0,) for row in axis.rows] + [st.C[0]])
+    st.C = st.C[:-1] + (next(p for p in plane.points() if p[4] and p not in set(st.C)),)
+    st._C_arr = points_array(st.C)
+    rec = run_stages(st, include={"t_infinity"})[0]
+    assert (rec.verdict, rec.witness) == (
+        "fail", "StructureViolation: a plane through the axis carries 2 points "
+                "[0,0,1,0,0;0,0,0,1,0;0,0,0,0,1]")
