@@ -284,7 +284,7 @@ def _heaviest_plane(state, rows):
 def _three_space_tests(f, spans, arr, planes, pairs):
     """Per pair (i, j) of planes and its 3-space, given by four RREF rows in
     spans: whether the points of arr inside it differ from the members of i
-    and j, and how many planes have all their members inside.
+    and j.
 
     A 3-space of PG(4,q) is a hyperplane, so a point lies in it exactly when
     it is orthogonal to its dual vector: 1 on the free column c and -row[c]
@@ -300,14 +300,12 @@ def _three_space_tests(f, spans, arr, planes, pairs):
     dual[k[:, None], lead] = f.neg_np[spans[k[:, None], np.arange(4), free[:, None]]]
     member_of = planes.member_table(len(arr))
     foreign = np.zeros(len(spans), dtype=bool)
-    third = np.zeros(len(spans), dtype=np.int64)
     for lo in range(0, len(spans), DirectionTable.BLOCK):
         block = slice(lo, lo + DirectionTable.BLOCK)
         inside = dot_np(f, dual[block, None, :], arr[None, :, :]) == 0
         own = member_of[pairs[block, 0]] | member_of[pairs[block, 1]]
         foreign[block] = (inside != own).any(axis=1)
-        third[block] = inside[:, planes.members].all(axis=2).sum(axis=1)
-    return foreign, third
+    return foreign
 
 
 def _line_keys(sigma, ids):
@@ -572,8 +570,8 @@ def stage_parallel_classes(state):
                 raise StructureViolation("plane in two parallel classes")
             assigned[j] = cid
         classes.append(tuple(group))
-    if len(classes) != q + 1:
-        raise StructureViolation(f"{len(classes)} parallel classes, expected {q + 1}")
+    # Every plane is now in exactly one class of exactly q planes, and axioms
+    # left q^2 + q planes, so there are q + 1 classes: that is not tested.
     assigned = np.array(assigned)
     cross = np.triu(assigned[:, None] != assigned, 1)
     bad = np.argwhere(cross & (shared != 1))
@@ -583,7 +581,7 @@ def stage_parallel_classes(state):
                                  witness=planes.text(i))
     state.classes = tuple(classes)
     return {
-        "classes": len(classes),
+        "classes": q + 1,
         "class_size": q,
         "same_class_pairs": (q + 1) * q * (q - 1) // 2,
         "cross_class_pairs_sharing_one": int(cross.sum()),
@@ -654,78 +652,54 @@ def stage_infinity_data(state):
         if len(cids) != 2:
             raise StructureViolation(
                 f"completion point {comp} belongs to {len(cids)} classes")
+    # Each of the q+1 classes has one completion point and each completion
+    # point is in two classes, so there are (q+1)/2 of them: not tested.
     completion_points = tuple(sorted(classes_of_comp))
-    if len(completion_points) != (q + 1) // 2:
-        raise StructureViolation(
-            f"{len(completion_points)} completion points, expected {(q + 1) // 2}")
 
-    # trace lines and the classification of the points at infinity
-    trace_lines = len(np.unique(planes.traces.reshape(len(planes), -1), axis=0))
-    if trace_lines != q * q + q:
-        raise StructureViolation(
-            f"{trace_lines} distinct trace lines, expected {q * q + q}")
-    on_lines = np.bincount(state.sigma.line_point_ids(planes.traces).ravel(),
-                           minlength=state.sigma.npoints)
-    comp_set = set(completion_points)
-    free_points = []
-    simple = 0
-    for p, k in zip(state.sigma.points(), on_lines.tolist()):
-        if p in comp_set:
-            if k != 2 * q:
-                raise StructureViolation(
-                    f"completion point on {k} trace lines, expected {2 * q}",
-                    witness=",".join(map(str, p)))
-        elif k == 0:
-            free_points.append(p)
-        elif k == 1:
-            simple += 1
-        else:
-            raise StructureViolation(
-                f"point at infinity on {k} trace lines",
-                witness=",".join(map(str, p)))
-    if len(free_points) != (q + 1) // 2:
-        raise StructureViolation(
-            f"{len(free_points)} free points, expected {(q + 1) // 2}")
-    if simple != q ** 3 + q ** 2:
-        raise StructureViolation(
-            f"{simple} simple points, expected {q ** 3 + q ** 2}")
-
-    # Completion-sharing planes meet in a line, so they span a 3-space (the
-    # separate check that the span is a 3-space followed from that and is
-    # gone).  The points of C inside it are exactly those of the two planes,
-    # and it contains no third plane.  The q >= 3 members of a plane are an
-    # arc, so they span it: a plane lies in a 3-space exactly when all its
-    # members do.  Flags are computed for every pair; the first failing pair
-    # raises its first failing check.
-    n_same = len(pairs) - len(cross)
-    cross = pairs[n_same:]
-    spans = red[n_same:, :4]
-    in_line = rank[n_same:] == 4
-    member_of = planes.member_table(len(state.C))
-    shared = member_of[cross[:, :1], planes.members[cross[:, 1]]].sum(axis=1)
-    foreign, third = _three_space_tests(f, spans, state._C_arr, planes, cross)
-    bad = np.flatnonzero(~in_line | (shared != 1) | foreign | (third != 2))
+    # The classification of the points at infinity by the trace lines on
+    # them.  The trace lines are distinct, which is not tested: planes of one
+    # class meet only in a point (rank 5 above), and planes of two classes
+    # share one input point a (parallel_classes), while two planes through a
+    # and one line at infinity are both <line, a>.
+    sigma = state.sigma
+    on_lines = np.bincount(sigma.line_point_ids(planes.traces).ravel(),
+                           minlength=sigma.npoints)
+    is_comp = np.zeros(sigma.npoints, dtype=bool)
+    is_comp[sigma.point_ids(np.array(completion_points))] = True
+    bad = np.flatnonzero(np.where(is_comp, on_lines != 2 * q, on_lines > 1))
     if len(bad):
-        p = bad[0]
-        if not in_line[p]:
+        k, witness = on_lines[bad[0]], ",".join(map(str, sigma.points_np()[bad[0]].tolist()))
+        if is_comp[bad[0]]:
             raise StructureViolation(
-                "completion-sharing planes do not meet in a line",
-                witness=planes.text(cross[p, 0]))
-        if shared[p] != 1:
-            raise StructureViolation("line-meeting planes share != 1 point")
-        sigma3 = _rows_text(spans[p])
-        if foreign[p]:
-            raise StructureViolation("3-space contains foreign points", witness=sigma3)
-        raise StructureViolation(f"3-space contains {int(third[p])} planes", witness=sigma3)
+                f"completion point on {k} trace lines, expected {2 * q}", witness=witness)
+        raise StructureViolation(f"point at infinity on {k} trace lines", witness=witness)
+    free = sigma.points_np()[~is_comp & (on_lines == 0)]
+    # The q^2+q trace lines make (q^2+q)(q+1) incidences.  The (q+1)/2
+    # completion points take 2q each and every other point 0 or 1, so
+    # q^3+q^2 points are simple and the (q+1)/2 left are free: not tested.
+
+    # Completion-sharing planes are in two classes, so they share one input
+    # point and their completion point, hence the line through both; being
+    # distinct, they meet in that line and span a 3-space.  Neither that nor
+    # the one shared point is tested.  The points of C inside the 3-space
+    # are exactly those of the two planes.  A third plane inside it would
+    # then have its q >= 3 members among them, but it shares at most one
+    # with each of the two planes: that is not tested.
+    n_same = len(pairs) - len(cross)
+    spans = red[n_same:, :4]
+    foreign = _three_space_tests(f, spans, state._C_arr, planes, pairs[n_same:])
+    if foreign.any():
+        raise StructureViolation("3-space contains foreign points",
+                                 witness=_rows_text(spans[foreign.argmax()]))
 
     state.classification = SigmaClassification(
         completion_points=completion_points,
-        free_points=tuple(sorted(free_points)))
+        free_points=tuple(sorted(map(tuple, free.tolist()))))
     return {
-        "completion_points": len(completion_points),
-        "free_points": len(free_points),
-        "simple_points": simple,
-        "trace_lines": trace_lines,
+        "completion_points": (q + 1) // 2,
+        "free_points": (q + 1) // 2,
+        "simple_points": q ** 3 + q ** 2,
+        "trace_lines": q * q + q,
         "lines_per_completion": 2 * q,
         "line_meeting_pairs": len(cross),
         "three_space_checks": len(cross),
@@ -735,9 +709,9 @@ def stage_infinity_data(state):
 def stage_t_infinity(state):
     q = state.q
     cls = state.classification
-    special = sorted(set(cls.completion_points) | set(cls.free_points))
-    if len(special) != q + 1:
-        raise StructureViolation(f"{len(special)} special points, expected {q + 1}")
+    # infinity_data leaves (q+1)/2 completion points, each on 2q trace lines,
+    # and (q+1)/2 free points, on none: q+1 points, which is not tested.
+    special = sorted(cls.completion_points + cls.free_points)
     axis = span(state.sigma, special)
     if axis.dim != 1:
         raise NotCollinear(f"special points span a {axis.dim}-dimensional subspace",
@@ -774,11 +748,11 @@ def _tangent_traces(state, cids):
 
     The checks, in tangent_trace's order: (1) q+1 planes through the point,
     then plane by plane (2) a tangent that is not the plane's line at
-    infinity and (3) a trace point at infinity, (4) q+1 distinct trace
-    points, (5) on one line, (6) which misses the axis, (7) and spans with
-    the point a plane carrying no other input point.  Each point is flagged
-    with the first check it fails, and the first flagged point raises it.
-    Check 3 cannot fail: the trace point's x4 is the dot product of the
+    infinity, (3) q+1 distinct trace points, (4) on one line, (5) which
+    misses the axis, (6) and spans with the point a plane carrying no other
+    input point.  Each point is flagged with the first check it fails, and
+    the first flagged point raises it.  That each trace point is at infinity
+    is not tested: its x4 is (t x x4) . x4 = 0, the dot product of the
     plane's x4 column with a cross product taken with that column.
     """
     q, f, sigma, planes = state.q, state.base, state.sigma, state.planes
@@ -799,24 +773,22 @@ def _tangent_traces(state, cids):
     x4 = bases[..., 4]
     direction = f.sub_np[f.mul_np[t[..., [1, 2, 0]], x4[..., [2, 0, 1]]],
                          f.mul_np[t[..., [2, 0, 1]], x4[..., [1, 2, 0]]]]
-    pt5 = _from_intrinsic_np(f, bases, direction)
     degenerate = ~direction.any(axis=-1)
-    bad_plane = degenerate | (pt5[..., 4] != 0)
-    first_bad = bad_plane.argmax(axis=1)
-    flag(np.where(degenerate[np.arange(len(cids)), first_bad], 2, 3), bad_plane.any(axis=1))
-    traces = normalize_rows_np(f, pt5[..., :4].reshape(-1, 4))[0].reshape(-1, q + 1, 4)
+    flag(2, degenerate.any(axis=1))
+    pts = _from_intrinsic_np(f, bases[..., :4], direction)  # lifted, without x4
+    traces = normalize_rows_np(f, pts.reshape(-1, 4))[0].reshape(-1, q + 1, 4)
     ids = np.sort(sigma.point_ids(traces.reshape(-1, 4)).reshape(-1, q + 1), axis=1)
     distinct = 1 + (ids[:, 1:] != ids[:, :-1]).sum(axis=1)
-    flag(4, distinct != q + 1)
+    flag(3, distinct != q + 1)
     red, rank = rref_np(f, traces)
-    flag(5, rank != 2)
-    # lines only where checks 1-5 passed; elsewhere point 0, never read
+    flag(4, rank != 2)
+    # lines only where checks 1-4 passed; elsewhere point 0, never read
     line_ids = np.zeros((len(cids), q + 1), dtype=np.int32)
     ok = failed == 0
     line_ids[ok] = sigma.line_point_ids(red[ok, :2])
-    flag(6, np.isin(line_ids, sigma.line_point_ids([state.axis.rows])).any(axis=1))
+    flag(5, np.isin(line_ids, sigma.line_point_ids([state.axis.rows])).any(axis=1))
     own = state.directions.plane_counts(line_ids, cids[:, None])[1][:, 0]
-    flag(7, own != 1)
+    flag(6, own != 1)
 
     bad = np.flatnonzero(failed)
     if len(bad):
@@ -824,18 +796,15 @@ def _tangent_traces(state, cids):
         cid, check = int(cids[k]), int(failed[k])
         if check == 1:
             raise StructureViolation(f"point {cid} on {len(through[k])} planes")
-        if check in (2, 3):
-            witness = planes.text(pids[k, first_bad[k]])
-            if check == 2:
-                raise TangentDegenerate("tangent line coincides with the trace line",
-                                        witness=witness)
-            raise TangentDegenerate("tangent trace point is affine", witness=witness)
-        if check == 4:
+        if check == 2:
+            raise TangentDegenerate("tangent line coincides with the trace line",
+                                    witness=planes.text(pids[k, degenerate[k].argmax()]))
+        if check == 3:
             raise StructureViolation(f"point {cid} has {int(distinct[k])} distinct trace points")
-        if check == 5:
+        if check == 4:
             raise NotCollinear(f"trace points of point {cid} are not collinear",
                                witness=_rows_text(traces[k]))
-        if check == 6:
+        if check == 5:
             raise StructureViolation(f"trace line of point {cid} meets the axis")
         raise StructureViolation(
             f"plane of point {cid} and its trace line carries {int(own[k])} points")
@@ -874,9 +843,10 @@ def stage_assemble_spread(state):
             f"plane {pid} vs trace line of point {cid}: meet={bool(meets[pid, cid])}",
             witness=planes.text(pid))
 
-    distinct = len(np.unique(lines.reshape(len(lines), -1), axis=0))
-    if distinct != q * q + 1:
-        raise SpreadViolation(f"{distinct} distinct spread lines")
+    # The q^2+1 lines are distinct, which is not tested.  Two input points
+    # with one trace line would fail the test above on a plane through one of
+    # them and not the other, and every trace line misses the axis (check 5
+    # of _tangent_traces).  A repeated line would also overlap itself.
     counts = np.bincount(ids.ravel(), minlength=sigma.npoints)
     if (counts > 1).any():
         # line i is the first to meet an earlier line; j the first line it meets
@@ -888,7 +858,7 @@ def stage_assemble_spread(state):
         raise SpreadViolation(
             "spread lines overlap",
             witness=_rows_text(lines[i]) + " | " + _rows_text(lines[j]))
-    # The q^2+1 lines are distinct and pairwise disjoint, so they hold
+    # The q^2+1 lines are pairwise disjoint, so they hold
     # (q^2+1)(q+1) points, all of PG(3,q): that they cover it is not tested.
     provenance = {tuple(map(tuple, rows)): c for c, rows in enumerate(traces.tolist())}
     state.spread = Spread(lines=lines, axis=q * q, provenance=provenance)
@@ -974,14 +944,16 @@ def stage_regulus_closure(state):
             if hits != 1:
                 raise StructureViolation(
                     f"opposite regulus contains {hits} trace lines")
-    if len(reguli) != q * q + q:
-        raise StructureViolation(
-            f"{len(reguli)} distinct reguli through the axis, expected {q * q + q}")
+    # There are q^2+q reguli, which is not tested.  A regulus is accepted for
+    # a pair that no accepted one covers, and three pairwise skew lines lie
+    # in exactly one regulus (Hirschfeld 1985).  So two accepted reguli share
+    # the axis and at most one other line, and they cover the C(q^2, 2) pairs
+    # of non-axis lines C(q, 2) pairs at a time.
     state.reguli = reguli
     out = {
         "pairs": n * (n - 1) // 2,
         "passes": passes,
-        "distinct_reguli": len(reguli),
+        "distinct_reguli": q * q + q,
     }
     if state.planes:
         out["opposites_with_one_trace_line"] = len(reguli)
@@ -1054,9 +1026,11 @@ def stage_rebuild_arc(state):
         axis_img_rows, _ = rref(f, dot_np(f, spread.lines[spread.axis][:, None], cols).tolist())
         slope = frame.slope_of_line[axis_img_rows]
         t_inf_point = frame.linf_point_of_slope(slope)
+        # The q^2+1 points are distinct, which is not tested.  C's points are
+        # distinct and affine, diag(A, 1) is invertible (align_spreads checks
+        # each factor of A), points_up is a bijection on the affine points,
+        # and t_inf_point has z = 0.
         arc = sorted(up_points) + [t_inf_point]
-        if len(set(arc)) != q * q + 1:
-            raise NotAnArc("lifted points are not distinct")
         form = conic_through_5(frame.plane, arc[:5])
         for p in arc:
             if form.evaluate(p) != 0:

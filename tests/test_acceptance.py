@@ -6,7 +6,6 @@ integer; the runtime bounds are the stated budgets.
 """
 
 import contextlib
-import itertools
 import json
 import random
 import time
@@ -16,8 +15,7 @@ import pytest
 from pgconics.bruckbose import (build_C, canonical_tangent_conic,
                                 random_tangent_conic, verify_lemma1)
 from pgconics.cli import main
-from pgconics.conics import (complete_q_arc, complete_q_arc_by_secants,
-                             conic_through_5, QuadraticForm)
+from pgconics.conics import complete_q_arc, complete_q_arc_by_secants, QuadraticForm
 from pgconics.projgeom import ProjectiveSpace, points_array
 from pgconics.reconstruct import (PipelineState, classical_spread,
                                   full_pipeline, make_frame,

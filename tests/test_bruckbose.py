@@ -8,10 +8,10 @@ import pytest
 from pgconics.galois import Field, QuadExtension
 from pgconics.projgeom import Subspace, span
 from pgconics.conics import classify_vs_conic, is_arc
-from pgconics.bruckbose import (BruckBoseFrame, ClosureOverflow, LemmaViolation,
-                                _tangent_counts, baer_closure, baer_subplane_through,
-                                build_C, build_frame, canonical_tangent_conic,
-                                random_tangent_conic, verify_lemma1, write_c_dump)
+from pgconics.bruckbose import (BruckBoseFrame, LemmaViolation, _tangent_counts,
+                                baer_closure, baer_subplane_through, build_frame,
+                                canonical_tangent_conic, random_tangent_conic,
+                                verify_lemma1, write_c_dump)
 from pgconics.reconstruct import CheckViolation, PipelineState, regulus_from, stage_axioms
 
 

@@ -171,11 +171,11 @@ def assert_three_space_confinement(st, pairs):
 
     The oracle is Subspace.meet and span, the dual-vector test and
     Subspace.contains of every plane's basis rows.  infinity_data reads the
-    meet from the rank of the stacked bases (rref_np), tests input points
-    against the 3-space's dual vector and counts the planes whose members
-    are all inside (_three_space_tests).  Both must agree on every pair, also at
-    q = 3, where a third plane is not excluded by counting (it meets each
-    of the two planes in a line, so carries <= 4 points).
+    meet from the rank of the stacked bases (rref_np) and tests input points
+    against the 3-space's dual vector (_three_space_tests).  Both must agree
+    on every pair, also at q = 3.  No third plane lies in the 3-space: the
+    stage does not test that, as it shares at most one of its q >= 3
+    members with each of the two planes.
     """
     C, f = st.C, st.base
     planes = [plane_subspace(st, p) for p in range(len(st.planes))]
@@ -183,7 +183,7 @@ def assert_three_space_confinement(st, pairs):
     all_pairs = np.array(list(itertools.combinations(range(len(planes)), 2)))
     bases = st.planes.bases
     red, rank = rref_np(f, np.concatenate((bases[all_pairs[:, 0]], bases[all_pairs[:, 1]]), axis=1))
-    foreign, third_count = _three_space_tests(f, red[:, :4], st._C_arr, st.planes, all_pairs)
+    foreign = _three_space_tests(f, red[:, :4], st._C_arr, st.planes, all_pairs)
     found = 0
     for p, (a, b) in enumerate(all_pairs.tolist()):
         m = planes[a].meet(planes[b])
@@ -199,7 +199,7 @@ def assert_three_space_confinement(st, pairs):
         third = [i for i, plane in enumerate(planes)
                  if all(sigma3.contains(row) for row in plane.rows)]
         assert third == [a, b]
-        assert not foreign[p] and third_count[p] == 2
+        assert not foreign[p]
         found += 1
     assert found == pairs  # (q+1)/2 completion points x q^2 cross pairs
     recs = run_stages(st, include={"parallel_classes", "infinity_data"})
@@ -226,19 +226,24 @@ def test_three_space_confinement_other_fields(q, seed, pairs):
 @pytest.mark.parametrize("seed", [0, 5])
 def test_trace_lines_match_subspace_meet(q, seed):
     """infinity_data's trace lines, from one rref_np of the bases with x4
-    moved first, against Subspace.meet with the hyperplane x4 = 0."""
+    moved first, against Subspace.meet with the hyperplane x4 = 0; and its
+    points at infinity on them, from one bincount, against Subspace.points."""
     st = cplane_state(q, seed)
     recs = run_stages(st, include={"parallel_classes", "infinity_data"})
     assert [r.verdict for r in recs] == ["pass", "pass"]
     infinity = st.space4.hyperplane(4)
-    assert st.planes.traces.tolist() == [
-        [list(row[:4]) for row in plane_subspace(st, p).meet(infinity).rows]
-        for p in range(len(st.planes))]
+    lines = [plane_subspace(st, p).meet(infinity) for p in range(len(st.planes))]
+    assert st.planes.traces.tolist() == [[list(row[:4]) for row in m.rows] for m in lines]
+    on_lines = collections.Counter(p[:4] for m in lines for p in m.points())
+    cls = st.classification
+    assert [on_lines[p] for p in cls.completion_points] == [2 * q] * ((q + 1) // 2)
+    assert cls.free_points == tuple(sorted(p for p in st.sigma.points() if on_lines[p] == 0))
+    assert sum(k == 1 for k in on_lines.values()) == recs[1].counts["simple_points"]
 
 
 def test_three_space_tests_flags():
     """A member missing from its plane makes the 3-space hold a foreign
-    point; a second copy of a plane makes it hold three planes."""
+    point."""
     st = cplane_state(7, 0)
     planes = [plane_subspace(st, p) for p in range(len(st.planes))]
     a, b = next((a, b) for a, b in itertools.combinations(range(len(planes)), 2)
@@ -246,17 +251,12 @@ def test_three_space_tests_flags():
     sigma3 = span(st.space4, [planes[a], planes[b]])
     spans = np.array([sigma3.rows], dtype=np.int16)
     pair = np.array([[a, b]])
-    assert [x.tolist() for x in _three_space_tests(st.base, spans, st._C_arr, st.planes, pair)] \
-        == [[False], [2]]
-    bases, members = st.planes.bases, st.planes.members
-    copied = Planes(bases=np.concatenate((bases, bases[a:a + 1])),
-                    members=np.concatenate((members, members[a:a + 1])))
-    assert [x.tolist() for x in _three_space_tests(st.base, spans, st._C_arr, copied, pair)] \
-        == [[False], [3]]
+    assert _three_space_tests(st.base, spans, st._C_arr, st.planes, pair).tolist() == [False]
+    members = st.planes.members
     # plane a lists another of its members in place of one that plane b lacks
     k = next(k for k, m in enumerate(members[a]) if m not in members[b])
     members[a, k] = members[a, k - 1]
-    assert _three_space_tests(st.base, spans, st._C_arr, st.planes, pair)[0].tolist() == [True]
+    assert _three_space_tests(st.base, spans, st._C_arr, st.planes, pair).tolist() == [True]
 
 
 def inject_foreign_point(q, seed, pair):
@@ -909,8 +909,20 @@ EXPLORATORY_AXIOMS = {
 
 @pytest.mark.parametrize("q", sorted(EXPLORATORY_AXIOMS))
 def test_exploratory_axioms_records(q):
+    """At q = 4 and 8 the canonical "conic" is the line x = 0.
+
+    In characteristic 2 the symmetric matrix that QuadraticForm stores
+    cannot hold the yz term of x^2 - yz: v M v^T counts each off-diagonal
+    entry twice, so the form evaluates as x^2 (at q = 4 its matrix is
+    ((1,0,0),(0,0,3),(0,3,0))).  Its zero set is the line x = 0, whose
+    affine part maps to the affine plane (0, 0, y0, y1, 1) of PG(4,q).  That
+    plane holds the line of input points 0, 1 and 2, which axioms reports.
+    """
     frame = make_frame(q)
-    st = PipelineState(frame, build_C(frame, random_tangent_conic(frame, 0)), exploratory=True)
+    conic = random_tangent_conic(frame, 0)
+    if q % 2 == 0:
+        assert {p[0] for p in conic.points} == {0}
+    st = PipelineState(frame, build_C(frame, conic), exploratory=True)
     rec = run_stages(st, include={"axioms"})[0]
     assert (rec.verdict, rec.witness, rec.counts) == EXPLORATORY_AXIOMS[q]
 
@@ -953,8 +965,7 @@ def scalar_tangent_trace(state, cid):
         for c, row in zip(direction, rows):
             pt5 = [f.add(x, f.mul(c, y)) for x, y in zip(pt5, row)]
         pt5 = state.space4.normalize(pt5)
-        if pt5[4] != 0:
-            raise TangentDegenerate("tangent trace point is affine", witness=witness)
+        assert pt5[4] == 0  # (t x x4) . x4 = 0, so _tangent_traces does not test it
         traces.append(state.sigma.normalize(pt5[:4]))
     if len(set(traces)) != q + 1:
         raise StructureViolation(
@@ -1038,7 +1049,7 @@ def inject_own_plane(st):
 
 
 def inject_own_plane_and_axis(st):
-    """Point 0 fails checks 6 and 7; the earlier one is reported."""
+    """Point 0 fails checks 5 and 6; the earlier one is reported."""
     line = scalar_tangent_trace(st, 0)
     inject_own_plane(st)
     st.axis = Subspace(st.sigma, line.rows)
@@ -1075,24 +1086,6 @@ def test_tangent_trace_failure_witnesses(frame7, c7, inject, witness):
     assert first_scalar_failure(st) == witness
     rec = run_stages(st, include={"assemble_spread"})[0]
     assert (rec.verdict, rec.witness) == ("fail", witness)
-
-
-def test_tangent_trace_affine_point_witness(frame7, c7, monkeypatch):
-    """Check 3 cannot fail on a real state (see _tangent_traces), so the lift
-    through one plane is patched to leave infinity; captured by patching the
-    scalar lift in the same way."""
-    st = trace_state(frame7, c7)
-    target = st.planes.bases[st.planes_through[0][1]]
-    original = reconstruct._from_intrinsic_np
-
-    def lift(f, bases, coeffs):
-        out = original(f, bases, coeffs)
-        out[(bases == target).all(axis=(-2, -1)), 4] = 1
-        return out
-    monkeypatch.setattr(reconstruct, "_from_intrinsic_np", lift)
-    rec = run_stages(st, include={"assemble_spread"})[0]
-    assert (rec.verdict, rec.witness) == (
-        "fail", "TangentDegenerate: tangent trace point is affine [1,0,0,0,0;0,0,1,0,0;0,0,0,0,1]")
 
 
 # plane a's trace line replaced by plane b's; records captured while the
@@ -1305,6 +1298,44 @@ def test_affine_completion_witness(frame7, c7, monkeypatch):
     rec = run_stages(st, include={"infinity_data"})[0]
     assert (rec.verdict, rec.witness) == (
         "fail", "StructureViolation: completion point is affine [0,0,0,0,1]")
+
+
+def simple_point_line(st):
+    """The line through plane 0's completion point and the first simple
+    point whose trace line misses that completion point, as RREF rows."""
+    ids = st.sigma.line_point_ids(st.planes.traces)
+    on_lines = np.bincount(ids.ravel(), minlength=st.sigma.npoints)
+    completion = st.planes.completions[0].tolist()
+    through = np.isin(ids, st.sigma.point_ids([completion])).any(axis=1)
+    owner = {p: t for t, pts in enumerate(ids.tolist()) for p in pts}
+    x = next(p for p in range(st.sigma.npoints) if on_lines[p] == 1 and not through[owner[p]])
+    return rref_np(st.base, np.array([[completion, st.sigma.points_np()[x].tolist()]]))[0][0]
+
+
+# plane 0's trace line counted as another line; records captured while
+# infinity_data looped over sigma.points()
+@pytest.mark.parametrize("line,witness", [
+    # a second completion point on 2q + 1 lines
+    (lambda st: st.axis.rows, "completion point on 15 trace lines, expected 14 [0,0,1,3]"),
+    (simple_point_line, "point at infinity on 2 trace lines [1,1,0,0]"),
+], ids=["axis", "simple-point-line"])
+def test_trace_count_witness(frame7, c7, monkeypatch, line, witness):
+    """The first point at infinity on the wrong number of trace lines, in
+    point id order."""
+    st = classes_state(frame7, c7)
+    assert [r.verdict for r in run_stages(st, include={"infinity_data", "t_infinity"})] == \
+        ["pass", "pass"]
+    rows = np.array(line(st), dtype=np.int16)
+    original = st.sigma.line_point_ids
+
+    def ids(lines):
+        lines = np.array(lines, dtype=np.int16)
+        if len(lines) == len(st.planes):
+            lines[0] = rows
+        return original(lines)
+    monkeypatch.setattr(st.sigma, "line_point_ids", ids)
+    rec = run_stages(st, include={"infinity_data"})[0]
+    assert (rec.verdict, rec.witness) == ("fail", "StructureViolation: " + witness)
 
 
 def test_axis_plane_witness(frame7, c7):
