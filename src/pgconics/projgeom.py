@@ -175,9 +175,11 @@ class ProjectiveSpace:
         f = self.field
         rows = np.asarray(rows, dtype=np.int16)
         ids = np.empty((len(rows), f.q + 1), dtype=np.int32)
+        # flat lookups: add_np[x, y] is add[x q + y]
+        add, r0q, r1 = f.add_np.ravel(), rows[:, 0].astype(np.intp) * f.q, rows[:, 1]
         for c in range(f.q):  # the points r0 + c r1, then r1
-            ids[:, c] = self.point_ids(f.add_np[rows[:, 0], f.mul_np[c, rows[:, 1]]])
-        ids[:, f.q] = self.point_ids(rows[:, 1])
+            ids[:, c] = self.point_ids(np.take(add, r0q + np.take(f.mul_np[c], r1)))
+        ids[:, f.q] = self.point_ids(r1)
         return ids
 
     def line_table(self):
@@ -449,6 +451,11 @@ def scan_heavy_planes(space, pts):
     points are reduced modulo the pair's line; equal canonical residues mean
     a common plane through the pair.  Avoids enumerating every plane of the
     ambient space.
+
+    This is the witness path of the reconstruction's axioms stage: where
+    the sweep of the lines at infinity settles the planes (the passing
+    inputs) this scan does not run, and every anomaly below is reported
+    from it.
 
     Returns a HeavyPlaneScan with:
       planes            list of (Subspace, member index tuple), dedup'd

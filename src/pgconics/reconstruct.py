@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .galois import Field, QuadExtension
-from .projgeom import (ProjectiveSpace, Subspace, dot_np, group_rows,
-                       mat_mul, matrix_inverse, normalize_rows_np, nullspace,
-                       points_array, reduce_rows_np, rref, rref_np,
+from .projgeom import (HEAVY, HeavyPlaneScan, ProjectiveSpace, Subspace, dot_np,
+                       group_rows, mat_mul, matrix_inverse, normalize_rows_np,
+                       nullspace, points_array, reduce_rows_np, rref, rref_np,
                        scan_heavy_planes, span)
 from .conics import (CompletionNotUnique, DegenerateInput, NotAnArc,
                      complete_q_arc, conic_through_5, is_arc)
@@ -111,6 +111,7 @@ class Planes:
     traces: np.ndarray = None
     completions: np.ndarray = None
     forms: np.ndarray = None
+    _table = None  # (member table, the members it was built from)
 
     def __len__(self):
         return len(self.bases)
@@ -125,10 +126,16 @@ class Planes:
         return points[self.members[:, :, None], self.pivots[:, None, :]]
 
     def member_table(self, width):
-        """Boolean table (n, width): whether plane p carries input point k."""
-        table = np.zeros((len(self), width), dtype=bool)
-        table[np.arange(len(self))[:, None], self.members] = True
-        return table
+        """Boolean table (n, width): whether plane p carries input point k.
+
+        Built once and kept, read-only, until width or members change."""
+        kept = self._table
+        if kept is None or kept[0].shape[1] != width or not np.array_equal(kept[1], self.members):
+            table = np.zeros((len(self), width), dtype=bool)
+            table[np.arange(len(self))[:, None], self.members] = True
+            table.flags.writeable = False
+            self._table = kept = table, self.members.copy()
+        return kept[0]
 
     def text(self, p):
         """The basis of plane p, written as Subspace.to_text writes it."""
@@ -211,23 +218,44 @@ class DirectionTable:
     carries 1 + sum over P on l of M[a, P] points of C.  A repeated point has
     no direction and counts on every plane through a.  M is stored
     transposed, one row per point P of PG(3,q).
+
+    line_levels() sweeps every line l of sigma.line_table() once.  A line's
+    level is the most other input points on one plane <l, a> through an
+    input point a, capped at LEVELS = HEAVY - 1; below the cap, the fullest
+    plane through l carries 1 + level points.  So level 0 means no plane
+    through l holds two input points, level <= 1 that none holds three
+    (uniqueness's compatible axis-meeting lines), level >= 2 that one does
+    (what uniqueness asks of every line outside the spread), and level 4
+    that a plane through l carries HEAVY or more, one of axiom 1's planes.
+
+    When T is 0/1 and no point repeats, as axiom 1 requires (T >= 2 means
+    three collinear points), the sweep packs T as bits over the input
+    points and runs one threshold counter per level, a block of lines at a
+    time, keeping the (line, point) entries at the cap for heavy().
+    Otherwise it takes the levels from plane_counts and heavy() is None.
     """
 
     BLOCK = 512  # lines summed at a time, bounding the working memory
     # counts are below |C| = q^2, so int16 holds them for q <= 181
+    LEVELS = HEAVY - 1
+    WORDS = 1 << 14  # 64-bit words per counter in one block of the bit sweep
 
     def __init__(self, state):
         f, arr = state.base, state._C_arr
         self.arr = arr
+        self.sigma = state.sigma
         if not arr[:, 4].all():
             raise StructureViolation("input point inside the hyperplane at infinity")
         n = len(arr)
         aff = f.mul_np[f.inv_np[arr[:, 4]][:, None], arr[:, :4]]  # scaled to x4 = 1
+        self.affine = aff
         dirs, zero = normalize_rows_np(f, f.sub_np[aff[None], aff[:, None]].reshape(-1, 4))
         a = np.repeat(np.arange(n), n)
         self.repeats = (np.bincount(a[zero], minlength=n) - 1).astype(np.int16)
         self.T = np.zeros((state.sigma.npoints, n), dtype=np.int16)
         np.add.at(self.T, (state.sigma.point_ids(dirs[~zero]), a[~zero]), 1)
+        self.binary = self.T.max(initial=0) <= 1 and not self.repeats.any()
+        self._levels = self._heavy = None
 
     def plane_counts(self, pids, members=None):
         """Input points on the planes through lines given by point ids.
@@ -246,6 +274,59 @@ class DirectionTable:
             if members is not None:
                 own.append(np.take_along_axis(sums, members[lo:lo + self.BLOCK], axis=1))
         return 1 + np.concatenate(largest), (1 + np.concatenate(own) if own else None)
+
+    def line_levels(self):
+        """The level of every line of sigma.line_table(), int8; swept once."""
+        if self._levels is None:
+            ids = self.sigma.line_table()[1]
+            if self.binary:
+                self._levels, self._heavy = self._bit_sweep(ids)
+            else:
+                largest, _ = self.plane_counts(ids)
+                self._levels = np.minimum(largest - 1, self.LEVELS).astype(np.int8)
+        return self._levels
+
+    def heavy(self):
+        """(lines, points): each line_table() index l and input point a whose
+        plane <l, a> carries HEAVY or more input points, in (l, a) order;
+        None unless T is 0/1 without repeats."""
+        if not self.binary:
+            return None
+        self.line_levels()
+        return self._heavy
+
+    def _bit_sweep(self, ids):
+        """Levels and cap entries of the lines with point ids ids, from T packed
+        as bits: counter k holds the points with more than k other points on
+        the plane, and a line point P with bits x sets it where counter k-1
+        and x are both set."""
+        n = self.T.shape[1]
+        words = -(-n // 64)
+        packed = np.zeros((len(self.T), 8 * words), dtype=np.uint8)
+        packed[:, :-(-n // 8)] = np.packbits(self.T, axis=1)
+        bits = packed.view(np.uint64)
+        step = max(1, self.WORDS // words)
+        levels = np.empty(len(ids), dtype=np.int8)
+        lines, points = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        buffers = np.empty((self.LEVELS + 2, min(step, len(ids)), words), dtype=np.uint64)
+        for lo in range(0, len(ids), step):
+            block = ids[lo:lo + step]
+            counters, (x, both) = np.split(buffers[:, :len(block)], [self.LEVELS])
+            counters[...] = 0
+            for col in block.T:
+                np.take(bits, col, axis=0, out=x)
+                for k in range(self.LEVELS - 1, 0, -1):
+                    np.bitwise_and(counters[k - 1], x, out=both)
+                    counters[k] |= both
+                counters[0] |= x
+            hit = counters.any(axis=2)
+            levels[lo:lo + len(block)] = hit.sum(axis=0)
+            rows = np.flatnonzero(hit[-1])
+            flags = np.unpackbits(counters[-1, rows].view(np.uint8), axis=1, count=n)
+            r, a = np.nonzero(flags)
+            lines.append(lo + rows[r])
+            points.append(a)
+        return levels, (np.concatenate(lines), np.concatenate(points))
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +540,66 @@ def on_klein_quadric(field, p):
     return field.add(t, field.mul(p[2], p[3])) == 0
 
 
+def _swept_planes(state):
+    """The planes carrying HEAVY or more input points, read off the line
+    sweep, as scan_heavy_planes reports them; None where the scan must run.
+
+    Each such plane is <l, a> for its trace line l and any member a
+    (Bruck-Bose), and the sweep flags every member (l, a).  The members of
+    one plane are the flagged a on l with one residue modulo l: eliminating
+    l's RREF rows from a scaled to x4 = 1 leaves the plane's point with
+    x4 = 1 and zeros at l's pivots.  The result is taken only when T is 0/1,
+    every plane has q members and every pair of input points lies in
+    exactly one plane, which fails for q < HEAVY.  Then the scan finds no
+    collinear triple, no pair conflict and no uncovered pair, and it finds
+    each plane at its least member pair, which no other plane holds; so its
+    planes are these, in the lexicographic order of their member tuples.
+    Every failure is left to the scan, whose witnesses it then reports.
+    """
+    q, f, table = state.q, state.base, state.directions
+    heavy = table.heavy()
+    if heavy is None:
+        return None
+    lines, points = heavy
+    rows = state.sigma.line_table()[0][lines]
+    pivots = (rows != 0).argmax(axis=2)
+    at = np.arange(len(rows))
+    res = table.affine[points]
+    for r in range(2):
+        coef = res[at, pivots[:, r]]
+        res = f.sub_np[res, f.mul_np[coef[:, None], rows[:, r]]]
+    key = lines * q ** 4 + res.astype(np.int64) @ q ** np.arange(3, -1, -1)
+    _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
+    if (counts != q).any():
+        return None
+    # entries come in (line, point) order, so members ascend in each plane
+    entries = np.argsort(inverse, kind="stable").reshape(-1, q)
+    members = points[entries]
+    n = len(table.arr)
+    i, j = np.triu_indices(q, 1)
+    cover = np.bincount((members[:, i] * n + members[:, j]).ravel(), minlength=n * n)
+    if not np.array_equal(cover.reshape(n, n), np.triu(np.ones((n, n), dtype=cover.dtype), 1)):
+        return None
+    order = np.lexsort(members.T[::-1])
+    first = entries[order, 0]
+    spans = np.zeros((len(first), 3, 5), dtype=np.int16)
+    spans[:, :2, :4] = rows[first]
+    spans[:, 2, :4] = res[first]
+    spans[:, 2, 4] = 1
+    bases = rref_np(f, spans)[0].tolist()
+    planes = [(Subspace(state.space4, tuple(map(tuple, b))), tuple(m))
+              for b, m in zip(bases, members[order].tolist())]
+    return HeavyPlaneScan(planes, None, None, None)
+
+
+def _find_planes(state):
+    """The planes carrying HEAVY or more input points, with the anomalies
+    that scan_heavy_planes reports: from the line sweep where it settles
+    them, else from the scan."""
+    swept = _swept_planes(state)
+    return swept if swept is not None else scan_heavy_planes(state.space4, state.C)
+
+
 # ---------------------------------------------------------------------------
 # stages
 
@@ -474,7 +615,7 @@ def stage_axioms(state):
     for p in C:
         if p[4] == 0:
             raise StructureViolation(f"point at infinity in the input: {p}")
-    scan = scan_heavy_planes(state.space4, C)
+    scan = _find_planes(state)
     if scan.collinear_triple is not None:
         i, j, k = scan.collinear_triple
         raise Axiom1Violation(f"three collinear points (ids {i},{j},{k})",
@@ -1154,8 +1295,9 @@ def stage_uniqueness(state):
 
     # opposite reguli of the axis reguli each contain a trace line (checked in
     # the closure stage); here the per-line argument:
-    largest, _ = state.directions.plane_counts(ids)
-    violations = np.flatnonzero(outside & (largest < 3))
+    # a plane through a line carries 1 + its level points, below the cap
+    levels = state.directions.line_levels()
+    violations = np.flatnonzero(outside & (levels < 2))
     if len(violations):
         raise UniquenessViolation(
             "a line outside the spread admits no 3-point plane",
@@ -1166,7 +1308,7 @@ def stage_uniqueness(state):
         "incompatible": disjoint_outside,
         "spread_lines_compatible": int((in_spread & ~axis & ~meeting).sum()) + 1,
         "axis_meeting_lines": int(meeting.sum()),
-        "axis_meeting_compatible": int((meeting & (largest <= 2)).sum()),
+        "axis_meeting_compatible": int((meeting & (levels <= 1)).sum()),
         "opposites_with_trace_line": len(state.reguli),
     }
     if state.expect_classical:

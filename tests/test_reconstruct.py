@@ -1,4 +1,5 @@
 import collections
+import copy
 import itertools
 import json
 import random
@@ -1132,9 +1133,9 @@ def test_axiom3_counts_match_subspace_points(frame7, seed):
 
 
 def patched_scan_state(monkeypatch, frame, C, planes):
-    """A state whose heavy-plane scan returns the given (plane, members) list."""
-    monkeypatch.setattr(reconstruct, "scan_heavy_planes",
-                        lambda space, pts: HeavyPlaneScan(planes, None, None, None))
+    """A state whose axioms stage finds the given (plane, members) list."""
+    monkeypatch.setattr(reconstruct, "_find_planes",
+                        lambda state: HeavyPlaneScan(planes, None, None, None))
     return PipelineState(frame, C)
 
 
@@ -1168,6 +1169,152 @@ def test_axiom3_witness(frame7, c7, monkeypatch, dst, src, witness):
     first = next((p, k) for p, k in dict_axiom3_counts(c7, [pl for pl, _ in planes]).items()
                  if k != 2)
     assert witness == f"affine point on {first[1]} planes [{','.join(map(str, first[0]))}]"
+
+
+# ---------------------------------------------------------------------------
+# axioms: the C-planes from the line sweep, the pair scan on every failure
+
+
+@pytest.mark.parametrize("q", [5, 7, 9])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_swept_planes_match_the_scan(q, seed):
+    """The sweep's planes are the scan's: the same RREF bases, member tuples
+    and order (seed 0 is the canonical conic)."""
+    frame = make_frame(q)
+    st = PipelineState(frame, build_C(frame, random_tangent_conic(frame, seed)),
+                       exploratory=q < 7)
+    swept = reconstruct._swept_planes(st)
+    assert swept is not None and len(swept.planes) == q * q + q
+    assert swept == scan_heavy_planes(frame.space4, st.C)
+
+
+def test_q3_planes_are_left_to_the_scan():
+    """At q = 3 the C-planes carry three points, fewer than HEAVY, so the
+    scan runs and finds no plane through the first pair."""
+    frame = make_frame(3)
+    st = PipelineState(frame, build_C(frame, random_tangent_conic(frame, 0)), exploratory=True)
+    assert reconstruct._swept_planes(st) is None
+    rec = run_stages(st, include={"axioms"})[0]
+    assert rec.verdict == "warn"
+    assert rec.witness.startswith("Axiom2Violation: point pair (0, 1) lies in no plane ")
+
+
+def test_swept_planes_need_every_pair_covered(frame7, c7, monkeypatch):
+    """With the sweep's entries of one plane dropped, every other plane still
+    has q members but that plane's pairs lie in none: the sweep leaves the
+    input to the scan, which finds every plane and passes it."""
+    st = PipelineState(frame7, c7)
+    lines, points = st.directions.heavy()
+    kept = lines != lines[0]
+    monkeypatch.setattr(st.directions, "heavy", lambda: (lines[kept], points[kept]))
+    assert reconstruct._swept_planes(st) is None
+    assert run_stages(st, include={"axioms"})[0].verdict == "pass"
+
+
+# the displaced q = 9 dumps of the reconstruct-q9 benchmark workload and
+# their axioms witnesses there (perfbench/refs.json).  Seed 1's direction
+# table is 0/1, so the sweep runs and leaves the pair conflict to the scan;
+# seed 3's has an entry 2 (three collinear points), so the scan runs alone.
+@pytest.mark.parametrize("seed,t_max,witness", [
+    (1, 1, "point pair (0,1) lies in two planes [1,1,0,0,6;0,0,1,0,0;0,0,0,1,3]"),
+    (3, 2, "point pair (0,1) lies in two planes [1,0,0,0,6;0,1,1,0,7;0,0,0,1,7]"),
+])
+def test_displaced_q9_axioms_witness(tmp_path, capsys, seed, t_max, witness):
+    from pgconics.bruckbose import write_c_dump
+    frame = make_frame(9)
+    C = displace_point(frame, build_C(frame, random_tangent_conic(frame, seed)), seed=seed)
+    assert PipelineState(frame, C).directions.T.max() == t_max
+    path = tmp_path / "displaced.txt"
+    write_c_dump(path, frame, C, seed)
+    assert main(["reconstruct", "--q", "9", "--in", str(path), "--threads", "1"]) == 1
+    axioms = json.loads(capsys.readouterr().out)["stages"][0]
+    assert (axioms["name"], axioms["verdict"]) == ("axioms", "fail")
+    assert axioms["witness"] == "Axiom2Violation: " + witness
+
+
+def test_pass_path_makes_no_scan(frame7, c7, monkeypatch):
+    """A canonical q = 7 round trip makes no pair scan and no row grouping;
+    a displaced point sends axioms to the scan."""
+    from pgconics import projgeom
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+    for name in ("scan_heavy_planes", "group_rows"):
+        wrapped = counting(name, getattr(projgeom, name))
+        for module in (projgeom, reconstruct):
+            monkeypatch.setattr(module, name, wrapped)
+    records, _ = full_pipeline(c7, frame=frame7)
+    assert [r.verdict for r in records] == ["pass"] * len(records)
+    assert calls == {}
+    records, _ = full_pipeline(displace_point(frame7, c7, seed=0), frame=frame7)
+    assert records[0].verdict == "fail"
+    assert calls["scan_heavy_planes"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# uniqueness: the swept line levels against exact plane counts
+
+
+def uniqueness_oracle(st):
+    """uniqueness's verdict, witness and axis_meeting_compatible from exact
+    plane counts of every line: a line outside the spread needs a plane
+    through it carrying three input points, and an axis-meeting line is
+    compatible when no plane through it carries more than two."""
+    sigma, spread = st.sigma, st.spread
+    rows, ids = sigma.line_table()
+    keys = reconstruct._line_keys(sigma, ids)
+    axis_ids = sigma.line_point_ids(spread.lines[[spread.axis]])
+    axis = keys == reconstruct._line_keys(sigma, axis_ids)[0]
+    meeting = np.isin(ids, axis_ids).any(axis=1) & ~axis
+    in_spread = np.isin(keys, reconstruct._line_keys(sigma, sigma.line_point_ids(spread.lines)))
+    outside = ~(axis | meeting | in_spread)
+    largest, _ = st.directions.plane_counts(ids)
+    bad = np.flatnonzero(outside & (largest < 3))
+    if len(bad):
+        line = ";".join(",".join(map(str, row)) for row in rows[bad[0]].tolist())
+        return ("fail", "UniquenessViolation: a line outside the spread admits no 3-point "
+                f"plane [{line}]", None)
+    return "pass", None, int((meeting & (largest <= 2)).sum())
+
+
+def move_point_48(point):
+    """Input point 48 moved to point, on the plane through the axis-meeting
+    line [1,0,0,0;0,0,1,1] and an input point sharing it with one other."""
+    def inject(st):
+        st.C = st.C[:48] + (point,) + st.C[49:]
+        st._C_arr = points_array(st.C)
+    return inject
+
+
+def perturb_spread(st):
+    st.spread = perturb_spread_by_regulus(st.sigma, st.spread)[0]
+
+
+# (1,1,1,0,3) keeps the direction table 0/1, so the levels come from the bit
+# sweep; (1,1,0,6,3) puts three input points on a line, so they come from
+# plane_counts.  Both give the axis-meeting line a 3-point plane.  The
+# perturbed spread leaves former spread lines outside it.
+@pytest.mark.parametrize("inject,binary,expected", [
+    (lambda st: None, True, ("pass", None, 392)),
+    (move_point_48((1, 1, 1, 0, 3)), True, ("pass", None, 230)),
+    (move_point_48((1, 1, 0, 6, 3)), False, ("pass", None, 237)),
+    (perturb_spread, True, ("fail", "UniquenessViolation: a line outside the spread admits "
+                                    "no 3-point plane [1,0,0,0;0,1,0,0]", None)),
+    (lambda st: (perturb_spread(st), move_point_48((1, 1, 0, 6, 3))(st)), False,
+     ("fail", "UniquenessViolation: a line outside the spread admits "
+              "no 3-point plane [1,0,0,1;0,1,3,0]", None)),
+], ids=["pass", "moved-bits", "moved-int16", "perturbed-bits", "perturbed-int16"])
+def test_uniqueness_levels_match_plane_counts(run7, inject, binary, expected):
+    st = copy.copy(run7[1])
+    inject(st)
+    assert st.directions.binary == binary
+    assert uniqueness_oracle(st) == expected
+    rec = run_stages(st, include={"uniqueness"})[0]
+    assert (rec.verdict, rec.witness, rec.counts.get("axis_meeting_compatible")) == expected
 
 
 # the spread assembled with, in place of the axis, the line through a point
