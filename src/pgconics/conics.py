@@ -3,6 +3,11 @@
 A quadratic form is kept as a symmetric 3x3 matrix M (odd order makes the
 symmetric representative canonical); a point P is on the conic iff
 P M P^T = 0 and the tangent line at a conic point has dual coordinates M P.
+
+complete_q_arcs completes a whole stack of q-arcs to their conics on
+arrays; that is the reconstruction's pass path.  complete_q_arc, the same
+fit for one arc, is its failure path, which names the first failing arc,
+and the oracle the tests compare the batch against.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import itertools
 
 import numpy as np
 
-from .projgeom import Subspace, dot_np, nullspace, rref, span
+from .projgeom import Subspace, dot_np, normalize_rows_np, nullspace, rref, rref_np, span
 
 
 class DegenerateInput(ValueError):
@@ -44,6 +49,11 @@ def _det3(f, m):
     return f.add(f.sub(t1, t2), t3)
 
 
+def _half(f):
+    """The inverse of the element encoded 2 (of 1 + 1 in a prime field)."""
+    return f.inv(2 % f.p if f.k == 1 else 2)
+
+
 class QuadraticForm:
     """Symmetric 3x3 quadratic form over the plane's field."""
 
@@ -67,7 +77,7 @@ class QuadraticForm:
     def from_coefficients(cls, space, coeffs):
         """Build from (a, b, c, d, e, f) in a x^2 + b y^2 + c z^2 + d xy + e xz + f yz."""
         fld = space.field
-        half = fld.inv(2 % fld.p if fld.k == 1 else 2)
+        half = _half(fld)
         a, b, c, d, e, ff = coeffs
         m = (
             (a, fld.mul(half, d), fld.mul(half, e)),
@@ -87,6 +97,13 @@ class QuadraticForm:
         mp = tuple(f.dot(row, pt) for row in self.matrix)
         return f.dot(pt, mp)
 
+    def values(self, pts):
+        """P M P^T for every row P of an int16 array (k, 3), through the
+        field's tables, so every product stays an exact int16 code."""
+        f = self.space.field
+        mp = dot_np(f, np.array(self.matrix, dtype=np.int16), pts[:, None, :])
+        return dot_np(f, pts, mp)
+
     def polar_dual(self, pt):
         """Dual coordinates M.P of the polar line of pt."""
         f = self.space.field
@@ -98,14 +115,11 @@ class QuadraticForm:
     def points(self):
         """The zeros of the form, in space.points() order.
 
-        P M P^T is evaluated over the space's point array at once, through
-        the field's tables, so every product stays an exact int16 code.
+        P M P^T is evaluated over the space's point array at once.
         """
         if self._points is None:
-            f = self.space.field
             pts = self.space.points_np()
-            mp = dot_np(f, np.array(self.matrix, dtype=np.int16), pts[:, None, :])
-            self._points = list(map(tuple, pts[dot_np(f, pts, mp) == 0].tolist()))
+            self._points = list(map(tuple, pts[self.values(pts) == 0].tolist()))
         return self._points
 
     def tangent_duals(self):
@@ -130,10 +144,12 @@ class QuadraticForm:
         return f"QuadraticForm({self.matrix})"
 
 
-def _monomial_row(f, pt):
-    x, y, z = pt
-    return (f.mul(x, x), f.mul(y, y), f.mul(z, z),
-            f.mul(x, y), f.mul(x, z), f.mul(y, z))
+def _monomials_np(f, pts):
+    """The monomials x^2, y^2, z^2, xy, xz, yz of the points (..., 3): (..., 6)."""
+    x, y, z = (pts[..., i] for i in range(3))
+    mul = f.mul_np
+    return np.stack((mul[x, x], mul[y, y], mul[z, z], mul[x, y], mul[x, z], mul[y, z]),
+                    axis=-1)
 
 
 def conic_through_5(space, points):
@@ -148,8 +164,7 @@ def conic_through_5(space, points):
     if not ok:
         raise DegenerateInput(f"three collinear points: {witness}")
     f = space.field
-    rows = [_monomial_row(f, p) for p in points]
-    sol = nullspace(f, rows)
+    sol = nullspace(f, _monomials_np(f, np.array(points, dtype=np.int16)).tolist())
     if len(sol) != 1:
         raise DegenerateInput(f"solution space has dimension {len(sol)}")
     # nullspace returns RREF rows, so the solution is already scaled to a leading 1
@@ -220,6 +235,58 @@ def complete_q_arc(space, arc):
     if len(extra) != 1:
         raise CompletionNotUnique(f"{len(extra)} completion candidates")
     return next(iter(extra)), form
+
+
+def complete_q_arcs(space, arcs):
+    """complete_q_arc for every arc of an int16 array (n, q, 3) at once.
+
+    Returns (completions (n, 3), forms (n, 3, 3)): the completion points and
+    the conics' matrices, equal element for element to what complete_q_arc
+    gives for each arc.  Returns None if any arc fails one of the tests
+    below, leaving complete_q_arc to name the first failing arc.
+    """
+    f, q = space.field, space.field.q
+    n = len(arcs)
+    flat, zero = normalize_rows_np(f, np.asarray(arcs, dtype=np.int16).reshape(-1, 3))
+    if zero.any():
+        return None
+    ids = space.point_ids(flat).reshape(n, q)
+    ordered = np.sort(ids, axis=1)
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
+        return None
+    # The conic through the first five points, as conic_through_5 fits it:
+    # the one-dimensional nullspace of the monomial system, read from its
+    # RREF (1 on the free column, minus that column on the pivots) and
+    # scaled to a leading 1.
+    red, rank = rref_np(f, _monomials_np(f, flat.reshape(n, q, 3)[:, :5]))
+    if (rank != 5).any():
+        return None
+    k = np.arange(n)[:, None]
+    pivots = (red != 0).argmax(axis=2)
+    free = 15 - pivots.sum(axis=1, keepdims=True)  # the column of 0..5 not a pivot
+    sol = np.zeros((n, 6), dtype=np.int16)
+    sol[k, free] = 1
+    sol[k, pivots] = f.neg_np[red[k, np.arange(5), free]]
+    a, b, c, d, e, g = normalize_rows_np(f, sol)[0].T
+    # the matrix of QuadraticForm.from_coefficients, then its coefficients()
+    hd, he, hg = f.mul_np[_half(f), np.stack((d, e, g))]
+    forms = np.stack((a, hd, he, hd, b, hg, he, hg, c), axis=1).reshape(n, 3, 3)
+    coeffs = np.stack((a, b, c, f.add_np[hd, hd], f.add_np[he, he], f.add_np[hg, hg]), axis=1)
+    pts = space.points_np()
+    # sum of coefficient * monomial is P M P^T, exactly, in any field
+    on = dot_np(f, coeffs[:, None, :], _monomials_np(f, pts)[None]) == 0
+    if (on.sum(axis=1) != q + 1).any() or not on[k, ids].all():
+        return None
+    # conic_through_5's tests of the five points (no three collinear) and
+    # of the conic (det M != 0) are implied.  A form with q+1 zeros and
+    # det M = 0 vanishes on a line: at odd q it is a repeated line, and at
+    # even q every form evaluated here is the square of a linear form.  That
+    # line would hold all q arc points, the first five among them, and the
+    # conics through five collinear points contain their line, leaving rank
+    # 3, not 5.  So the conic is nondegenerate and holds no three collinear
+    # points.
+    on[k, ids] = False
+    return pts[on.argmax(axis=1)], forms
 
 
 def complete_q_arc_by_secants(space, arc):

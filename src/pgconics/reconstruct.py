@@ -30,7 +30,7 @@ from .projgeom import (HEAVY, HeavyPlaneScan, ProjectiveSpace, Subspace, dot_np,
                        nullspace, points_array, reduce_rows_np, rref, rref_np,
                        scan_heavy_planes, span)
 from .conics import (CompletionNotUnique, DegenerateInput, NotAnArc,
-                     complete_q_arc, conic_through_5, is_arc)
+                     complete_q_arc, complete_q_arcs, conic_through_5, is_arc)
 from .bruckbose import build_frame
 from .report import FAIL, PASS, SKIPPED, WARN, StageRecord
 
@@ -103,8 +103,10 @@ class Planes:
     RREF bases (n, 2, 4) of the lines in which the planes meet the
     hyperplane at infinity; completions, the points (n, 4) completing the
     members to a conic; and forms, the matrices (n, 3, 3) of those conics
-    in plane coordinates.  A point's plane coordinates are its entries at
-    the pivot columns of the plane's basis.
+    in plane coordinates, as conic_through_5 fits them to the first five
+    members.  Both come from the batched fit complete_q_arcs, or from
+    complete_q_arc plane by plane on an input that fails.  A point's plane
+    coordinates are its entries at the pivot columns of the plane's basis.
     """
     bases: np.ndarray
     members: np.ndarray
@@ -420,12 +422,17 @@ def _meet_np(f, p, r):
     return plus == f.add_np[t[..., 1], t[..., 4]]
 
 
+def _point_codes(f, pts):
+    """One integer per vector of pts (..., 6): the vector scaled to a leading
+    1, read in base q; 0 for the zero vector."""
+    scaled, _ = normalize_rows_np(f, pts.reshape(-1, 6))
+    return (scaled.astype(np.int64) @ f.q ** np.arange(5, -1, -1)).reshape(pts.shape[:-1])
+
+
 def _line_key_np(f, rows):
-    """One integer per line <x, y>, rows (..., 2, 4) holding x and y: its
-    Plucker coordinates scaled to a leading 1, read in base q."""
-    p = _plucker_np(f, rows[..., 0, :], rows[..., 1, :])
-    scaled, _ = normalize_rows_np(f, p.reshape(-1, 6))
-    return (scaled.astype(np.int64) @ f.q ** np.arange(5, -1, -1)).reshape(p.shape[:-1])
+    """One integer per line <x, y>, rows (..., 2, 4) holding x and y: the
+    _point_codes of its Plucker coordinates."""
+    return _point_codes(f, _plucker_np(f, rows[..., 0, :], rows[..., 1, :]))
 
 
 def _line_points_np(f, x, y):
@@ -729,12 +736,12 @@ def stage_parallel_classes(state):
     }
 
 
-def stage_infinity_data(state):
-    q = state.q
-    f = state.base
-    planes = state.planes
+def _complete_plane_by_plane(state, arcs):
+    """complete_q_arc and the affine test, one plane at a time: the path that
+    names the first plane whose arc does not complete to a conic."""
+    f, planes = state.base, state.planes
     completions, forms = [], []
-    for p, arc in enumerate(planes.arcs(state._C_arr).tolist()):
+    for p, arc in enumerate(arcs.tolist()):
         try:
             completion, form = complete_q_arc(state.plane2, arc)
         except (NotAnArc, CompletionNotUnique) as exc:
@@ -747,8 +754,28 @@ def stage_infinity_data(state):
                 "completion point is affine", witness=",".join(map(str, comp5)))
         completions.append(comp5[:4])
         forms.append(form.matrix)
-    planes.completions = np.array(completions, dtype=np.int16)
-    planes.forms = np.array(forms, dtype=np.int16)
+    return np.array(completions, dtype=np.int16), np.array(forms, dtype=np.int16)
+
+
+def stage_infinity_data(state):
+    q = state.q
+    f = state.base
+    planes = state.planes
+    arcs = planes.arcs(state._C_arr)
+    fit = complete_q_arcs(state.plane2, arcs)
+    if fit is None:
+        planes.completions, planes.forms = _complete_plane_by_plane(state, arcs)
+    else:
+        # Every arc completes, to the points and conics complete_q_arc gives,
+        # so the first affine completion is the first failure of the plane
+        # by plane path too.
+        lifted = normalize_rows_np(f, _from_intrinsic_np(f, planes.bases, fit[0]))[0]
+        affine = np.flatnonzero(lifted[:, 4])
+        if len(affine):
+            raise StructureViolation("completion point is affine",
+                                     witness=",".join(map(str, lifted[affine[0]].tolist())))
+        planes.completions, planes.forms = lifted[:, :4], fit[1]
+    completions = list(map(tuple, planes.completions.tolist()))
     # With column x4 moved first, the RREF of an affine plane's basis has
     # its x4 pivot in row 0, so rows 1 and 2, without that column, are the
     # RREF basis of the plane's line at infinity, its trace line.  The
@@ -1039,20 +1066,51 @@ def stage_assemble_spread(state):
     }
 
 
+def _klein_plane_codes(f, pa, pi, pj):
+    """One code per Plucker point of pj (m, 6): the _point_codes of its
+    residue modulo the line <pa, pi>, 0 on that line.
+
+    Two points have the same code exactly when they span the same plane
+    with the line, since the residue is linear with the line as its kernel."""
+    basis, _ = rref(f, (pa.tolist(), pi.tolist()))
+    return _point_codes(f, reduce_rows_np(f, basis, pj))
+
+
 def stage_regulus_closure(state):
     """Greedy closure of the spread lines under the reguli through the axis.
 
     Pairs (i, j) of non-axis lines are visited in order; one not yet inside
     an accepted regulus must have its regulus with the axis in the spread,
-    and that regulus is accepted.  The reguli for all open pairs of row i are
-    built at once; a pair that an earlier one of its row covers is passed over.
+    and that regulus is accepted.
+
+    Row i's open pairs share few reguli.  Under the Klein correspondence the
+    regulus through the axis a and skew lines i and j consists of the lines
+    whose Plucker points lie on the plane <P(a), P(i), P(j)> (Hirschfeld
+    1985).  So the open j whose P(j) have one residue modulo the line
+    <P(a), P(i)> share a regulus, and only the first j of each such group
+    is built; a j of residue 0 (for skew a and i, a repeat of one of them)
+    is a group of its own.  The others are passed over: once the first
+    one's regulus is accepted it covers them, and if it fails the row stops
+    there, unpruned too.  The first j of a group is still open at its turn,
+    as an earlier regulus through it would put an earlier first in its group.
+
+    The guard: if a built regulus does not hold every member of its group,
+    the row is built unpruned.  Only a failing regulus can miss one, since
+    the regulus of three pairwise skew lines holds every line whose Plucker
+    point is on its plane.  (A repeated line maps only its last copy in
+    idx, so the unpruned loop may accept a regulus twice for an earlier
+    copy; the pair of copies then fails as not skew, so those reguli are
+    never reported.)
     """
     q, f, spread = state.q, state.base, state.spread
     bases = spread.lines[~spread.is_axis()]
     n = len(bases)
     axis_rows = spread.lines[[spread.axis]]
-    idx = {k: i for i, k in enumerate(_line_key_np(f, bases).tolist())}
+    keys = _line_key_np(f, bases)
+    idx = {k: i for i, k in enumerate(keys.tolist())}
     in_spread = set(idx) | set(_line_key_np(f, axis_rows).tolist())
+    pa = _plucker_np(f, axis_rows[0, 0], axis_rows[0, 1])
+    plk = _plucker_np(f, bases[:, 0], bases[:, 1])
     covered = np.zeros((n, n), dtype=bool)
     accepted = []
     passes = 0
@@ -1061,8 +1119,18 @@ def stage_regulus_closure(state):
         passes += n - 1 - i - len(todo)
         if not len(todo):
             continue
-        batch = _regulus_batch(f, axis_rows, bases[i:i + 1], bases[todo])
-        for t, j in enumerate(todo.tolist()):
+        codes = _klein_plane_codes(f, pa, plk[i], plk[todo])
+        _, first, group = np.unique(codes, return_index=True, return_inverse=True)
+        lead = np.where(codes == 0, np.arange(len(todo)), first[group])
+        built = np.unique(lead)
+        batch = _regulus_batch(f, axis_rows, bases[i:i + 1], bases[todo[built]])
+        skipped = np.flatnonzero(lead != np.arange(len(todo)))
+        held = batch.keys[np.searchsorted(built, lead[skipped])] == keys[todo[skipped], None]
+        if not held.any(axis=1).all():
+            built = np.arange(len(todo))
+            batch = _regulus_batch(f, axis_rows, bases[i:i + 1], bases[todo])
+        passes += len(todo) - len(built)
+        for t, j in enumerate(todo[built].tolist()):
             passes += 1
             if covered[i, j]:
                 continue
@@ -1173,9 +1241,9 @@ def stage_rebuild_arc(state):
         # and t_inf_point has z = 0.
         arc = sorted(up_points) + [t_inf_point]
         form = conic_through_5(frame.plane, arc[:5])
-        for p in arc:
-            if form.evaluate(p) != 0:
-                raise NotAnArc(f"lifted point {p} is off the fitted conic")
+        off = np.flatnonzero(form.values(np.array(arc, dtype=np.int16)))
+        if len(off):
+            raise NotAnArc(f"lifted point {arc[off[0]]} is off the fitted conic")
         state.fitted_form = form
         counts_out["conic_fit"] = 1
         counts_out["alignment_identity"] = int(is_identity)

@@ -9,7 +9,7 @@ from pgconics.projgeom import ProjectiveSpace, Subspace, nullspace, rref, span
 from pgconics.conics import (CompletionNotUnique, DegenerateInput, NotAnArc,
                              PointNotOnConic, QuadraticForm, classify_vs_conic,
                              complete_q_arc, complete_q_arc_by_secants,
-                             conic_through_5, is_arc, tangent_line)
+                             complete_q_arcs, conic_through_5, is_arc, tangent_line)
 
 
 def is_arc_by_directions(space, points):
@@ -196,6 +196,39 @@ def test_completion_dual_oracle_small(q):
         comp, _ = complete_q_arc(space, arc)
         assert comp == complete_q_arc_by_secants(space, arc)
         assert comp == pts[drop]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11])
+def test_batched_completion_matches_complete_q_arc(q):
+    """complete_q_arcs on one arc at a time, against complete_q_arc: the same
+    completion and matrix where it passes, None where it raises.  The arcs
+    are q points of random conics, degenerate ones included, or of the
+    plane, rescaled, some with a repeated point or a zero vector."""
+    space = plane_over(q)
+    f, rng = space.field, random.Random(q)
+    # q - 1 points of x^2 = yz, then a zero row
+    arcs = [[p for p in canonical_points(space) if p != (1, 1, 1)][:-1] + [(0, 0, 0)]]
+    for t in range(120):
+        on = QuadraticForm.from_coefficients(space, [rng.randrange(q) for _ in range(6)]).points()
+        arc = rng.sample(on if len(on) >= q and t % 4 < 2 else space.points(), q)
+        if t % 8 == 1:
+            arc[-1] = arc[0]
+        arc = [tuple(f.mul(c, x) for x in p) for p, c in zip(arc, rng.choices(range(1, q), k=q))]
+        if t % 13 == 0:
+            arc[2] = (0, 0, 0)
+        arcs.append(arc)
+    passed = 0
+    for arc in arcs:
+        try:
+            comp, form = complete_q_arc(space, arc)
+        except (NotAnArc, CompletionNotUnique, DegenerateInput):
+            assert complete_q_arcs(space, np.array([arc])) is None
+            continue
+        comps, forms = complete_q_arcs(space, np.array([arc], dtype=np.int16))
+        assert tuple(comps[0].tolist()) == comp
+        assert tuple(map(tuple, forms[0].tolist())) == form.matrix
+        passed += 1
+    assert passed >= (0 if q == 3 else 20)
 
 
 def test_completion_rejects_non_arcs(pg2_7):

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from pgconics.projgeom import (HeavyPlaneScan, ProjectiveSpace, Subspace, dot_np,
-                               matrix_inverse, points_array, rref, rref_np,
-                               scan_heavy_planes, span)
+                               matrix_inverse, normalize_rows_np, points_array, rref,
+                               rref_np, scan_heavy_planes, span)
 from pgconics.bruckbose import (BruckBoseFrame, baer_subplane_through, build_C,
                                 random_tangent_conic)
 from pgconics import reconstruct
@@ -598,6 +598,20 @@ def test_regulus_closure_matches_scalar_oracle(q):
         assert run_stages(st, include={"regulus_closure"})[0].verdict == "pass"
         assert reguli_rows(reconstruct._reguli(frame.sigma, st.reguli)) == \
             reguli_rows(scalar_closure(frame.sigma, st.spread)[0])
+        assert closure_record(st) == closure_record(st, unpruned=True)
+
+
+def closure_record(st, unpruned=False):
+    """regulus_closure's verdict, witness, counts and reguli on st; unpruned,
+    every open pair of a row is its own group, as before the rows were
+    grouped by Klein plane."""
+    st.reguli = None
+    with pytest.MonkeyPatch.context() as mp:
+        if unpruned:
+            mp.setattr(reconstruct, "_klein_plane_codes",
+                       lambda f, pa, pi, pj: np.arange(1, len(pj) + 1))
+        rec = run_stages(st, include={"regulus_closure"})[0]
+    return rec.verdict, rec.witness, rec.counts, st.reguli.tolist()
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
@@ -1255,6 +1269,30 @@ def test_pass_path_makes_no_scan(frame7, c7, monkeypatch):
     assert calls["scan_heavy_planes"] >= 1
 
 
+def test_pass_path_work_counts(frame7, c7, monkeypatch):
+    """A canonical q = 7 round trip fits its conics in one batch, calling
+    complete_q_arc never and conic_through_5 once (rebuild_arc's fit), and
+    builds one regulus per Klein plane: q^2 + q = 56 triples, not the 336
+    of one per open pair."""
+    calls = collections.Counter()
+
+    def counting(name, fn, weight=lambda *args: 1):
+        def counted(*args, **kwargs):
+            calls[name] += weight(*args)
+            return fn(*args, **kwargs)
+        return counted
+    from pgconics import conics
+    for name in ("complete_q_arc", "conic_through_5"):
+        wrapped = counting(name, getattr(conics, name))
+        for module in (conics, reconstruct):
+            monkeypatch.setattr(module, name, wrapped)
+    monkeypatch.setattr(reconstruct, "_regulus_batch", counting(
+        "triples", reconstruct._regulus_batch, lambda f, l1, l2, l3: len(l3)))
+    records, _ = full_pipeline(c7, frame=frame7)
+    assert [r.verdict for r in records] == ["pass"] * len(records)
+    assert calls == {"conic_through_5": 1, "triples": 56}
+
+
 # ---------------------------------------------------------------------------
 # uniqueness: the swept line levels against exact plane counts
 
@@ -1434,17 +1472,49 @@ def test_member_swap_witness(frame7, c7, pid, k, m, witness):
 
 
 def test_affine_completion_witness(frame7, c7, monkeypatch):
-    """complete_q_arc patched to return the arc's first point, which the
+    """The batched fit patched to return each arc's first point, which the
     lift through the plane's basis takes to an affine point."""
-    original = reconstruct.complete_q_arc
+    original = reconstruct.complete_q_arcs
 
-    def first_point(space, arc):
-        return space.normalize(arc[0]), original(space, arc)[1]
-    monkeypatch.setattr(reconstruct, "complete_q_arc", first_point)
+    def first_points(space, arcs):
+        return normalize_rows_np(space.field, arcs[:, 0])[0], original(space, arcs)[1]
+    monkeypatch.setattr(reconstruct, "complete_q_arcs", first_points)
     st = classes_state(frame7, c7)
     rec = run_stages(st, include={"infinity_data"})[0]
     assert (rec.verdict, rec.witness) == (
         "fail", "StructureViolation: completion point is affine [0,0,0,0,1]")
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_batched_fit_matches_plane_by_plane(q, seed):
+    """The batched conic fit gives the completions and forms of the plane by
+    plane complete_q_arc loop, element for element (seed 0 is canonical)."""
+    frame = make_frame(q)
+    st = PipelineState(frame, build_C(frame, random_tangent_conic(frame, seed)),
+                       exploratory=q < 7)
+    records = run_stages(st, include={"axioms", "parallel_classes", "infinity_data"})
+    assert [r.verdict for r in records] == ["pass"] * 3
+    completions, forms = reconstruct._complete_plane_by_plane(st, st.planes.arcs(st._C_arr))
+    for got, want in ((st.planes.completions, completions), (st.planes.forms, forms)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_off_conic_witness(monkeypatch):
+    """rebuild_arc with conic_through_5 patched to add 1 to the yz
+    coefficient: the first lifted point off that conic, in the arc's order,
+    is named.  Messages captured from the point-by-point evaluation."""
+    original = reconstruct.conic_through_5
+
+    def skewed(space, points):
+        a, b, c, d, e, g = original(space, points).coefficients()
+        return QuadraticForm.from_coefficients(space, (a, b, c, d, e, space.field.add(g, 1)))
+    monkeypatch.setattr(reconstruct, "conic_through_5", skewed)
+    frame = make_frame(7)
+    for seed, point in ((0, "(1, 1, 1)"), (5, "(0, 1, 28)")):
+        records, _ = full_pipeline(build_C(frame, random_tangent_conic(frame, seed)), frame=frame)
+        assert [(r.name, r.witness) for r in records if r.verdict != "pass"] == [
+            ("rebuild_arc", f"NotAnArc: lifted point {point} is off the fitted conic")]
 
 
 def simple_point_line(st):
