@@ -1089,18 +1089,16 @@ def stage_regulus_closure(state):
     1985).  So the open j whose P(j) have one residue modulo the line
     <P(a), P(i)> share a regulus, and only the first j of each such group
     is built; a j of residue 0 (for skew a and i, a repeat of one of them)
-    is a group of its own.  The others are passed over: once the first
-    one's regulus is accepted it covers them, and if it fails the row stops
-    there, unpruned too.  The first j of a group is still open at its turn,
-    as an earlier regulus through it would put an earlier first in its group.
-
-    The guard: if a built regulus does not hold every member of its group,
-    the row is built unpruned.  Only a failing regulus can miss one, since
-    the regulus of three pairwise skew lines holds every line whose Plucker
-    point is on its plane.  (A repeated line maps only its last copy in
-    idx, so the unpruned loop may accept a regulus twice for an earlier
-    copy; the pair of copies then fails as not skew, so those reguli are
-    never reported.)
+    is a group of its own.  The others are passed over, and the pruning is
+    exact.  The regulus of three pairwise skew lines holds every line whose
+    Plucker point is on its plane, so once the first j's regulus is accepted
+    it covers the rest of its group.  If that regulus fails, the row stops
+    there with the same triple and message as the unpruned loop, which
+    would reach that j first too.  The first j of a group is still open at
+    its turn, as an earlier regulus through it would put an earlier first
+    in its group.  (A repeated line maps only its last copy in idx, so the
+    unpruned loop may accept a regulus twice for an earlier copy; the pair
+    of copies then fails as not skew, so those reguli are never reported.)
     """
     q, f, spread = state.q, state.base, state.spread
     bases = spread.lines[~spread.is_axis()]
@@ -1124,11 +1122,6 @@ def stage_regulus_closure(state):
         lead = np.where(codes == 0, np.arange(len(todo)), first[group])
         built = np.unique(lead)
         batch = _regulus_batch(f, axis_rows, bases[i:i + 1], bases[todo[built]])
-        skipped = np.flatnonzero(lead != np.arange(len(todo)))
-        held = batch.keys[np.searchsorted(built, lead[skipped])] == keys[todo[skipped], None]
-        if not held.any(axis=1).all():
-            built = np.arange(len(todo))
-            batch = _regulus_batch(f, axis_rows, bases[i:i + 1], bases[todo])
         passes += len(todo) - len(built)
         for t, j in enumerate(todo[built].tolist()):
             passes += 1

@@ -248,19 +248,6 @@ def regulus_closure_corruption(kind, a, b, rng):
     return corrupt_state
 
 
-def closure_record(state, unpruned=False):
-    """regulus_closure's verdict, witness, counts and reguli on state;
-    unpruned, every open pair of a row is its own group, as before the rows
-    were grouped by Klein plane."""
-    state.reguli = None
-    with mock.patch.object(reconstruct, "_klein_plane_codes",
-                           lambda f, pa, pi, pj: np.arange(1, len(pj) + 1)) if unpruned \
-            else contextlib.nullcontext():
-        rec = reconstruct.run_stages(state, include={"regulus_closure"})[0]
-    reguli = None if state.reguli is None else state.reguli.tolist()
-    return rec.verdict, rec.witness, rec.counts, reguli
-
-
 @functools.lru_cache(maxsize=None)
 def closure_base(q):
     frame = make_frame(q)
@@ -271,7 +258,7 @@ def closure_base(q):
 @settings(max_examples=24)
 @given(st.sampled_from([5, 7]), st.sampled_from(["shuffled", "perturbed", "meeting", "repeated"]),
        st.integers(0, 10 ** 4), st.integers(0, 10 ** 4), st.randoms(use_true_random=False))
-def test_pruned_closure_matches_unpruned(q, kind, a, b, rng):
+def test_pruned_closure_matches_unpruned(closure_record, q, kind, a, b, rng):
     """Building only the first pair of each Klein plane of a row changes no
     record: corrupted spreads fail at the same pair with the same witness,
     and shuffled ones accept the same reguli.  A meeting line and a repeated

@@ -575,7 +575,7 @@ def reguli_rows(reguli):
 
 
 @pytest.mark.parametrize("q", [5, 7, 9])
-def test_regulus_closure_matches_scalar_oracle(q):
+def test_regulus_closure_matches_scalar_oracle(closure_record, q):
     frame = make_frame(q)
     C = build_C(frame, random_tangent_conic(frame, 0 if q != 9 else 5))
     records, state = full_pipeline(C, frame=frame, exploratory=q < 7)
@@ -599,19 +599,6 @@ def test_regulus_closure_matches_scalar_oracle(q):
         assert reguli_rows(reconstruct._reguli(frame.sigma, st.reguli)) == \
             reguli_rows(scalar_closure(frame.sigma, st.spread)[0])
         assert closure_record(st) == closure_record(st, unpruned=True)
-
-
-def closure_record(st, unpruned=False):
-    """regulus_closure's verdict, witness, counts and reguli on st; unpruned,
-    every open pair of a row is its own group, as before the rows were
-    grouped by Klein plane."""
-    st.reguli = None
-    with pytest.MonkeyPatch.context() as mp:
-        if unpruned:
-            mp.setattr(reconstruct, "_klein_plane_codes",
-                       lambda f, pa, pi, pj: np.arange(1, len(pj) + 1))
-        rec = run_stages(st, include={"regulus_closure"})[0]
-    return rec.verdict, rec.witness, rec.counts, st.reguli.tolist()
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
@@ -1247,33 +1234,12 @@ def test_displaced_q9_axioms_witness(tmp_path, capsys, seed, t_max, witness):
 
 
 def test_pass_path_makes_no_scan(frame7, c7, monkeypatch):
-    """A canonical q = 7 round trip makes no pair scan and no row grouping;
-    a displaced point sends axioms to the scan."""
-    from pgconics import projgeom
-    calls = collections.Counter()
-
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return counted
-    for name in ("scan_heavy_planes", "group_rows"):
-        wrapped = counting(name, getattr(projgeom, name))
-        for module in (projgeom, reconstruct):
-            monkeypatch.setattr(module, name, wrapped)
-    records, _ = full_pipeline(c7, frame=frame7)
-    assert [r.verdict for r in records] == ["pass"] * len(records)
-    assert calls == {}
-    records, _ = full_pipeline(displace_point(frame7, c7, seed=0), frame=frame7)
-    assert records[0].verdict == "fail"
-    assert calls["scan_heavy_planes"] >= 1
-
-
-def test_pass_path_work_counts(frame7, c7, monkeypatch):
-    """A canonical q = 7 round trip fits its conics in one batch, calling
-    complete_q_arc never and conic_through_5 once (rebuild_arc's fit), and
-    builds one regulus per Klein plane: q^2 + q = 56 triples, not the 336
-    of one per open pair."""
+    """A canonical q = 7 round trip makes no pair scan and no row grouping.
+    It fits its conics in one batch, calling complete_q_arc never and
+    conic_through_5 once (rebuild_arc's fit), and builds one regulus per
+    Klein plane: q^2 + q = 56 triples, not the 336 of one per open pair.
+    A displaced point sends axioms to the scan."""
+    from pgconics import conics, projgeom
     calls = collections.Counter()
 
     def counting(name, fn, weight=lambda *args: 1):
@@ -1281,16 +1247,20 @@ def test_pass_path_work_counts(frame7, c7, monkeypatch):
             calls[name] += weight(*args)
             return fn(*args, **kwargs)
         return counted
-    from pgconics import conics
-    for name in ("complete_q_arc", "conic_through_5"):
-        wrapped = counting(name, getattr(conics, name))
-        for module in (conics, reconstruct):
-            monkeypatch.setattr(module, name, wrapped)
+    for source, names in ((projgeom, ("scan_heavy_planes", "group_rows")),
+                          (conics, ("complete_q_arc", "conic_through_5"))):
+        for name in names:
+            wrapped = counting(name, getattr(source, name))
+            for module in (source, reconstruct):
+                monkeypatch.setattr(module, name, wrapped)
     monkeypatch.setattr(reconstruct, "_regulus_batch", counting(
         "triples", reconstruct._regulus_batch, lambda f, l1, l2, l3: len(l3)))
     records, _ = full_pipeline(c7, frame=frame7)
     assert [r.verdict for r in records] == ["pass"] * len(records)
     assert calls == {"conic_through_5": 1, "triples": 56}
+    records, _ = full_pipeline(displace_point(frame7, c7, seed=0), frame=frame7)
+    assert records[0].verdict == "fail"
+    assert calls["scan_heavy_planes"] >= 1
 
 
 # ---------------------------------------------------------------------------
