@@ -124,8 +124,6 @@ def build_config(args):
             raise ConfigError(f"p={p} is not prime")
     elif args.q is not None:
         q = args.q
-        if q % 2 == 0 and not args.exploratory:
-            raise ConfigError("q must be odd")
         try:
             p, k = _factor_prime_power(q)
         except ValueError as exc:

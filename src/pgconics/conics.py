@@ -5,9 +5,9 @@ symmetric representative canonical); a point P is on the conic iff
 P M P^T = 0 and the tangent line at a conic point has dual coordinates M P.
 
 complete_q_arcs completes a whole stack of q-arcs to their conics on
-arrays; that is the reconstruction's pass path.  complete_q_arc, the same
-fit for one arc, is its failure path, which names the first failing arc,
-and the oracle the tests compare the batch against.
+arrays, with one verdict per arc; the reconstruction fits every plane with
+it.  complete_q_arc, the same fit for one arc, words the failure of an arc
+the batch rejects, and is the oracle the tests compare the batch against.
 """
 
 from __future__ import annotations
@@ -240,33 +240,31 @@ def complete_q_arc(space, arc):
 def complete_q_arcs(space, arcs):
     """complete_q_arc for every arc of an int16 array (n, q, 3) at once.
 
-    Returns (completions (n, 3), forms (n, 3, 3)): the completion points and
-    the conics' matrices, equal element for element to what complete_q_arc
-    gives for each arc.  Returns None if any arc fails one of the tests
-    below, leaving complete_q_arc to name the first failing arc.
+    Returns (completions (n, 3), forms (n, 3, 3), ok (n,)): ok[i] is whether
+    arc i passes every test below, which is whether complete_q_arc completes
+    it, and then completions[i] and forms[i] are the completion point and
+    the conic's matrix that complete_q_arc gives, element for element.  The
+    rows of an arc that fails hold no meaning.
     """
     f, q = space.field, space.field.q
     n = len(arcs)
     flat, zero = normalize_rows_np(f, np.asarray(arcs, dtype=np.int16).reshape(-1, 3))
-    if zero.any():
-        return None
-    ids = space.point_ids(flat).reshape(n, q)
+    ids = space.point_ids(flat).reshape(n, q)  # negative on a zero row, which fails
     ordered = np.sort(ids, axis=1)
-    if (ordered[:, 1:] == ordered[:, :-1]).any():
-        return None
+    ok = ~zero.reshape(n, q).any(axis=1) & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
     # The conic through the first five points, as conic_through_5 fits it:
     # the one-dimensional nullspace of the monomial system, read from its
     # RREF (1 on the free column, minus that column on the pivots) and
     # scaled to a leading 1.
     red, rank = rref_np(f, _monomials_np(f, flat.reshape(n, q, 3)[:, :5]))
-    if (rank != 5).any():
-        return None
+    ok &= rank == 5
     k = np.arange(n)[:, None]
     pivots = (red != 0).argmax(axis=2)
-    free = 15 - pivots.sum(axis=1, keepdims=True)  # the column of 0..5 not a pivot
+    # the column of 0..5 not a pivot; clipped where the rank is below 5
+    free = np.minimum(15 - pivots.sum(axis=1, keepdims=True), 5)
     sol = np.zeros((n, 6), dtype=np.int16)
     sol[k, free] = 1
-    sol[k, pivots] = f.neg_np[red[k, np.arange(5), free]]
+    sol[k, pivots] = f.neg_np[red[k, np.arange(red.shape[1]), free]]  # q < 5: fewer rows
     a, b, c, d, e, g = normalize_rows_np(f, sol)[0].T
     # the matrix of QuadraticForm.from_coefficients, then its coefficients()
     hd, he, hg = f.mul_np[_half(f), np.stack((d, e, g))]
@@ -275,8 +273,7 @@ def complete_q_arcs(space, arcs):
     pts = space.points_np()
     # sum of coefficient * monomial is P M P^T, exactly, in any field
     on = dot_np(f, coeffs[:, None, :], _monomials_np(f, pts)[None]) == 0
-    if (on.sum(axis=1) != q + 1).any() or not on[k, ids].all():
-        return None
+    ok &= (on.sum(axis=1) == q + 1) & on[k, ids].all(axis=1)
     # conic_through_5's tests of the five points (no three collinear) and
     # of the conic (det M != 0) are implied.  A form with q+1 zeros and
     # det M = 0 vanishes on a line: at odd q it is a repeated line, and at
@@ -286,7 +283,7 @@ def complete_q_arcs(space, arcs):
     # 3, not 5.  So the conic is nondegenerate and holds no three collinear
     # points.
     on[k, ids] = False
-    return pts[on.argmax(axis=1)], forms
+    return pts[on.argmax(axis=1)], forms, ok
 
 
 def complete_q_arc_by_secants(space, arc):

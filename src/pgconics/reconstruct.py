@@ -104,9 +104,9 @@ class Planes:
     hyperplane at infinity; completions, the points (n, 4) completing the
     members to a conic; and forms, the matrices (n, 3, 3) of those conics
     in plane coordinates, as conic_through_5 fits them to the first five
-    members.  Both come from the batched fit complete_q_arcs, or from
-    complete_q_arc plane by plane on an input that fails.  A point's plane
-    coordinates are its entries at the pivot columns of the plane's basis.
+    members.  Both come from the batched fit complete_q_arcs.  A point's
+    plane coordinates are its entries at the pivot columns of the plane's
+    basis.
     """
     bases: np.ndarray
     members: np.ndarray
@@ -215,13 +215,13 @@ class DirectionTable:
 
     For affine a, b and a line l of the hyperplane at infinity, the plane
     <l, a> holds b exactly when the direction of ab (the point ab meets the
-    hyperplane at infinity in) lies on l (Bruck-Bose).  So with M[a, P] the
+    hyperplane at infinity in) lies on l (Bruck-Bose).  So with T[P, a] the
     number of b != a in C whose direction from a is P, the plane <l, a>
-    carries 1 + sum over P on l of M[a, P] points of C.  A repeated point has
-    no direction and counts on every plane through a.  M is stored
-    transposed, one row per point P of PG(3,q).
+    carries 1 + repeats[a] + sum over P on l of T[P, a] points of C: a
+    repeated point has no direction and counts on every plane through a.
+    own() reads that sum for given (l, a).
 
-    line_levels() sweeps every line l of sigma.line_table() once.  A line's
+    levels() sweeps lines for the fullest plane through each.  A line's
     level is the most other input points on one plane <l, a> through an
     input point a, capped at LEVELS = HEAVY - 1; below the cap, the fullest
     plane through l carries 1 + level points.  So level 0 means no plane
@@ -229,18 +229,22 @@ class DirectionTable:
     (uniqueness's compatible axis-meeting lines), level >= 2 that one does
     (what uniqueness asks of every line outside the spread), and level 4
     that a plane through l carries HEAVY or more, one of axiom 1's planes.
+    The sweep packs T once, as unit planes T >= u (u up to the cap) in bits
+    over the input points, presets one threshold counter per level from
+    repeats, and adds each line point's unit planes one saturating
+    increment at a time.  A 0/1 table without repeats has one unit plane
+    and presets of zero.
 
-    When T is 0/1 and no point repeats, as axiom 1 requires (T >= 2 means
-    three collinear points), the sweep packs T as bits over the input
-    points and runs one threshold counter per level, a block of lines at a
-    time, keeping the (line, point) entries at the cap for heavy().
-    Otherwise it takes the levels from plane_counts and heavy() is None.
+    line_levels() sweeps every line of sigma.line_table() once and keeps
+    the (line, point) entries at the cap for heavy().  heavy() answers only
+    when T is 0/1 and no point repeats, as axiom 1 requires (T >= 2 means
+    three collinear points); it returns None otherwise, without sweeping.
+    Such an input fails axiom 1, and the scan, which names the collinear
+    triple, needs no sweep of every line first.
     """
 
-    BLOCK = 512  # lines summed at a time, bounding the working memory
-    # counts are below |C| = q^2, so int16 holds them for q <= 181
     LEVELS = HEAVY - 1
-    WORDS = 1 << 14  # 64-bit words per counter in one block of the bit sweep
+    WORDS = 1 << 14  # 64-bit words per counter in one block of the sweep
 
     def __init__(self, state):
         f, arr = state.base, state._C_arr
@@ -254,59 +258,33 @@ class DirectionTable:
         dirs, zero = normalize_rows_np(f, f.sub_np[aff[None], aff[:, None]].reshape(-1, 4))
         a = np.repeat(np.arange(n), n)
         self.repeats = (np.bincount(a[zero], minlength=n) - 1).astype(np.int16)
+        # counts are below |C| = q^2, so int16 holds them for q <= 181
         self.T = np.zeros((state.sigma.npoints, n), dtype=np.int16)
         np.add.at(self.T, (state.sigma.point_ids(dirs[~zero]), a[~zero]), 1)
         self.binary = self.T.max(initial=0) <= 1 and not self.repeats.any()
-        self._levels = self._heavy = None
+        self._packed = self._levels = self._heavy = None
 
-    def plane_counts(self, pids, members=None):
-        """Input points on the planes through lines given by point ids.
+    def own(self, ids, points):
+        """Input points on the plane <l, a> for each line l, given by its point
+        ids (k, q+1), and each input point a in its row of points (k, m).
+        The working memory is a few times that of the result, (k, m)."""
+        flat, n = self.T.ravel(), self.T.shape[1]
+        sums = 1 + self.repeats[points]
+        for col in ids.astype(np.int64).T:
+            sums += flat.take(col[:, None] * n + points)
+        return sums
 
-        Returns (largest, own): per line, the most points on one plane through
-        it; and, when members holds a row of input-point ids per line, the
-        points on the plane through the line and each of them (else None).
-        """
-        largest, own = [], []
-        for lo in range(0, len(pids), self.BLOCK):
-            block = pids[lo:lo + self.BLOCK]
-            sums = np.tile(self.repeats, (len(block), 1))
-            for col in block.T:
-                sums += self.T[col]
-            largest.append(sums.max(axis=1))
-            if members is not None:
-                own.append(np.take_along_axis(sums, members[lo:lo + self.BLOCK], axis=1))
-        return 1 + np.concatenate(largest), (1 + np.concatenate(own) if own else None)
-
-    def line_levels(self):
-        """The level of every line of sigma.line_table(), int8; swept once."""
-        if self._levels is None:
-            ids = self.sigma.line_table()[1]
-            if self.binary:
-                self._levels, self._heavy = self._bit_sweep(ids)
-            else:
-                largest, _ = self.plane_counts(ids)
-                self._levels = np.minimum(largest - 1, self.LEVELS).astype(np.int8)
-        return self._levels
-
-    def heavy(self):
-        """(lines, points): each line_table() index l and input point a whose
-        plane <l, a> carries HEAVY or more input points, in (l, a) order;
-        None unless T is 0/1 without repeats."""
-        if not self.binary:
-            return None
-        self.line_levels()
-        return self._heavy
-
-    def _bit_sweep(self, ids):
-        """Levels and cap entries of the lines with point ids ids, from T packed
-        as bits: counter k holds the points with more than k other points on
-        the plane, and a line point P with bits x sets it where counter k-1
-        and x are both set."""
-        n = self.T.shape[1]
-        words = -(-n // 64)
-        packed = np.zeros((len(self.T), 8 * words), dtype=np.uint8)
-        packed[:, :-(-n // 8)] = np.packbits(self.T, axis=1)
-        bits = packed.view(np.uint64)
+    def levels(self, ids):
+        """The levels of the lines with point ids ids (k, q+1), int8, and their
+        entries at the cap: (lines, points), each row index l and input point
+        a whose plane <l, a> carries HEAVY or more input points, in (l, a)
+        order.  Counter k holds the points with more than k other points on
+        the plane, and a unit plane x of a line point sets it where counter
+        k-1 and x are both set."""
+        if self._packed is None:
+            self._packed = self._pack()
+        units, preset = self._packed
+        n, words = self.T.shape[1], preset.shape[1]
         step = max(1, self.WORDS // words)
         levels = np.empty(len(ids), dtype=np.int8)
         lines, points = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
@@ -314,13 +292,14 @@ class DirectionTable:
         for lo in range(0, len(ids), step):
             block = ids[lo:lo + step]
             counters, (x, both) = np.split(buffers[:, :len(block)], [self.LEVELS])
-            counters[...] = 0
+            counters[...] = preset[:, None]
             for col in block.T:
-                np.take(bits, col, axis=0, out=x)
-                for k in range(self.LEVELS - 1, 0, -1):
-                    np.bitwise_and(counters[k - 1], x, out=both)
-                    counters[k] |= both
-                counters[0] |= x
+                for bits in units:
+                    np.take(bits, col, axis=0, out=x)
+                    for k in range(self.LEVELS - 1, 0, -1):
+                        np.bitwise_and(counters[k - 1], x, out=both)
+                        counters[k] |= both
+                    counters[0] |= x
             hit = counters.any(axis=2)
             levels[lo:lo + len(block)] = hit.sum(axis=0)
             rows = np.flatnonzero(hit[-1])
@@ -329,6 +308,34 @@ class DirectionTable:
             lines.append(lo + rows[r])
             points.append(a)
         return levels, (np.concatenate(lines), np.concatenate(points))
+
+    def _pack(self):
+        """The unit planes T >= u, u = 1 .. min(T.max(), LEVELS), one array
+        (points of PG(3,q), words) each, and the presets repeats > k, k <
+        LEVELS, (LEVELS, words): bits over the input points, in uint64 words."""
+        n = self.T.shape[1]
+        words = -(-n // 64)
+
+        def bits(flags):
+            packed = np.zeros(flags.shape[:-1] + (8 * words,), dtype=np.uint8)
+            packed[..., :-(-n // 8)] = np.packbits(flags, axis=-1)
+            return packed.view(np.uint64)
+        units = [bits(self.T >= u) for u in range(1, min(self.T.max(initial=0), self.LEVELS) + 1)]
+        return units, bits(self.repeats > np.arange(self.LEVELS)[:, None])
+
+    def line_levels(self):
+        """The level of every line of sigma.line_table(), int8; swept once."""
+        if self._levels is None:
+            self._levels, self._heavy = self.levels(self.sigma.line_table()[1])
+        return self._levels
+
+    def heavy(self):
+        """line_levels()'s entries at the cap, lines as line_table() indices;
+        None, without sweeping, unless T is 0/1 without repeats."""
+        if not self.binary:
+            return None
+        self.line_levels()
+        return self._heavy
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +371,9 @@ def _heaviest_plane(state, rows):
     return int(counts.max()), span(state.space4, basis5 + [state.C[first]]).to_text()
 
 
+PAIR_BLOCK = 512  # plane pairs tested at a time, bounding the working memory
+
+
 def _three_space_tests(f, spans, arr, planes, pairs):
     """Per pair (i, j) of planes and its 3-space, given by four RREF rows in
     spans: whether the points of arr inside it differ from the members of i
@@ -371,7 +381,7 @@ def _three_space_tests(f, spans, arr, planes, pairs):
 
     A 3-space of PG(4,q) is a hyperplane, so a point lies in it exactly when
     it is orthogonal to its dual vector: 1 on the free column c and -row[c]
-    on each row's pivot.  Pairs are taken DirectionTable.BLOCK at a time.
+    on each row's pivot.  Pairs are taken PAIR_BLOCK at a time.
     """
     k = np.arange(len(spans))
     lead = (spans != 0).argmax(axis=2)
@@ -383,8 +393,8 @@ def _three_space_tests(f, spans, arr, planes, pairs):
     dual[k[:, None], lead] = f.neg_np[spans[k[:, None], np.arange(4), free[:, None]]]
     member_of = planes.member_table(len(arr))
     foreign = np.zeros(len(spans), dtype=bool)
-    for lo in range(0, len(spans), DirectionTable.BLOCK):
-        block = slice(lo, lo + DirectionTable.BLOCK)
+    for lo in range(0, len(spans), PAIR_BLOCK):
+        block = slice(lo, lo + PAIR_BLOCK)
         inside = dot_np(f, dual[block, None, :], arr[None, :, :]) == 0
         own = member_of[pairs[block, 0]] | member_of[pairs[block, 1]]
         foreign[block] = (inside != own).any(axis=1)
@@ -736,45 +746,26 @@ def stage_parallel_classes(state):
     }
 
 
-def _complete_plane_by_plane(state, arcs):
-    """complete_q_arc and the affine test, one plane at a time: the path that
-    names the first plane whose arc does not complete to a conic."""
-    f, planes = state.base, state.planes
-    completions, forms = [], []
-    for p, arc in enumerate(arcs.tolist()):
-        try:
-            completion, form = complete_q_arc(state.plane2, arc)
-        except (NotAnArc, CompletionNotUnique) as exc:
-            raise StructureViolation(
-                f"arc completion failed: {exc}", witness=planes.text(p))
-        comp5 = state.space4.normalize(
-            _from_intrinsic_np(f, planes.bases[p], np.array(completion)).tolist())
-        if comp5[4] != 0:
-            raise StructureViolation(
-                "completion point is affine", witness=",".join(map(str, comp5)))
-        completions.append(comp5[:4])
-        forms.append(form.matrix)
-    return np.array(completions, dtype=np.int16), np.array(forms, dtype=np.int16)
-
-
 def stage_infinity_data(state):
     q = state.q
     f = state.base
     planes = state.planes
     arcs = planes.arcs(state._C_arr)
-    fit = complete_q_arcs(state.plane2, arcs)
-    if fit is None:
-        planes.completions, planes.forms = _complete_plane_by_plane(state, arcs)
-    else:
-        # Every arc completes, to the points and conics complete_q_arc gives,
-        # so the first affine completion is the first failure of the plane
-        # by plane path too.
-        lifted = normalize_rows_np(f, _from_intrinsic_np(f, planes.bases, fit[0]))[0]
-        affine = np.flatnonzero(lifted[:, 4])
-        if len(affine):
-            raise StructureViolation("completion point is affine",
-                                     witness=",".join(map(str, lifted[affine[0]].tolist())))
-        planes.completions, planes.forms = lifted[:, :4], fit[1]
+    completions, forms, ok = complete_q_arcs(state.plane2, arcs)
+    lifted = normalize_rows_np(f, _from_intrinsic_np(f, planes.bases, completions))[0]
+    bad = np.flatnonzero(~ok | (lifted[:, 4] != 0))
+    if len(bad):
+        p = bad[0]
+        if not ok[p]:
+            # complete_q_arc rejects the arcs the batch rejects, and words why
+            try:
+                complete_q_arc(state.plane2, arcs[p].tolist())
+            except (NotAnArc, CompletionNotUnique) as exc:
+                raise StructureViolation(
+                    f"arc completion failed: {exc}", witness=planes.text(p))
+        raise StructureViolation("completion point is affine",
+                                 witness=",".join(map(str, lifted[p].tolist())))
+    planes.completions, planes.forms = lifted[:, :4], forms
     completions = list(map(tuple, planes.completions.tolist()))
     # With column x4 moved first, the RREF of an affine plane's basis has
     # its x4 pivot in row 0, so rows 1 and 2, without that column, are the
@@ -889,8 +880,8 @@ def stage_t_infinity(state):
     # line equals the axis, which is not tested either: infinity_data left
     # (q+1)/2 >= 1 free points on no trace line, and they lie on the axis.
     # every affine plane through the axis carries exactly one point
-    largest, _ = state.directions.plane_counts(state.sigma.line_point_ids([axis.rows]))
-    if largest[0] != 1 or len(state.C) != q * q:
+    level, _ = state.directions.levels(state.sigma.line_point_ids([axis.rows]))
+    if level[0] != 0 or len(state.C) != q * q:
         k, witness = _heaviest_plane(state, axis.rows)
         raise StructureViolation(f"a plane through the axis carries {k} points",
                                  witness=witness)
@@ -955,7 +946,7 @@ def _tangent_traces(state, cids):
     ok = failed == 0
     line_ids[ok] = sigma.line_point_ids(red[ok, :2])
     flag(5, np.isin(line_ids, sigma.line_point_ids([state.axis.rows])).any(axis=1))
-    own = state.directions.plane_counts(line_ids, cids[:, None])[1][:, 0]
+    own = state.directions.own(line_ids, cids[:, None])[:, 0]
     flag(6, own != 1)
 
     bad = np.flatnonzero(failed)
@@ -1040,9 +1031,9 @@ def stage_assemble_spread(state):
     owner = np.empty(sigma.npoints, dtype=np.int64)  # point -> its spread line
     owner[ids] = np.arange(len(lines))[:, None]
     met = owner[all_ids[sweep]]  # q * q on the axis point, masked out below
-    largest, own = state.directions.plane_counts(all_ids[sweep], np.minimum(met, q * q - 1))
-    extra = (own != 1) & (met < q * q)
-    bad = np.flatnonzero((largest > 2) | extra.any(axis=1))
+    crowded = state.directions.line_levels()[sweep] >= 2  # a 3-point plane
+    extra = (state.directions.own(all_ids[sweep], np.minimum(met, q * q - 1)) != 1) & (met < q * q)
+    bad = np.flatnonzero(crowded | extra.any(axis=1))
     if len(bad):
         # report the first bad line of the enumeration "each axis point V in
         # order, then each other point X by id": least (position of V, min X)
@@ -1051,7 +1042,7 @@ def stage_assemble_spread(state):
         first = np.where(np.isin(pts, ids[-1]), sigma.npoints, pts).min(axis=1)
         i = bad[np.lexsort((first, axis_pos))[0]]
         line = _rows_text(all_rows[sweep[i]])  # line_table rows are RREF
-        if largest[i] > 2:
+        if crowded[i]:
             raise StructureViolation(
                 "plane through an axis-meeting line carries > 2 points", witness=line)
         cid = int(met[i][np.flatnonzero(extra[i])[0]])
@@ -1205,11 +1196,11 @@ def stage_klein_regularity(state):
 def stage_rebuild_arc(state):
     q, spread, frame = state.q, state.spread, state.frame
     is_axis = spread.is_axis()
-    largest, _ = state.directions.plane_counts(state.sigma.line_point_ids(spread.lines))
-    bad = np.flatnonzero((largest > np.where(is_axis, 1, 2))
+    levels, _ = state.directions.levels(state.sigma.line_point_ids(spread.lines))
+    bad = np.flatnonzero((levels > np.where(is_axis, 0, 1))
                          | (is_axis & (len(state.C) != q * q)))
     if len(bad):
-        if not is_axis[bad[0]] or largest[bad[0]] > 1:
+        if not is_axis[bad[0]] or levels[bad[0]] > 0:
             k, witness = _heaviest_plane(state, spread.lines[bad[0]])
             raise NotAnArc(f"plane through a spread line carries {k} points",
                            witness=witness)

@@ -68,10 +68,11 @@ def test_reconstruct_corrupted_dump_exit_1(tmp_path, capsys):
 
 
 def test_even_q_rejected(capsys):
-    code = main(["roundtrip", "--q", "6"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "odd" in err
+    for args, message in ((["--q", "4"], "q must be odd"),
+                          (["--q", "6"], "6 is not a prime power"),
+                          (["--p", "2", "--k", "2"], "q must be odd")):
+        assert main(["roundtrip"] + args) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_small_q_needs_exploratory(capsys):

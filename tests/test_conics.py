@@ -200,10 +200,11 @@ def test_completion_dual_oracle_small(q):
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11])
 def test_batched_completion_matches_complete_q_arc(q):
-    """complete_q_arcs on one arc at a time, against complete_q_arc: the same
-    completion and matrix where it passes, None where it raises.  The arcs
-    are q points of random conics, degenerate ones included, or of the
-    plane, rescaled, some with a repeated point or a zero vector."""
+    """complete_q_arcs on all arcs in one batch, against complete_q_arc arc
+    by arc: ok and the same completion and matrix where it passes, not ok
+    where it raises.  The arcs are q points of random conics, degenerate
+    ones included, or of the plane, rescaled, some with a repeated point or
+    a zero vector."""
     space = plane_over(q)
     f, rng = space.field, random.Random(q)
     # q - 1 points of x^2 = yz, then a zero row
@@ -217,16 +218,17 @@ def test_batched_completion_matches_complete_q_arc(q):
         if t % 13 == 0:
             arc[2] = (0, 0, 0)
         arcs.append(arc)
+    comps, forms, ok = complete_q_arcs(space, np.array(arcs, dtype=np.int16))
     passed = 0
-    for arc in arcs:
+    for i, arc in enumerate(arcs):
         try:
             comp, form = complete_q_arc(space, arc)
         except (NotAnArc, CompletionNotUnique, DegenerateInput):
-            assert complete_q_arcs(space, np.array([arc])) is None
+            assert not ok[i]
             continue
-        comps, forms = complete_q_arcs(space, np.array([arc], dtype=np.int16))
-        assert tuple(comps[0].tolist()) == comp
-        assert tuple(map(tuple, forms[0].tolist())) == form.matrix
+        assert ok[i]
+        assert tuple(comps[i].tolist()) == comp
+        assert tuple(map(tuple, forms[i].tolist())) == form.matrix
         passed += 1
     assert passed >= (0 if q == 3 else 20)
 

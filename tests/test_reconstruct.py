@@ -14,7 +14,7 @@ from pgconics.projgeom import (HeavyPlaneScan, ProjectiveSpace, Subspace, dot_np
 from pgconics.bruckbose import (BruckBoseFrame, baer_subplane_through, build_C,
                                 random_tangent_conic)
 from pgconics import reconstruct
-from pgconics.conics import DegenerateInput, QuadraticForm, tangent_line
+from pgconics.conics import DegenerateInput, QuadraticForm, complete_q_arc, tangent_line
 from pgconics.cli import main
 from pgconics.reconstruct import (ClosureViolation, NotCollinear, NotSkew,
                                   Planes, PipelineState, Spread,
@@ -355,17 +355,19 @@ def test_transversal_points_lie_on_common_plane(run7, frame7):
 
 
 def assert_direction_table_matches_oracle(frame, C):
-    """On every line of PG(3,q): the kernel's largest plane and the plane of
-    each input point equal those of _residual_groups."""
+    """On every line of PG(3,q): the plane of each input point, read by
+    own(), equals that of _residual_groups, and the swept level is the
+    fullest plane's other points, capped at 4.  Returns the fullest planes."""
     state = PipelineState(frame, C)
     rows, ids = frame.sigma.line_table()
     n = len(state.C)
-    largest, own = state.directions.plane_counts(
-        ids, np.broadcast_to(np.arange(n), (len(ids), n)))
+    own = state.directions.own(ids, np.broadcast_to(np.arange(n), (len(ids), n)))
+    largest = np.empty(len(ids), dtype=np.int64)
     for i, line in enumerate(rows.tolist()):
         counts, inverse, _ = _residual_groups(state, tuple(r + [0] for r in line))
-        assert largest[i] == counts.max(), line
         assert (own[i] == counts[inverse]).all(), line
+        largest[i] = counts.max()
+    assert np.array_equal(state.directions.line_levels(), np.minimum(largest - 1, 4))
     return largest
 
 
@@ -385,6 +387,18 @@ def test_direction_table_matches_oracle_repeated_point_q7(frame7, c7):
     # a repeated point has no direction and counts on every plane through it
     largest = assert_direction_table_matches_oracle(frame7, c7[:-1] + c7[:1])
     assert largest.min() == 2
+
+
+def test_direction_table_matches_oracle_four_collinear_q7(frame7, c7):
+    # input points 2 and 3 moved onto the affine line through points 0 and
+    # 1: T has entries 3, so the sweep adds three unit planes per line point
+    f = frame7.base
+    a, b = (f.mul_np[f.inv_np[p[4]], np.array(p)] for p in c7[:2])  # scaled to x4 = 1
+    moved = [frame7.space4.normalize(f.add_np[a, f.mul_np[t, f.sub_np[b, a]]].tolist())
+             for t in (2, 3)]
+    C = c7[:2] + tuple(moved) + c7[4:]
+    assert len(set(C)) == 49 and PipelineState(frame7, C).directions.T.max() == 3
+    assert assert_direction_table_matches_oracle(frame7, C).max() == 7
 
 
 def test_direction_table_matches_oracle_noncanonical_q9(frame9):
@@ -979,8 +993,7 @@ def scalar_tangent_trace(state, cid):
             witness=";".join(",".join(map(str, p)) for p in traces))
     if any(p in axis_set for p in line.points()):
         raise StructureViolation(f"trace line of point {cid} meets the axis")
-    _, own = state.directions.plane_counts(state.sigma.line_point_ids([line.rows]),
-                                           np.array([[cid]]))
+    own = state.directions.own(state.sigma.line_point_ids([line.rows]), np.array([[cid]]))
     if own[0, 0] != 1:
         raise StructureViolation(
             f"plane of point {cid} and its trace line carries {own[0, 0]} points")
@@ -1238,7 +1251,9 @@ def test_pass_path_makes_no_scan(frame7, c7, monkeypatch):
     It fits its conics in one batch, calling complete_q_arc never and
     conic_through_5 once (rebuild_arc's fit), and builds one regulus per
     Klein plane: q^2 + q = 56 triples, not the 336 of one per open pair.
-    A displaced point sends axioms to the scan."""
+    It packs T once and sweeps the 2850 lines of PG(3,7) once, then the
+    axis (t_infinity) and the 50 spread lines (rebuild_arc).  A displaced
+    point sends axioms to the scan."""
     from pgconics import conics, projgeom
     calls = collections.Counter()
 
@@ -1255,9 +1270,14 @@ def test_pass_path_makes_no_scan(frame7, c7, monkeypatch):
                 monkeypatch.setattr(module, name, wrapped)
     monkeypatch.setattr(reconstruct, "_regulus_batch", counting(
         "triples", reconstruct._regulus_batch, lambda f, l1, l2, l3: len(l3)))
+    table = reconstruct.DirectionTable
+    monkeypatch.setattr(table, "levels", counting(
+        "lines swept", table.levels, lambda self, ids: len(ids)))
+    monkeypatch.setattr(table, "_pack", counting("packs", table._pack))
     records, _ = full_pipeline(c7, frame=frame7)
     assert [r.verdict for r in records] == ["pass"] * len(records)
-    assert calls == {"conic_through_5": 1, "triples": 56}
+    assert calls == {"conic_through_5": 1, "triples": 56,
+                     "lines swept": 2850 + 1 + 50, "packs": 1}
     records, _ = full_pipeline(displace_point(frame7, c7, seed=0), frame=frame7)
     assert records[0].verdict == "fail"
     assert calls["scan_heavy_planes"] >= 1
@@ -1280,7 +1300,8 @@ def uniqueness_oracle(st):
     meeting = np.isin(ids, axis_ids).any(axis=1) & ~axis
     in_spread = np.isin(keys, reconstruct._line_keys(sigma, sigma.line_point_ids(spread.lines)))
     outside = ~(axis | meeting | in_spread)
-    largest, _ = st.directions.plane_counts(ids)
+    n = len(st.C)
+    largest = st.directions.own(ids, np.broadcast_to(np.arange(n), (len(ids), n))).max(axis=1)
     bad = np.flatnonzero(outside & (largest < 3))
     if len(bad):
         line = ";".join(",".join(map(str, row)) for row in rows[bad[0]].tolist())
@@ -1302,10 +1323,11 @@ def perturb_spread(st):
     st.spread = perturb_spread_by_regulus(st.sigma, st.spread)[0]
 
 
-# (1,1,1,0,3) keeps the direction table 0/1, so the levels come from the bit
-# sweep; (1,1,0,6,3) puts three input points on a line, so they come from
-# plane_counts.  Both give the axis-meeting line a 3-point plane.  The
-# perturbed spread leaves former spread lines outside it.
+# (1,1,1,0,3) keeps the direction table 0/1, so the sweep adds one unit
+# plane per line point; (1,1,0,6,3) puts three input points on a line, so T
+# has an entry 2 (the "int16" cases) and the sweep adds two.  The oracle
+# reads every plane with own().  Both give the axis-meeting line a 3-point
+# plane.  The perturbed spread leaves former spread lines outside it.
 @pytest.mark.parametrize("inject,binary,expected", [
     (lambda st: None, True, ("pass", None, 392)),
     (move_point_48((1, 1, 1, 0, 3)), True, ("pass", None, 230)),
@@ -1323,6 +1345,23 @@ def test_uniqueness_levels_match_plane_counts(run7, inject, binary, expected):
     assert uniqueness_oracle(st) == expected
     rec = run_stages(st, include={"uniqueness"})[0]
     assert (rec.verdict, rec.witness, rec.counts.get("axis_meeting_compatible")) == expected
+
+
+def test_crowded_axis_meeting_line_witness(frame7, c7, monkeypatch):
+    """assemble_spread with the level of the axis-meeting line
+    [1,0,0,0;0,0,1,1] raised from 1 to 2, a 3-point plane through it, as
+    moving input point 48 to (1,1,1,0,3) makes it above: the line is named."""
+    st = trace_state(frame7, c7)
+    rows, _ = st.sigma.line_table()
+    k = np.flatnonzero((rows == np.array([[1, 0, 0, 0], [0, 0, 1, 1]])).all(axis=(1, 2)))
+    levels = st.directions.line_levels().copy()
+    assert levels[k].tolist() == [1]
+    levels[k] = 2
+    monkeypatch.setattr(st.directions, "line_levels", lambda: levels)
+    rec = run_stages(st, include={"assemble_spread"})[0]
+    assert (rec.verdict, rec.witness) == (
+        "fail", "StructureViolation: plane through an axis-meeting line carries > 2 points "
+                "[1,0,0,0;0,0,1,1]")
 
 
 # the spread assembled with, in place of the axis, the line through a point
@@ -1447,7 +1486,8 @@ def test_affine_completion_witness(frame7, c7, monkeypatch):
     original = reconstruct.complete_q_arcs
 
     def first_points(space, arcs):
-        return normalize_rows_np(space.field, arcs[:, 0])[0], original(space, arcs)[1]
+        _, forms, ok = original(space, arcs)
+        return normalize_rows_np(space.field, arcs[:, 0])[0], forms, ok
     monkeypatch.setattr(reconstruct, "complete_q_arcs", first_points)
     st = classes_state(frame7, c7)
     rec = run_stages(st, include={"infinity_data"})[0]
@@ -1458,16 +1498,22 @@ def test_affine_completion_witness(frame7, c7, monkeypatch):
 @pytest.mark.parametrize("q", [5, 7, 9, 11])
 @pytest.mark.parametrize("seed", [0, 5])
 def test_batched_fit_matches_plane_by_plane(q, seed):
-    """The batched conic fit gives the completions and forms of the plane by
-    plane complete_q_arc loop, element for element (seed 0 is canonical)."""
+    """The batched conic fit gives the completions and forms of
+    complete_q_arc plane by plane, lifted through each plane's basis,
+    element for element (seed 0 is canonical)."""
     frame = make_frame(q)
     st = PipelineState(frame, build_C(frame, random_tangent_conic(frame, seed)),
                        exploratory=q < 7)
     records = run_stages(st, include={"axioms", "parallel_classes", "infinity_data"})
     assert [r.verdict for r in records] == ["pass"] * 3
-    completions, forms = reconstruct._complete_plane_by_plane(st, st.planes.arcs(st._C_arr))
-    for got, want in ((st.planes.completions, completions), (st.planes.forms, forms)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    planes = st.planes
+    assert planes.completions.dtype == planes.forms.dtype == np.int16
+    for p, arc in enumerate(planes.arcs(st._C_arr).tolist()):
+        completion, form = complete_q_arc(st.plane2, arc)
+        lifted = frame.space4.normalize(reconstruct._from_intrinsic_np(
+            st.base, planes.bases[p], np.array(completion)).tolist())
+        assert lifted[4] == 0 and list(lifted[:4]) == planes.completions[p].tolist()
+        assert tuple(map(tuple, planes.forms[p].tolist())) == form.matrix
 
 
 def test_off_conic_witness(monkeypatch):
