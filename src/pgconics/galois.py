@@ -131,8 +131,7 @@ class Field:
         self.q = p ** k
         self.modulus = modulus
         self.token = f"GF({self.q};{','.join(map(str, modulus))})"
-        self._build_poly_tables()
-        self._finish_tables()
+        self._finish_tables(*self._build_poly_tables())
 
     @classmethod
     def _quadratic(cls, base, s, t):
@@ -144,23 +143,14 @@ class Field:
         self.q = q * q
         self.modulus = None
         self.token = f"{base.token}[w;{s},{t}]"
-        add = [[0] * self.q for _ in range(self.q)]
-        mul = [[0] * self.q for _ in range(self.q)]
-        badd, bmul = base._add, base._mul
-        for a in range(self.q):
-            a0, a1 = a % q, a // q
-            rowa, rowm = add[a], mul[a]
-            for b in range(self.q):
-                b0, b1 = b % q, b // q
-                rowa[b] = badd[a0][b0] + q * badd[a1][b1]
-                # (a0+a1w)(b0+b1w), w^2 = sw + t
-                cross = bmul[a1][b1]
-                c0 = badd[bmul[a0][b0]][bmul[t][cross]]
-                c1 = badd[badd[bmul[a0][b1]][bmul[a1][b0]]][bmul[s][cross]]
-                rowm[b] = c0 + q * c1
-        self._add = add
-        self._mul = mul
-        self._finish_tables()
+        badd, bmul = base.add_np.astype(np.int32), base.mul_np
+        x1, x0 = np.divmod(np.arange(self.q), q)
+        a0, a1, b0, b1 = x0[:, None], x1[:, None], x0[None, :], x1[None, :]
+        # (a0+a1w)(b0+b1w), w^2 = sw + t
+        cross = bmul[a1, b1]
+        c0 = badd[bmul[a0, b0], bmul[t][cross]]
+        c1 = badd[badd[bmul[a0, b1], bmul[a1, b0]], bmul[s][cross]]
+        self._finish_tables(badd[a0, b0] + q * badd[a1, b1], c0 + q * c1)
         return self
 
     def _build_poly_tables(self):
@@ -177,31 +167,31 @@ class Field:
             return sum(ci * p ** i for i, ci in enumerate(poly))
 
         polys = [decode(c) for c in range(q)]
-        self._add = [
+        add = [
             [encode([(x + y) % p for x, y in itertools.zip_longest(pa, pb, fillvalue=0)])
              for pb in polys]
             for pa in polys
         ]
         mod = list(self.modulus)
-        self._mul = [
+        mul = [
             [encode(_poly_mod(_poly_mul(pa, pb, p), mod, p)) for pb in polys]
             for pa in polys
         ]
+        return add, mul
 
-    def _finish_tables(self):
-        q = self.q
-        add, mul = self._add, self._mul
-        self._neg = [add[a].index(0) for a in range(q)]
-        self._inv = [0] * q
-        for a in range(1, q):
-            self._inv[a] = mul[a].index(1)
-        self._sub = [[add[a][self._neg[b]] for b in range(q)] for a in range(q)]
+    def _finish_tables(self, add, mul):
+        """Store the add and mul tables and derive neg, inv and sub, as
+        int16 arrays and as the nested lists the scalar operations read."""
         dtype = np.int16
-        self.add_np = np.array(add, dtype=dtype)
-        self.sub_np = np.array(self._sub, dtype=dtype)
-        self.mul_np = np.array(mul, dtype=dtype)
-        self.neg_np = np.array(self._neg, dtype=dtype)
-        self.inv_np = np.array(self._inv, dtype=dtype)
+        self.add_np = np.asarray(add, dtype=dtype)
+        self.mul_np = np.asarray(mul, dtype=dtype)
+        self.neg_np = np.argmax(self.add_np == 0, axis=1).astype(dtype)
+        self.inv_np = np.argmax(self.mul_np == 1, axis=1).astype(dtype)  # 0 at 0
+        self.sub_np = self.add_np[:, self.neg_np]
+        self._add, self._mul, self._neg, self._inv = (
+            t.tolist() for t in (self.add_np, self.mul_np, self.neg_np, self.inv_np))
+        # rows of _add reordered, so sub shares add's int objects
+        self._sub = [list(map(row.__getitem__, self._neg)) for row in self._add]
 
     # -- scalar operations ---------------------------------------------------
 

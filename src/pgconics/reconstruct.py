@@ -1074,78 +1074,87 @@ def stage_regulus_closure(state):
     an accepted regulus must have its regulus with the axis in the spread,
     and that regulus is accepted.
 
-    Row i's open pairs share few reguli.  Under the Klein correspondence the
+    The closure runs in two phases.  Under the Klein correspondence the
     regulus through the axis a and skew lines i and j consists of the lines
     whose Plucker points lie on the plane <P(a), P(i), P(j)> (Hirschfeld
-    1985).  So the open j whose P(j) have one residue modulo the line
-    <P(a), P(i)> share a regulus, and only the first j of each such group
-    is built; a j of residue 0 (for skew a and i, a repeat of one of them)
-    is a group of its own.  The others are passed over, and the pruning is
-    exact.  The regulus of three pairwise skew lines holds every line whose
-    Plucker point is on its plane, so once the first j's regulus is accepted
-    it covers the rest of its group.  If that regulus fails, the row stops
-    there with the same triple and message as the unpruned loop, which
-    would reach that j first too.  The first j of a group is still open at
-    its turn, as an earlier regulus through it would put an earlier first
-    in its group.  (A repeated line maps only its last copy in idx, so the
-    unpruned loop may accept a regulus twice for an earlier copy; the pair
-    of copies then fails as not skew, so those reguli are never reported.)
+    1985).  Phase 1 settles the cover from that alone.  For each row i with
+    open pairs, the j > i whose P(j) have one residue modulo the line
+    <P(a), P(i)> lie on one plane with it; the first open j of each such
+    group is a lead, and a j of residue 0 (for skew a and i, a repeat of i)
+    is a group of its own.  A lead's regulus covers the pairs inside its
+    group, counting a repeated line only by its last copy, since the
+    pair-by-pair closure maps a regulus's line keys to last copies.  Phase
+    2 builds the reguli of all leads in one batch and checks them in
+    lexicographic order: the first lead that is not skew, or whose regulus
+    leaves the spread, fails.
+
+    The result is that of the pair-by-pair closure.  A regulus through three
+    pairwise skew lines holds exactly the spread lines whose Plucker points
+    are on its plane.  So while every lead passes, the cover from codes is
+    the cover from the reguli's keys, the other pairs of a group lie in
+    their lead's regulus, and both closures reach the first failing lead
+    with the same cover and stop there with the same triple and message.
+    The cover from codes falls short only where a failure follows in the
+    same row: if a and i meet, row i's first open pair fails; if i has a
+    later copy, the pair of i and its last copy (residue 0, and never
+    covered, as i is not a last copy) fails as not skew.  (The pair-by-pair
+    closure may accept a regulus twice for an earlier copy of a repeated
+    line; the pair of copies then fails too, so those reguli are never
+    reported.)
     """
     q, f, spread = state.q, state.base, state.spread
     bases = spread.lines[~spread.is_axis()]
     n = len(bases)
     axis_rows = spread.lines[[spread.axis]]
     keys = _line_key_np(f, bases)
-    idx = {k: i for i, k in enumerate(keys.tolist())}
-    in_spread = set(idx) | set(_line_key_np(f, axis_rows).tolist())
+    last = np.zeros(n, dtype=bool)  # the copy of each line that a key names
+    last[n - 1 - np.unique(keys[::-1], return_index=True)[1]] = True
     pa = _plucker_np(f, axis_rows[0, 0], axis_rows[0, 1])
     plk = _plucker_np(f, bases[:, 0], bases[:, 1])
     covered = np.zeros((n, n), dtype=bool)
-    accepted = []
-    passes = 0
-    for i in range(n):
-        todo = i + 1 + np.flatnonzero(~covered[i, i + 1:])
-        passes += n - 1 - i - len(todo)
+    leads = []
+    for i in range(n - 1):
+        todo = np.flatnonzero(~covered[i, i + 1:])
         if not len(todo):
             continue
-        codes = _klein_plane_codes(f, pa, plk[i], plk[todo])
-        _, first, group = np.unique(codes, return_index=True, return_inverse=True)
-        lead = np.where(codes == 0, np.arange(len(todo)), first[group])
-        built = np.unique(lead)
-        batch = _regulus_batch(f, axis_rows, bases[i:i + 1], bases[todo[built]])
-        passes += len(todo) - len(built)
-        for t, j in enumerate(todo[built].tolist()):
-            passes += 1
-            if covered[i, j]:
-                continue
-            if batch.failed[t]:
-                raise _regulus_failure(batch.failed[t], (axis_rows[0], bases[i], bases[j]))
-            reg_keys = batch.keys[t].tolist()
-            if any(k not in in_spread for k in reg_keys):
-                raise ClosureViolation(
-                    f"regulus through pair ({i},{j}) leaves the spread",
-                    witness=_rows_text(bases[i]) + " | " + _rows_text(bases[j]))
-            members = [idx[k] for k in reg_keys if k in idx]
-            covered[np.ix_(members, members)] = True
-            accepted.append(batch.spans[t])
+        codes = _klein_plane_codes(f, pa, plk[i], plk[i + 1:])
+        _, first = np.unique(codes[todo], return_index=True)
+        for j in np.union1d(todo[first], todo[codes[todo] == 0]).tolist():
+            leads.append((i, i + 1 + j))
+            if codes[j]:
+                group = i + 1 + np.flatnonzero((codes == codes[j]) & last[i + 1:])
+                covered[group[:, None], group] = True
+    li, lj = np.array(leads, dtype=np.int64).reshape(-1, 2).T
+    batch = _regulus_batch(f, axis_rows, bases[li], bases[lj])
+    leaves = ~np.isin(batch.keys, np.append(keys, _line_key_np(f, axis_rows))).all(axis=1)
+    bad = np.flatnonzero(batch.failed.astype(bool) | leaves)
+    if len(bad):
+        t = bad[0]
+        i, j = int(li[t]), int(lj[t])
+        if batch.failed[t]:
+            raise _regulus_failure(batch.failed[t], (axis_rows[0], bases[i], bases[j]))
+        raise ClosureViolation(
+            f"regulus through pair ({i},{j}) leaves the spread",
+            witness=_rows_text(bases[i]) + " | " + _rows_text(bases[j]))
     # each regulus as its spanning pairs (2, q+1, 2, 4), lines then opposite
-    reguli = np.array(accepted, dtype=np.int16).reshape(-1, 2, q + 1, 2, 4)
+    reguli = batch.spans.astype(np.int16)
     if state.planes:
-        cline_keys = set(_line_key_np(f, state.planes.traces).tolist())
-        for opposite in _line_key_np(f, reguli[:, 1]).tolist():
-            hits = sum(k in cline_keys for k in opposite)
-            if hits != 1:
-                raise StructureViolation(
-                    f"opposite regulus contains {hits} trace lines")
+        hits = np.isin(_line_key_np(f, reguli[:, 1]),
+                       _line_key_np(f, state.planes.traces)).sum(axis=1)
+        wrong = np.flatnonzero(hits != 1)
+        if len(wrong):
+            raise StructureViolation(
+                f"opposite regulus contains {hits[wrong[0]]} trace lines")
     # There are q^2+q reguli, which is not tested.  A regulus is accepted for
     # a pair that no accepted one covers, and three pairwise skew lines lie
     # in exactly one regulus (Hirschfeld 1985).  So two accepted reguli share
     # the axis and at most one other line, and they cover the C(q^2, 2) pairs
     # of non-axis lines C(q, 2) pairs at a time.
     state.reguli = reguli
+    # every pair is visited once: covered, passed over in its group or built
     out = {
         "pairs": n * (n - 1) // 2,
-        "passes": passes,
+        "passes": n * (n - 1) // 2,
         "distinct_reguli": q * q + q,
     }
     if state.planes:

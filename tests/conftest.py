@@ -1,12 +1,11 @@
-import contextlib
-from unittest import mock
+import itertools
 
-import numpy as np
 import pytest
 from hypothesis import settings
 
 from pgconics import reconstruct
 from pgconics.galois import Field, QuadExtension
+from pgconics.projgeom import Subspace
 from pgconics.bruckbose import build_frame, canonical_tangent_conic, build_C
 from pgconics.reconstruct import full_pipeline
 
@@ -57,21 +56,77 @@ def frame9(gf9):
     return build_frame(QuadExtension(gf9))
 
 
-def _closure_record(state, unpruned=False):
-    """regulus_closure's verdict, witness, counts and reguli on state;
-    unpruned, every open pair of a row is its own group, as before the rows
-    were grouped by Klein plane."""
+def _reguli_rows(reguli):
+    return [([l.rows for l in r.lines], [l.rows for l in r.opposite]) for r in reguli]
+
+
+def _closure_record(state):
+    """regulus_closure's verdict, witness, counts and reguli (RREF line rows,
+    in the order accepted) on state."""
     state.reguli = None
-    with mock.patch.object(reconstruct, "_klein_plane_codes",
-                           lambda f, pa, pi, pj: np.arange(1, len(pj) + 1)) if unpruned \
-            else contextlib.nullcontext():
-        rec = reconstruct.run_stages(state, include={"regulus_closure"})[0]
-    reguli = None if state.reguli is None else state.reguli.tolist()
+    rec = reconstruct.run_stages(state, include={"regulus_closure"})[0]
+    reguli = None if state.reguli is None else \
+        _reguli_rows(reconstruct._reguli(state.sigma, state.reguli))
     return rec.verdict, rec.witness, rec.counts, reguli
+
+
+def scalar_closure(sigma, spread):
+    """(reguli, passes) of the greedy closure, pair by pair: one regulus_from
+    per open pair of non-axis lines.  It raises at the first pair whose
+    lines are not skew (NotSkew) or whose regulus leaves the spread
+    (ClosureViolation), with regulus_closure's message and witness."""
+    def subspace(rows):
+        return Subspace(sigma, tuple(map(tuple, rows)))
+    axis = subspace(spread.lines[spread.axis].tolist())
+    lines = [subspace(rows) for rows in spread.lines[~spread.is_axis()].tolist()]
+    rows_set = spread.rows_set()
+    idx = {l.rows: i for i, l in enumerate(lines)}  # a repeated line: its last copy
+    covered, reguli, passes = set(), [], 0
+    for i, j in itertools.combinations(range(len(lines)), 2):
+        passes += 1
+        if (i, j) in covered:
+            continue
+        reg = reconstruct.regulus_from(sigma, axis, lines[i], lines[j])
+        if any(l.rows not in rows_set for l in reg.lines):
+            raise reconstruct.ClosureViolation(
+                f"regulus through pair ({i},{j}) leaves the spread",
+                witness=lines[i].to_text() + " | " + lines[j].to_text())
+        reguli.append(reg)
+        covered.update(itertools.combinations(sorted(idx[l.rows] for l in reg.lines
+                                                     if l.rows in idx), 2))
+    return reguli, passes
+
+
+def _closure_oracle(state):
+    """_closure_record's tuple from scalar_closure, with the opposite
+    regulus of each accepted regulus holding one trace line."""
+    try:
+        reguli, passes = scalar_closure(state.sigma, state.spread)
+        n = len(state.spread.lines) - 1
+        counts = {"pairs": n * (n - 1) // 2, "passes": passes, "distinct_reguli": len(reguli)}
+        if state.planes:
+            traces = {tuple(map(tuple, rows)) for rows in state.planes.traces.tolist()}
+            for r in reguli:
+                hits = sum(l.rows in traces for l in r.opposite)
+                if hits != 1:
+                    raise reconstruct.StructureViolation(
+                        f"opposite regulus contains {hits} trace lines")
+            counts["opposites_with_one_trace_line"] = len(reguli)
+    except reconstruct.CheckViolation as exc:
+        witness = f"{type(exc).__name__}: {exc}" + (f" [{exc.witness}]" if exc.witness else "")
+        return ("warn" if state.exploratory else "fail"), witness, {}, None
+    return "pass", None, counts, _reguli_rows(reguli)
 
 
 @pytest.fixture(scope="session")
 def closure_record():
-    """_closure_record, for tests that compare the pruned regulus closure
-    with the unpruned one."""
+    """_closure_record, for tests that compare the regulus closure with
+    closure_oracle."""
     return _closure_record
+
+
+@pytest.fixture(scope="session")
+def closure_oracle():
+    """_closure_oracle: the pair-by-pair closure that closure_record must
+    match in verdict, witness, counts and reguli."""
+    return _closure_oracle

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -111,3 +112,48 @@ def test_gf49_commutative_and_char_property(a, b):
 
 
 _EXT49 = QuadExtension(Field(7))
+
+
+def scalar_tables(add, mul):
+    """neg, inv and sub from add and mul, entry by entry."""
+    q = len(add)
+    neg = [add[a].index(0) for a in range(q)]
+    inv = [0] + [mul[a].index(1) for a in range(1, q)]
+    return neg, inv, [[add[a][neg[b]] for b in range(q)] for a in range(q)]
+
+
+def scalar_quadratic_tables(base, s, t):
+    """add and mul of GF(q^2) = GF(q)[w], w^2 = s*w + t, entry by entry on
+    the codes x0 + q*x1."""
+    q = base.q
+    add = [[0] * (q * q) for _ in range(q * q)]
+    mul = [[0] * (q * q) for _ in range(q * q)]
+    for a in range(q * q):
+        a0, a1 = a % q, a // q
+        for b in range(q * q):
+            b0, b1 = b % q, b // q
+            add[a][b] = base.add(a0, b0) + q * base.add(a1, b1)
+            # (a0+a1w)(b0+b1w), w^2 = sw + t
+            cross = base.mul(a1, b1)
+            c0 = base.add(base.mul(a0, b0), base.mul(t, cross))
+            c1 = base.add(base.add(base.mul(a0, b1), base.mul(a1, b0)), base.mul(s, cross))
+            mul[a][b] = c0 + q * c1
+    return add, mul
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)])
+def test_tables_match_scalar_formula(p, k):
+    """Every table of GF(q) and GF(q^2) (q^2 = 9 ... 169), as an int16 array
+    and as the lists the scalar operations read, equals the entry-by-entry
+    formula."""
+    base = Field(p, k)
+    ext = QuadExtension(base)
+    for field, (add, mul) in ((base, (base._add, base._mul)),
+                              (ext.ext, scalar_quadratic_tables(base, ext.s, ext.t))):
+        expected = dict(zip(("add", "mul", "neg", "inv", "sub"),
+                            (add, mul, *scalar_tables(add, mul))))
+        for name, table in expected.items():
+            assert getattr(field, "_" + name) == table, name
+            array = getattr(field, name + "_np")
+            assert array.dtype == np.int16
+            assert array.tobytes() == np.array(table, dtype=np.int16).tobytes(), name

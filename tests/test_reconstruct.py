@@ -16,7 +16,7 @@ from pgconics.bruckbose import (BruckBoseFrame, baer_subplane_through, build_C,
 from pgconics import reconstruct
 from pgconics.conics import DegenerateInput, QuadraticForm, complete_q_arc, tangent_line
 from pgconics.cli import main
-from pgconics.reconstruct import (ClosureViolation, NotCollinear, NotSkew,
+from pgconics.reconstruct import (NotCollinear, NotSkew,
                                   Planes, PipelineState, Spread,
                                   StructureViolation, TangentDegenerate,
                                   _residual_groups, _three_space_tests,
@@ -555,52 +555,22 @@ def scalar_regulus_from(sigma, l1, l2, l3):
     return reconstruct.Regulus(lines=tuple(sorted(lines)), opposite=tuple(sorted(opposite)))
 
 
-def spread_subspaces(sigma, spread):
-    """(axis, the other lines in order) of a Spread, as Subspaces."""
-    def subspace(rows):
-        return Subspace(sigma, tuple(map(tuple, rows)))
-    return (subspace(spread.lines[spread.axis].tolist()),
-            [subspace(rows) for rows in spread.lines[~spread.is_axis()].tolist()])
-
-
-def scalar_closure(sigma, spread):
-    """(reguli, passes) of the greedy closure, one regulus_from per open pair."""
-    axis, lines = spread_subspaces(sigma, spread)
-    rows_set = spread.rows_set()
-    idx = {l.rows: i for i, l in enumerate(lines)}
-    covered, reguli, passes = set(), [], 0
-    for i, j in itertools.combinations(range(len(lines)), 2):
-        passes += 1
-        if (i, j) in covered:
-            continue
-        reg = scalar_regulus_from(sigma, axis, lines[i], lines[j])
-        if any(l.rows not in rows_set for l in reg.lines):
-            raise ClosureViolation(
-                f"regulus through pair ({i},{j}) leaves the spread",
-                witness=lines[i].to_text() + " | " + lines[j].to_text())
-        reguli.append(reg)
-        covered.update(itertools.combinations(sorted(idx[l.rows] for l in reg.lines
-                                                     if l.rows in idx), 2))
-    return reguli, passes
-
-
 def reguli_rows(reguli):
     return [([l.rows for l in r.lines], [l.rows for l in r.opposite]) for r in reguli]
 
 
 @pytest.mark.parametrize("q", [5, 7, 9])
-def test_regulus_closure_matches_scalar_oracle(closure_record, q):
+def test_regulus_closure_matches_scalar_oracle(closure_record, closure_oracle, q):
     frame = make_frame(q)
     C = build_C(frame, random_tangent_conic(frame, 0 if q != 9 else 5))
     records, state = full_pipeline(C, frame=frame, exploratory=q < 7)
     closure = records_by_name(records)["regulus_closure"]
     assert closure.verdict == "pass"
-    reguli, passes = scalar_closure(frame.sigma, state.spread)
-    assert reguli_rows(reconstruct._reguli(frame.sigma, state.reguli)) == reguli_rows(reguli)
     n = q * q
-    assert closure.counts == {"pairs": n * (n - 1) // 2, "passes": passes,
-                              "distinct_reguli": len(reguli),
-                              "opposites_with_one_trace_line": len(reguli)}
+    expected = closure_oracle(state)
+    assert closure_record(state) == expected
+    assert expected[2] == {"pairs": n * (n - 1) // 2, "passes": n * (n - 1) // 2,
+                           "distinct_reguli": n + q, "opposites_with_one_trace_line": n + q}
     # shuffled line orders change the greedy choices, not the agreement
     rng = random.Random(q)
     for _ in range(2):
@@ -609,10 +579,9 @@ def test_regulus_closure_matches_scalar_oracle(closure_record, q):
         st = PipelineState(frame, C)
         st.spread = Spread(lines=state.spread.lines[order],
                            axis=order.index(state.spread.axis), provenance={})
-        assert run_stages(st, include={"regulus_closure"})[0].verdict == "pass"
-        assert reguli_rows(reconstruct._reguli(frame.sigma, st.reguli)) == \
-            reguli_rows(scalar_closure(frame.sigma, st.spread)[0])
-        assert closure_record(st) == closure_record(st, unpruned=True)
+        record = closure_record(st)
+        assert record[0] == "pass"
+        assert record == closure_oracle(st)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
@@ -652,7 +621,7 @@ def test_regulus_from_matches_scalar_oracle(q):
     assert outcomes["regulus"] >= 40 and outcomes["not skew"] >= 40
 
 
-def test_regulus_closure_witness_past_the_first_pair(frame7, c7):
+def test_regulus_closure_witness_past_the_first_pair(frame7, c7, closure_oracle):
     """The Hall-perturbed classical spread, lines in descending order: the
     regulus of pair (0, 1) lies in the spread and covers other pairs of row
     0, and pair (0, 7) is the first whose regulus leaves it.  Captured with
@@ -666,8 +635,20 @@ def test_regulus_closure_witness_past_the_first_pair(frame7, c7):
     assert (rec.verdict, rec.witness) == (
         "fail", "ClosureViolation: regulus through pair (0,7) leaves the spread "
                 "[1,0,6,6;0,1,4,6 | 1,0,5,6;0,1,6,3]")
-    with pytest.raises(ClosureViolation, match=r"pair \(0,7\)"):
-        scalar_closure(frame7.sigma, st.spread)
+    assert closure_oracle(st)[:2] == (rec.verdict, rec.witness)
+
+
+def test_opposite_regulus_without_trace_line(closure_record, closure_oracle):
+    """The classical spread is regular, so its closure is built; but against
+    the trace lines of the seed-3 conic at q = 7, whose spread it is not,
+    an opposite regulus holds none of them."""
+    frame = make_frame(7)
+    C = build_C(frame, random_tangent_conic(frame, 3))
+    _, state = full_pipeline(C, frame=frame)
+    st = PipelineState(frame, C)
+    st.planes, st.spread = state.planes, classical_spread(frame)
+    expected = ("fail", "StructureViolation: opposite regulus contains 0 trace lines", {}, None)
+    assert closure_record(st) == closure_oracle(st) == expected
 
 
 def test_three_space_and_klein_work_counts(frame7, conic7, c7, monkeypatch):
@@ -1250,7 +1231,8 @@ def test_pass_path_makes_no_scan(frame7, c7, monkeypatch):
     """A canonical q = 7 round trip makes no pair scan and no row grouping.
     It fits its conics in one batch, calling complete_q_arc never and
     conic_through_5 once (rebuild_arc's fit), and builds one regulus per
-    Klein plane: q^2 + q = 56 triples, not the 336 of one per open pair.
+    Klein plane, all in one batch: q^2 + q = 56 triples, not the 336 of one
+    per open pair.
     It packs T once and sweeps the 2850 lines of PG(3,7) once, then the
     axis (t_infinity) and the 50 spread lines (rebuild_arc).  A displaced
     point sends axioms to the scan."""
@@ -1268,15 +1250,15 @@ def test_pass_path_makes_no_scan(frame7, c7, monkeypatch):
             wrapped = counting(name, getattr(source, name))
             for module in (source, reconstruct):
                 monkeypatch.setattr(module, name, wrapped)
-    monkeypatch.setattr(reconstruct, "_regulus_batch", counting(
-        "triples", reconstruct._regulus_batch, lambda f, l1, l2, l3: len(l3)))
+    monkeypatch.setattr(reconstruct, "_regulus_batch", counting("regulus batches", counting(
+        "triples", reconstruct._regulus_batch, lambda f, l1, l2, l3: len(l3))))
     table = reconstruct.DirectionTable
     monkeypatch.setattr(table, "levels", counting(
         "lines swept", table.levels, lambda self, ids: len(ids)))
     monkeypatch.setattr(table, "_pack", counting("packs", table._pack))
     records, _ = full_pipeline(c7, frame=frame7)
     assert [r.verdict for r in records] == ["pass"] * len(records)
-    assert calls == {"conic_through_5": 1, "triples": 56,
+    assert calls == {"conic_through_5": 1, "regulus batches": 1, "triples": 56,
                      "lines swept": 2850 + 1 + 50, "packs": 1}
     records, _ = full_pipeline(displace_point(frame7, c7, seed=0), frame=frame7)
     assert records[0].verdict == "fail"
