@@ -1084,9 +1084,10 @@ def stage_regulus_closure(state):
     is a group of its own.  A lead's regulus covers the pairs inside its
     group, counting a repeated line only by its last copy, since the
     pair-by-pair closure maps a regulus's line keys to last copies.  Phase
-    2 builds the reguli of all leads in one batch and checks them in
-    lexicographic order: the first lead that is not skew, or whose regulus
-    leaves the spread, fails.
+    1 stops after a lead known to fail: one whose residue fewer than q-1
+    last copies share.  Phase 2 builds the reguli of all leads in one batch
+    and checks them in lexicographic order: the first lead that is not
+    skew, or whose regulus leaves the spread, fails.
 
     The result is that of the pair-by-pair closure.  A regulus through three
     pairwise skew lines holds exactly the spread lines whose Plucker points
@@ -1094,6 +1095,11 @@ def stage_regulus_closure(state):
     the cover from the reguli's keys, the other pairs of a group lie in
     their lead's regulus, and both closures reach the first failing lead
     with the same cover and stop there with the same triple and message.
+    A lead that ends phase 1 does fail, so the leads after it cannot come
+    first.  Were a, i and j pairwise skew with their regulus in the spread,
+    j's residue would not be 0, as <P(a), P(i)> meets the Klein quadric
+    only in P(a) and P(i), and the q-1 regulus lines besides a and i would
+    be spread lines of j's residue.
     The cover from codes falls short only where a failure follows in the
     same row: if a and i meet, row i's first open pair fails; if i has a
     later copy, the pair of i and its last copy (residue 0, and never
@@ -1114,16 +1120,20 @@ def stage_regulus_closure(state):
     covered = np.zeros((n, n), dtype=bool)
     leads = []
     for i in range(n - 1):
-        todo = np.flatnonzero(~covered[i, i + 1:])
+        todo = i + 1 + np.flatnonzero(~covered[i, i + 1:])
         if not len(todo):
             continue
-        codes = _klein_plane_codes(f, pa, plk[i], plk[i + 1:])
+        codes = _klein_plane_codes(f, pa, plk[i], plk)
         _, first = np.unique(codes[todo], return_index=True)
-        for j in np.union1d(todo[first], todo[codes[todo] == 0]).tolist():
-            leads.append((i, i + 1 + j))
+        row = np.union1d(todo[first], todo[codes[todo] == 0])
+        short = np.flatnonzero((codes[last][:, None] == codes[row]).sum(axis=0) < q - 1)
+        for j in row[:short[0] + 1 if len(short) else None].tolist():
+            leads.append((i, j))
             if codes[j]:
-                group = i + 1 + np.flatnonzero((codes == codes[j]) & last[i + 1:])
+                group = i + 1 + np.flatnonzero((codes[i + 1:] == codes[j]) & last[i + 1:])
                 covered[group[:, None], group] = True
+        if len(short):
+            break
     li, lj = np.array(leads, dtype=np.int64).reshape(-1, 2).T
     batch = _regulus_batch(f, axis_rows, bases[li], bases[lj])
     leaves = ~np.isin(batch.keys, np.append(keys, _line_key_np(f, axis_rows))).all(axis=1)

@@ -5,7 +5,7 @@ from hypothesis import settings
 
 from pgconics import reconstruct
 from pgconics.galois import Field, QuadExtension
-from pgconics.projgeom import Subspace
+from pgconics.projgeom import Subspace, span
 from pgconics.bruckbose import build_frame, canonical_tangent_conic, build_C
 from pgconics.reconstruct import full_pipeline
 
@@ -60,6 +60,38 @@ def _reguli_rows(reguli):
     return [([l.rows for l in r.lines], [l.rows for l in r.opposite]) for r in reguli]
 
 
+def _scalar_transversal(sigma, V, l2, l3):
+    """The unique line through V meeting the skew lines l2 and l3."""
+    f = sigma.field
+    d = span(sigma, [l2, V]).dual()[0]
+    r1, r2 = l3.rows
+    a, b = f.dot(d, r1), f.dot(d, r2)
+    if a == 0 and b == 0:
+        raise reconstruct.NotSkew("third line lies in the plane of the first two")
+    W = tuple(f.sub(f.mul(b, x), f.mul(a, y)) for x, y in zip(r1, r2))
+    return span(sigma, [V, W])
+
+
+def _scalar_regulus_from(sigma, l1, l2, l3):
+    """The regulus through three lines, built point by point with scalar
+    field operations, independently of reconstruct's batched construction."""
+    for a, b in itertools.combinations((l1, l2, l3), 2):
+        if a.meet(b) is not None:
+            raise reconstruct.NotSkew(
+                f"lines are not pairwise skew: {a.to_text()} / {b.to_text()}")
+    opposite = [_scalar_transversal(sigma, V, l2, l3) for V in l1.points()]
+    if len({t.rows for t in opposite}) != len(opposite):
+        raise reconstruct.NotSkew("transversals are not distinct")
+    o1, o2, o3 = opposite[:3]
+    lines = [_scalar_transversal(sigma, U, o2, o3) for U in o1.points()]
+    rows = {t.rows for t in lines}
+    if len(rows) != len(lines):
+        raise reconstruct.NotSkew("regulus lines are not distinct")
+    if any(l.rows not in rows for l in (l1, l2, l3)):
+        raise reconstruct.NotSkew("regulus does not contain its generating lines")
+    return reconstruct.Regulus(lines=tuple(sorted(lines)), opposite=tuple(sorted(opposite)))
+
+
 def _closure_record(state):
     """regulus_closure's verdict, witness, counts and reguli (RREF line rows,
     in the order accepted) on state."""
@@ -71,10 +103,11 @@ def _closure_record(state):
 
 
 def scalar_closure(sigma, spread):
-    """(reguli, passes) of the greedy closure, pair by pair: one regulus_from
-    per open pair of non-axis lines.  It raises at the first pair whose
-    lines are not skew (NotSkew) or whose regulus leaves the spread
-    (ClosureViolation), with regulus_closure's message and witness."""
+    """(reguli, passes) of the greedy closure, pair by pair: one
+    _scalar_regulus_from per open pair of non-axis lines.  It raises at the
+    first pair whose lines are not skew (NotSkew) or whose regulus leaves
+    the spread (ClosureViolation), with regulus_closure's message and
+    witness."""
     def subspace(rows):
         return Subspace(sigma, tuple(map(tuple, rows)))
     axis = subspace(spread.lines[spread.axis].tolist())
@@ -86,7 +119,7 @@ def scalar_closure(sigma, spread):
         passes += 1
         if (i, j) in covered:
             continue
-        reg = reconstruct.regulus_from(sigma, axis, lines[i], lines[j])
+        reg = _scalar_regulus_from(sigma, axis, lines[i], lines[j])
         if any(l.rows not in rows_set for l in reg.lines):
             raise reconstruct.ClosureViolation(
                 f"regulus through pair ({i},{j}) leaves the spread",
@@ -130,3 +163,16 @@ def closure_oracle():
     """_closure_oracle: the pair-by-pair closure that closure_record must
     match in verdict, witness, counts and reguli."""
     return _closure_oracle
+
+
+@pytest.fixture(scope="session")
+def reguli_rows():
+    """_reguli_rows: reguli as lists of their line rows, then opposite rows."""
+    return _reguli_rows
+
+
+@pytest.fixture(scope="session")
+def scalar_regulus_from():
+    """_scalar_regulus_from: the scalar regulus construction that
+    regulus_from and the closure are compared with."""
+    return _scalar_regulus_from

@@ -526,39 +526,6 @@ def test_klein_rejects_hall_perturbation_witnesses(q):
 # the batched regulus closure against the scalar transversal construction
 
 
-def scalar_transversal(sigma, V, l2, l3):
-    """The unique line through V meeting the skew lines l2 and l3."""
-    f = sigma.field
-    d = span(sigma, [l2, V]).dual()[0]
-    r1, r2 = l3.rows
-    a, b = f.dot(d, r1), f.dot(d, r2)
-    if a == 0 and b == 0:
-        raise NotSkew("third line lies in the plane of the first two")
-    W = tuple(f.sub(f.mul(b, x), f.mul(a, y)) for x, y in zip(r1, r2))
-    return span(sigma, [V, W])
-
-
-def scalar_regulus_from(sigma, l1, l2, l3):
-    for a, b in itertools.combinations((l1, l2, l3), 2):
-        if a.meet(b) is not None:
-            raise NotSkew(f"lines are not pairwise skew: {a.to_text()} / {b.to_text()}")
-    opposite = [scalar_transversal(sigma, V, l2, l3) for V in l1.points()]
-    if len({t.rows for t in opposite}) != len(opposite):
-        raise NotSkew("transversals are not distinct")
-    o1, o2, o3 = opposite[:3]
-    lines = [scalar_transversal(sigma, U, o2, o3) for U in o1.points()]
-    rows = {t.rows for t in lines}
-    if len(rows) != len(lines):
-        raise NotSkew("regulus lines are not distinct")
-    if any(l.rows not in rows for l in (l1, l2, l3)):
-        raise NotSkew("regulus does not contain its generating lines")
-    return reconstruct.Regulus(lines=tuple(sorted(lines)), opposite=tuple(sorted(opposite)))
-
-
-def reguli_rows(reguli):
-    return [([l.rows for l in r.lines], [l.rows for l in r.opposite]) for r in reguli]
-
-
 @pytest.mark.parametrize("q", [5, 7, 9])
 def test_regulus_closure_matches_scalar_oracle(closure_record, closure_oracle, q):
     frame = make_frame(q)
@@ -585,7 +552,7 @@ def test_regulus_closure_matches_scalar_oracle(closure_record, closure_oracle, q
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
-def test_regulus_from_matches_scalar_oracle(q):
+def test_regulus_from_matches_scalar_oracle(reguli_rows, scalar_regulus_from, q):
     """On spread triples and on random triples of sigma.line_table(),
     meeting and coplanar ones included, regulus_from passes or fails with
     the message of the scalar construction, which keeps the checks the
@@ -621,21 +588,76 @@ def test_regulus_from_matches_scalar_oracle(q):
     assert outcomes["regulus"] >= 40 and outcomes["not skew"] >= 40
 
 
-def test_regulus_closure_witness_past_the_first_pair(frame7, c7, closure_oracle):
+def test_regulus_closure_witness_past_the_first_pair(frame7, c7, closure_oracle, monkeypatch):
     """The Hall-perturbed classical spread, lines in descending order: the
     regulus of pair (0, 1) lies in the spread and covers other pairs of row
     0, and pair (0, 7) is the first whose regulus leaves it.  Captured with
-    the scalar closure."""
+    the scalar closure.  Its Klein plane holds too few spread lines, so the
+    closure builds no regulus past it: one batch of 2 triples."""
     pert, _ = perturb_spread_by_regulus(frame7.sigma, classical_spread(frame7))
     others = sorted(pert.lines[~pert.is_axis()].tolist(), reverse=True)
     st = PipelineState(frame7, c7)
     st.spread = Spread(lines=np.array(others + [pert.lines[pert.axis].tolist()], dtype=np.int16),
                        axis=len(others), provenance={})
+    triples = []
+    batch = reconstruct._regulus_batch
+    monkeypatch.setattr(reconstruct, "_regulus_batch",
+                        lambda f, l1, l2, l3: triples.append(len(l3)) or batch(f, l1, l2, l3))
     rec = run_stages(st, include={"regulus_closure"})[0]
+    assert triples == [2]
     assert (rec.verdict, rec.witness) == (
         "fail", "ClosureViolation: regulus through pair (0,7) leaves the spread "
                 "[1,0,6,6;0,1,4,6 | 1,0,5,6;0,1,6,3]")
     assert closure_oracle(st)[:2] == (rec.verdict, rec.witness)
+
+
+def test_regulus_closure_stops_at_a_short_plane(frame7, c7, run7, closure_oracle, monkeypatch):
+    """With line 20 dropped from the canonical q = 7 spread, the Klein plane
+    of pair (0, 19) holds q - 2 spread lines besides the axis and line 0.
+    Its regulus leaves the spread, and the closure builds none past it: one
+    batch of the 4 leads of row 0 up to it."""
+    spread = run7[1].spread
+    lines = spread.lines[~spread.is_axis()]
+    st = PipelineState(frame7, c7)
+    st.planes = run7[1].planes
+    st.spread = Spread(lines=np.concatenate((lines[:20], lines[21:], spread.lines[[spread.axis]])),
+                       axis=len(lines) - 1, provenance={})
+    triples = []
+    batch = reconstruct._regulus_batch
+    monkeypatch.setattr(reconstruct, "_regulus_batch",
+                        lambda f, l1, l2, l3: triples.append(len(l3)) or batch(f, l1, l2, l3))
+    rec = run_stages(st, include={"regulus_closure"})[0]
+    assert triples == [4]
+    assert (rec.verdict, rec.witness) == closure_oracle(st)[:2] == (
+        "fail", "ClosureViolation: regulus through pair (0,19) leaves the spread "
+                "[1,0,0,0;0,1,0,0 | 1,0,5,3;0,1,2,5]")
+
+
+def test_regulus_closure_not_skew_before_leaving(frame7, c7, run7, closure_record,
+                                                 closure_oracle, monkeypatch):
+    """A lead whose lines meet fails as not skew, whatever keys the batch
+    computes for it: with those keys moved into the spread, the record is
+    unchanged.  A line through a point of the axis is inserted into the
+    canonical q = 7 spread as line 3."""
+    spread = run7[1].spread
+    axis = spread.lines[spread.axis].tolist()
+    lines = spread.lines[~spread.is_axis()].tolist()
+    lines.insert(3, span(frame7.sigma, [axis[0], lines[10][0]]).rows)
+    st = PipelineState(frame7, c7)
+    st.planes = run7[1].planes
+    st.spread = Spread(lines=np.array(lines + [axis], dtype=np.int16),
+                       axis=len(lines), provenance={})
+    expected = closure_oracle(st)
+    assert expected[:2] == ("fail", "NotSkew: lines are not pairwise skew: "
+                                    "0,0,1,0;0,0,0,1 / 1,0,0,0;0,0,1,0")
+    batch = reconstruct._regulus_batch
+
+    def keys_in_spread(f, *triples):
+        out = batch(f, *triples)
+        out.keys[out.failed != 0] = reconstruct._line_key_np(f, np.array(axis, dtype=np.int16))
+        return out
+    monkeypatch.setattr(reconstruct, "_regulus_batch", keys_in_spread)
+    assert closure_record(st) == expected
 
 
 def test_opposite_regulus_without_trace_line(closure_record, closure_oracle):
