@@ -16,7 +16,7 @@ import itertools
 
 import numpy as np
 
-from .projgeom import Subspace, dot_np, normalize_rows_np, nullspace, rref, rref_np, span
+from .projgeom import Subspace, matmul_np, normalize_rows_np, nullspace, rref, rref_np, span
 
 
 class DegenerateInput(ValueError):
@@ -98,11 +98,12 @@ class QuadraticForm:
         return f.dot(pt, mp)
 
     def values(self, pts):
-        """P M P^T for every row P of an int16 array (k, 3), through the
-        field's tables, so every product stays an exact int16 code."""
+        """P M P^T for every row P of an int16 array (k, 3), as the monomials
+        of P times coefficients(): the diagonal entries and the doubled
+        off-diagonal ones, equal to P M P^T in every characteristic."""
         f = self.space.field
-        mp = dot_np(f, np.array(self.matrix, dtype=np.int16), pts[:, None, :])
-        return dot_np(f, pts, mp)
+        coeffs = np.array(self.coefficients(), dtype=np.int16)[:, None]
+        return matmul_np(f, _monomials_np(f, pts), coeffs)[:, 0]
 
     def polar_dual(self, pt):
         """Dual coordinates M.P of the polar line of pt."""
@@ -272,7 +273,7 @@ def complete_q_arcs(space, arcs):
     coeffs = np.stack((a, b, c, f.add_np[hd, hd], f.add_np[he, he], f.add_np[hg, hg]), axis=1)
     pts = space.points_np()
     # sum of coefficient * monomial is P M P^T, exactly, in any field
-    on = dot_np(f, coeffs[:, None, :], _monomials_np(f, pts)[None]) == 0
+    on = matmul_np(f, coeffs, _monomials_np(f, pts).T) == 0
     ok &= (on.sum(axis=1) == q + 1) & on[k, ids].all(axis=1)
     # conic_through_5's tests of the five points (no three collinear) and
     # of the conic (det M != 0) are implied.  A form with q+1 zeros and

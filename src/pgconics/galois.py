@@ -5,6 +5,13 @@ code are the coefficients of the element in the polynomial basis, little-endian
 (code = c0 + c1*p + ... + c_{k-1}*p^{k-1}).  All arithmetic is table driven, so
 it is exact and uniform across prime and prime-power orders.
 
+Besides the q x q operation tables, every field keeps the base-p digits of
+each code (digits_np) and the regular representation (rep_np): for each x,
+the k x k matrix over GF(p) of y -> xy on those digits.  Addition is digit-wise
+mod p in every encoding here, so the digits are GF(p) coordinates, and a
+product of matrices over the field is an integer product of digit and
+representation matrices, reduced mod p (projgeom.matmul_np).
+
 A quadratic extension GF(q^2) = GF(q)[w], w^2 = s*w + t, encodes x = x0 + x1*w
 as the integer x0 + q*x1 where x0, x1 are GF(q) codes.  The embedded copy of
 GF(q) is therefore exactly the codes 0..q-1.
@@ -181,13 +188,19 @@ class Field:
 
     def _finish_tables(self, add, mul):
         """Store the add and mul tables and derive neg, inv and sub, as
-        int16 arrays and as the nested lists the scalar operations read."""
+        int16 arrays and as the nested lists the scalar operations read;
+        then the int32 digits (q, k) and regular representation (q, k, k),
+        rep_np[x] @ digits_np[y] = digits_np[x * y] mod p."""
         dtype = np.int16
         self.add_np = np.asarray(add, dtype=dtype)
         self.mul_np = np.asarray(mul, dtype=dtype)
         self.neg_np = np.argmax(self.add_np == 0, axis=1).astype(dtype)
         self.inv_np = np.argmax(self.mul_np == 1, axis=1).astype(dtype)  # 0 at 0
         self.sub_np = self.add_np[:, self.neg_np]
+        powers = self.p ** np.arange(self.k)
+        self.digits_np = (np.arange(self.q)[:, None] // powers % self.p).astype(np.int32)
+        # column j of rep_np[x]: the digits of x times the j-th basis element
+        self.rep_np = self.digits_np[self.mul_np[:, powers]].transpose(0, 2, 1)
         self._add, self._mul, self._neg, self._inv = (
             t.tolist() for t in (self.add_np, self.mul_np, self.neg_np, self.inv_np))
         # rows of _add reordered, so sub shares add's int objects

@@ -359,13 +359,26 @@ def points_array(pts):
     return np.array(pts, dtype=np.int16)
 
 
-def dot_np(field, u, v):
-    """Dot products over the last axis of two broadcasting arrays."""
-    prod = field.mul_np[u, v]
-    acc = prod[..., 0]
-    for c in range(1, prod.shape[-1]):
-        acc = field.add_np[acc, prod[..., c]]
-    return acc
+def matmul_np(field, a, b):
+    """The field's a @ b for int16 code arrays a (..., m, L) and b (..., L, n),
+    batch axes broadcasting as in np.matmul.
+
+    Each code of a becomes its k base-p digits and each code y of b the
+    k x k matrix of x -> xy on digits (field.rep_np), so the product is one
+    int32 matmul of (..., m, L*k) by (..., L*k, n*k), reduced mod p and read
+    back as codes.  Exact while L*k*(p-1)^2 < 2^31; numpy's integer matmul
+    runs no float and no BLAS.
+    """
+    k, p = field.k, field.p
+    da = np.take(field.digits_np, a, axis=0).reshape(*a.shape[:-1], a.shape[-1] * k)
+    # rep_np[y].T is stored contiguous: row s holds the digits of y p^s
+    rb = np.take(field.rep_np.swapaxes(1, 2), b, axis=0).swapaxes(-3, -2)
+    out = da @ rb.reshape(*b.shape[:-2], b.shape[-2] * k, b.shape[-1] * k)
+    digits = (out - out // p * p).reshape(*out.shape[:-1], b.shape[-1], k)  # out mod p
+    codes = digits[..., 0]
+    for i in range(1, k):
+        codes = codes + digits[..., i] * p ** i
+    return codes.astype(np.int16)
 
 
 def reduce_rows_np(field, basis_rows, arr):

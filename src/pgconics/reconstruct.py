@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .galois import Field, QuadExtension
-from .projgeom import (HEAVY, HeavyPlaneScan, ProjectiveSpace, Subspace, dot_np,
-                       group_rows, mat_mul, matrix_inverse, normalize_rows_np,
+from .projgeom import (HEAVY, HeavyPlaneScan, ProjectiveSpace, Subspace, group_rows,
+                       mat_mul, matmul_np, matrix_inverse, normalize_rows_np,
                        nullspace, points_array, reduce_rows_np, rref, rref_np,
                        scan_heavy_planes, span)
 from .conics import (CompletionNotUnique, DegenerateInput, NotAnArc,
@@ -371,31 +371,53 @@ def _heaviest_plane(state, rows):
     return int(counts.max()), span(state.space4, basis5 + [state.C[first]]).to_text()
 
 
+def _plane_duals(f, bases):
+    """The dual vectors of subspaces of PG(4,q) given by RREF bases (n, r, 5):
+    (n, 5 - r, 5), one per free column c, 1 on c and -row[c] on each row's
+    pivot, so that every basis row is orthogonal to every dual vector."""
+    n, r = bases.shape[:2]
+    k = np.arange(n)[:, None]
+    lead = (bases != 0).argmax(axis=2)
+    is_pivot = np.zeros((n, 5), dtype=bool)
+    is_pivot[k, lead] = True
+    free = np.flatnonzero(~is_pivot.ravel()).reshape(n, 5 - r) % 5
+    duals = np.zeros((n, 5 - r, 5), dtype=np.int16)
+    duals[k, np.arange(5 - r), free] = 1
+    duals[k[:, :, None], np.arange(5 - r)[:, None], lead[:, None, :]] = \
+        f.neg_np[bases[k[:, :, None], np.arange(r), free[:, :, None]]]
+    return duals
+
+
+def _three_space_duals(f, m, duals):
+    """The dual vectors (P, 5) of the 3-spaces spanned by plane pairs (a, b)
+    meeting in a line, from M = B_b N_a^T (P, 3, 2) and N_a (P, 2, 5).
+
+    M has rank 1, and its first nonzero row (u, v) gives the dual (v, -u) N_a:
+    orthogonal to plane a, and to plane b as every row of M is a multiple
+    of (u, v).
+    """
+    first = m[np.arange(len(m)), (m != 0).any(axis=2).argmax(axis=1)]
+    lam = np.stack((first[:, 1], f.neg_np[first[:, 0]]), axis=1)
+    return matmul_np(f, lam[:, None, :], duals)[:, 0]
+
+
 PAIR_BLOCK = 512  # plane pairs tested at a time, bounding the working memory
 
 
-def _three_space_tests(f, spans, arr, planes, pairs):
-    """Per pair (i, j) of planes and its 3-space, given by four RREF rows in
-    spans: whether the points of arr inside it differ from the members of i
-    and j.
+def _three_space_tests(f, duals, arr, planes, pairs):
+    """Per pair (i, j) of planes and its 3-space, given by its dual vector
+    (a row of duals): whether the points of arr inside it differ from the
+    members of i and j.
 
     A 3-space of PG(4,q) is a hyperplane, so a point lies in it exactly when
-    it is orthogonal to its dual vector: 1 on the free column c and -row[c]
-    on each row's pivot.  Pairs are taken PAIR_BLOCK at a time.
+    it is orthogonal to its dual vector: all points are tested against a
+    block of duals in one matmul_np, PAIR_BLOCK pairs at a time.
     """
-    k = np.arange(len(spans))
-    lead = (spans != 0).argmax(axis=2)
-    is_pivot = np.zeros((len(spans), 5), dtype=bool)
-    is_pivot[k[:, None], lead] = True
-    free = (~is_pivot).argmax(axis=1)
-    dual = np.zeros((len(spans), 5), dtype=np.int16)
-    dual[k, free] = 1
-    dual[k[:, None], lead] = f.neg_np[spans[k[:, None], np.arange(4), free[:, None]]]
     member_of = planes.member_table(len(arr))
-    foreign = np.zeros(len(spans), dtype=bool)
-    for lo in range(0, len(spans), PAIR_BLOCK):
+    foreign = np.zeros(len(duals), dtype=bool)
+    for lo in range(0, len(duals), PAIR_BLOCK):
         block = slice(lo, lo + PAIR_BLOCK)
-        inside = dot_np(f, dual[block, None, :], arr[None, :, :]) == 0
+        inside = matmul_np(f, duals[block], arr.T) == 0
         own = member_of[pairs[block, 0]] | member_of[pairs[block, 1]]
         foreign[block] = (inside != own).any(axis=1)
     return foreign
@@ -460,9 +482,9 @@ def _transversals_np(f, V, p2, r1, r2):
     signed = np.concatenate((p2, f.neg_np[p2]), axis=-1)[..., _DUAL_P]
     t = f.mul_np[V[..., _DUAL_V], signed[..., None, :, :]]
     d = f.add_np[f.add_np[t[..., 0, :], t[..., 1, :]], t[..., 2, :]]
-    a, b = dot_np(f, d, r1[..., None, :]), dot_np(f, d, r2[..., None, :])
-    return f.sub_np[f.mul_np[b[..., None], r1[..., None, :]],
-                    f.mul_np[a[..., None], r2[..., None, :]]]
+    ab = matmul_np(f, d, np.stack((r1, r2), axis=-1))
+    return f.sub_np[f.mul_np[ab[..., 1, None], r1[..., None, :]],
+                    f.mul_np[ab[..., 0, None], r2[..., None, :]]]
 
 
 @dataclass
@@ -676,8 +698,11 @@ def stage_axioms(state):
     # once, in Subspace.points() order, which is the order of points_np()
     f, space4 = state.base, state.space4
     coeffs = state.plane2.points_np()
-    pts = dot_np(f, coeffs[None, :, None, :], planes.bases.transpose(0, 2, 1)[:, None])
-    pts = normalize_rows_np(f, pts.reshape(-1, 5))[0]
+    # The products need no normalizing: the first nonzero coefficient of a
+    # point is 1 and picks an RREF row, whose pivot is 1 and whose column is
+    # zero in the rows after it, while the rows before it are not taken.  So
+    # each product's first nonzero entry is that pivot, and it is 1.
+    pts = matmul_np(f, coeffs, planes.bases).reshape(-1, 5)
     ids = space4.point_ids(pts)
     counted = (pts[:, 4] != 0) & ~np.isin(ids, space4.point_ids(state._C_arr))
     counts = np.bincount(ids[counted], minlength=space4.npoints)
@@ -752,7 +777,8 @@ def stage_infinity_data(state):
     planes = state.planes
     arcs = planes.arcs(state._C_arr)
     completions, forms, ok = complete_q_arcs(state.plane2, arcs)
-    lifted = normalize_rows_np(f, _from_intrinsic_np(f, planes.bases, completions))[0]
+    # normalized points through RREF bases, so normalized (see axioms)
+    lifted = _from_intrinsic_np(f, planes.bases, completions)
     bad = np.flatnonzero(~ok | (lifted[:, 4] != 0))
     if len(bad):
         p = bad[0]
@@ -775,11 +801,12 @@ def stage_infinity_data(state):
     red, _ = rref_np(f, planes.bases[:, :, [4, 0, 1, 2, 3]])
     planes.traces = red[:, 1:, 1:]
 
-    # Plane pairs, in one row reduction of their stacked bases: two planes
-    # meet in a point exactly when the rank is 5 (Grassmann), and in a line
-    # exactly when it is 4, the first four rows then being their 3-space.
-    # Same-class pairs come first, then the pairs of classes sharing a
-    # completion point.
+    # Plane pairs (a, b), read off one product with the plane duals N (two
+    # rows per plane): M = B_b N_a^T (3 x 2) maps plane b into the quotient
+    # by plane a, so the pair spans 3 + rank M dimensions (Grassmann).  The
+    # planes meet in a point exactly when M has rank 2, that is a nonzero
+    # 2 x 2 minor.  Same-class pairs come first, then the pairs of classes
+    # sharing a completion point.
     classes_of_comp = {}
     for cid, group in enumerate(state.classes):
         classes_of_comp.setdefault(completions[group[0]], []).append(cid)
@@ -788,12 +815,16 @@ def stage_infinity_data(state):
              for i in state.classes[cids[0]] for j in state.classes[cids[1]]]
     pairs = np.array([p for ps in same for p in ps] + cross, dtype=np.int64).reshape(-1, 2)
     bases = planes.bases
-    red, rank = rref_np(f, np.concatenate((bases[pairs[:, 0]], bases[pairs[:, 1]]), axis=1))
+    duals = _plane_duals(f, bases)
+    m = matmul_np(f, bases[pairs[:, 1]], duals[pairs[:, 0]].swapaxes(1, 2))
+    n_same = len(pairs) - len(cross)
+    u, w = m[:n_same, [0, 0, 1]], m[:n_same, [1, 2, 2]]  # the three row pairs
+    minors = f.sub_np[f.mul_np[u[..., 0], w[..., 1]], f.mul_np[u[..., 1], w[..., 0]]]
 
     # Planes of one class share their completion and pairwise meet only
     # there.  Each plane holds its own completion, so once a class's
     # completions are equal, its planes hold it; only the meet is tested.
-    met = (rank == 5).tolist()
+    met = minors.any(axis=1).tolist()
     start = 0
     for cid, group in enumerate(state.classes):
         comps = {completions[i] for i in group}
@@ -844,12 +875,14 @@ def stage_infinity_data(state):
     # are exactly those of the two planes.  A third plane inside it would
     # then have its q >= 3 members among them, but it shares at most one
     # with each of the two planes: that is not tested.
-    n_same = len(pairs) - len(cross)
-    spans = red[n_same:, :4]
-    foreign = _three_space_tests(f, spans, state._C_arr, planes, pairs[n_same:])
+    cross_pairs = pairs[n_same:]
+    space_duals = _three_space_duals(f, m[n_same:], duals[cross_pairs[:, 0]])
+    foreign = _three_space_tests(f, space_duals, state._C_arr, planes, cross_pairs)
     if foreign.any():
+        a, b = cross_pairs[foreign.argmax()]
+        red, _ = rref_np(f, np.concatenate((bases[a], bases[b]))[None])
         raise StructureViolation("3-space contains foreign points",
-                                 witness=_rows_text(spans[foreign.argmax()]))
+                                 witness=_rows_text(red[0, :4]))
 
     state.classification = SigmaClassification(
         completion_points=completion_points,
@@ -894,7 +927,7 @@ def stage_t_infinity(state):
 
 def _from_intrinsic_np(f, bases, coeffs):
     """The points sum_j coeffs_j bases_j of subspaces with bases (..., k, n)."""
-    return dot_np(f, coeffs[..., None, :], np.swapaxes(bases, -1, -2))
+    return matmul_np(f, coeffs[..., None, :], bases)[..., 0, :]
 
 
 def _tangent_traces(state, cids):
@@ -928,7 +961,7 @@ def _tangent_traces(state, cids):
                     dtype=np.int64).reshape(-1, q + 1)
     bases = planes.bases[pids]
     a = state._C_arr[cids[:, None, None], planes.pivots[pids]]  # plane coordinates
-    t = dot_np(f, planes.forms[pids], a[..., None, :])  # the tangent's dual
+    t = matmul_np(f, planes.forms[pids], a[..., None])[..., 0]  # the tangent's dual
     x4 = bases[..., 4]
     direction = f.sub_np[f.mul_np[t[..., [1, 2, 0]], x4[..., [2, 0, 1]]],
                          f.mul_np[t[..., [2, 0, 1]], x4[..., [1, 2, 0]]]]
@@ -1026,8 +1059,8 @@ def stage_assemble_spread(state):
     # carry at most two points, and exactly one together with a met trace line
     all_rows, all_ids = sigma.line_table()
     known = _line_keys(sigma, np.concatenate([cline_ids, ids[-1:]]))
-    sweep = np.flatnonzero(np.isin(all_ids, ids[-1]).any(axis=1)
-                           & ~np.isin(_line_keys(sigma, all_ids), known))
+    sweep = np.flatnonzero(np.isin(all_ids, ids[-1]).any(axis=1))
+    sweep = sweep[~np.isin(_line_keys(sigma, all_ids[sweep]), known)]
     owner = np.empty(sigma.npoints, dtype=np.int64)  # point -> its spread line
     owner[ids] = np.arange(len(lines))[:, None]
     met = owner[all_ids[sweep]]  # q * q on the axis point, masked out below
@@ -1232,10 +1265,10 @@ def stage_rebuild_arc(state):
         is_identity = A == _IDENTITY4
         f = state.base
         arr = state._C_arr
-        cols = np.array(A, dtype=np.int16).T
-        moved = dot_np(f, arr[:, None, :4], cols)
+        A_np = np.array(A, dtype=np.int16)
+        moved = matmul_np(f, arr[:, :4], A_np)
         up_points = list(map(tuple, frame.points_up(np.column_stack((moved, arr[:, 4]))).tolist()))
-        axis_img_rows, _ = rref(f, dot_np(f, spread.lines[spread.axis][:, None], cols).tolist())
+        axis_img_rows, _ = rref(f, matmul_np(f, spread.lines[spread.axis], A_np).tolist())
         slope = frame.slope_of_line[axis_img_rows]
         t_inf_point = frame.linf_point_of_slope(slope)
         # The q^2+1 points are distinct, which is not tested.  C's points are

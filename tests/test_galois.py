@@ -145,7 +145,8 @@ def scalar_quadratic_tables(base, s, t):
 def test_tables_match_scalar_formula(p, k):
     """Every table of GF(q) and GF(q^2) (q^2 = 9 ... 169), as an int16 array
     and as the lists the scalar operations read, equals the entry-by-entry
-    formula."""
+    formula.  The digits read back as the codes, and the regular
+    representation times the digits of y is the digits of x * y, mod p."""
     base = Field(p, k)
     ext = QuadExtension(base)
     for field, (add, mul) in ((base, (base._add, base._mul)),
@@ -157,3 +158,9 @@ def test_tables_match_scalar_formula(p, k):
             array = getattr(field, name + "_np")
             assert array.dtype == np.int16
             assert array.tobytes() == np.array(table, dtype=np.int16).tobytes(), name
+        digits, rep = field.digits_np, field.rep_np
+        assert digits.dtype == rep.dtype == np.int32
+        assert digits.shape == (field.q, field.k) and rep.shape == (field.q, field.k, field.k)
+        assert (digits @ p ** np.arange(field.k) == np.arange(field.q)).all()
+        products = np.einsum("xrs,ys->xyr", rep, digits) % p
+        assert (products == digits[field.mul_np]).all()

@@ -4,9 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from pgconics.galois import Field
+from pgconics.galois import Field, QuadExtension
 from pgconics.projgeom import (AmbientMismatch, ProjectiveSpace, Subspace,
-                               gaussian_binomial, matrix_inverse, mat_mul, meet,
+                               gaussian_binomial, matmul_np, matrix_inverse, mat_mul, meet,
                                nullspace, rref, rref_np, scan_heavy_planes, span)
 
 
@@ -211,6 +211,34 @@ def test_rref_np_matches_rref(p, k):
             assert tuple(map(tuple, red[:rank].tolist())) == rows
             assert tuple((red[:rank] != 0).argmax(axis=1).tolist()) == pivots
             assert not red[rank:].any()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Field(3), lambda: Field(2, 2), lambda: Field(2, 3), lambda: Field(3, 2),
+    lambda: Field(11), lambda: Field(5, 2), lambda: Field(3, 3),
+    lambda: QuadExtension(Field(3)).ext, lambda: QuadExtension(Field(2, 2)).ext,
+    lambda: QuadExtension(Field(3, 2)).ext, lambda: QuadExtension(Field(11)).ext,
+    lambda: QuadExtension(Field(31)).ext,
+], ids=["GF3", "GF4", "GF8", "GF9", "GF11", "GF25", "GF27",
+        "GF3^2", "GF4^2", "GF9^2", "GF11^2", "GF31^2"])
+def test_matmul_np_matches_scalar_dot(build):
+    """matmul_np is the field's a @ b: every entry equals scalar Field.dot of
+    a row of a and a column of b, with batch axes broadcast from either
+    side, and an empty batch gives an empty product."""
+    f = build()
+    rng = np.random.default_rng(f.q)
+    for a_shape, b_shape in [((2, 1, 3, 4), (3, 4, 5)), ((3, 4), (2, 4, 2)),
+                             ((4, 1, 6), (2, 1, 6, 1)), ((0, 2, 3), (3, 4))]:
+        a = rng.integers(0, f.q, size=a_shape).astype(np.int16)
+        b = rng.integers(0, f.q, size=b_shape).astype(np.int16)
+        a[..., 0, :] = f.q - 1  # the largest digits, for the bound on the sums
+        out = matmul_np(f, a, b)
+        batch = np.broadcast_shapes(a_shape[:-2], b_shape[:-2])
+        assert out.dtype == np.int16 and out.shape == batch + (a_shape[-2], b_shape[-1])
+        a, b = np.broadcast_to(a, batch + a_shape[-2:]), np.broadcast_to(b, batch + b_shape[-2:])
+        for idx in np.ndindex(out.shape):
+            row, col = a[idx[:-1]].tolist(), b[idx[:-2] + (slice(None), idx[-1])].tolist()
+            assert out[idx] == f.dot(row, col)
 
 
 def test_rref_np_edge_cases(gf7):

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from pgconics.projgeom import (HeavyPlaneScan, ProjectiveSpace, Subspace, dot_np,
+from pgconics.projgeom import (HeavyPlaneScan, ProjectiveSpace, Subspace, matmul_np,
                                matrix_inverse, normalize_rows_np, points_array, rref,
                                rref_np, scan_heavy_planes, span)
 from pgconics.bruckbose import (BruckBoseFrame, baer_subplane_through, build_C,
@@ -19,7 +19,8 @@ from pgconics.cli import main
 from pgconics.reconstruct import (NotCollinear, NotSkew,
                                   Planes, PipelineState, Spread,
                                   StructureViolation, TangentDegenerate,
-                                  _residual_groups, _three_space_tests,
+                                  _plane_duals, _residual_groups, _three_space_duals,
+                                  _three_space_tests,
                                   align_spreads, classical_spread,
                                   displace_point, full_pipeline, make_frame,
                                   on_klein_quadric, perturb_spread_by_regulus,
@@ -167,34 +168,57 @@ def test_baer_cplanes_match_axioms_q5():
     assert st.planes.members[order].tolist() == expected.members.tolist()
 
 
+@pytest.mark.parametrize("q", [5, 7, 9])
+def test_axiom3_products_are_normalized(q):
+    """axioms lifts every point of PG(2,q) through every plane's RREF basis
+    and reads the products as point ids without normalizing them: a
+    normalized coefficient row times an RREF basis has first nonzero entry
+    1.  Checked on the planes of the pipeline and on random RREF bases."""
+    st = cplane_state(q, 0)
+    f = st.base
+    random_bases, rank = rref_np(f, np.random.default_rng(q).integers(
+        0, q, size=(200, 3, 5)).astype(np.int16))
+    for bases in (st.planes.bases, random_bases[rank == 3]):
+        pts = matmul_np(f, st.plane2.points_np(), bases).reshape(-1, 5)
+        normalized, zero = normalize_rows_np(f, pts)
+        assert not zero.any()
+        assert (normalized == pts).all()
+
+
 def assert_three_space_confinement(st, pairs):
     """Planes spanning a 3-space: its points are exactly theirs, no third plane.
 
     The oracle is Subspace.meet and span, the dual-vector test and
     Subspace.contains of every plane's basis rows.  infinity_data reads the
-    meet from the rank of the stacked bases (rref_np) and tests input points
-    against the 3-space's dual vector (_three_space_tests).  Both must agree
-    on every pair, also at q = 3.  No third plane lies in the 3-space: the
-    stage does not test that, as it shares at most one of its q >= 3
-    members with each of the two planes.
+    meet from M = B_b N_a^T, the product of one plane's basis with the
+    other's duals (rank of the pair = 3 + rank M), and tests input points
+    against the 3-space's dual vector taken from M (_three_space_duals,
+    _three_space_tests).  Both must agree on every pair, also at q = 3.  No
+    third plane lies in the 3-space: the stage does not test that, as it
+    shares at most one of its q >= 3 members with each of the two planes.
     """
     C, f = st.C, st.base
     planes = [plane_subspace(st, p) for p in range(len(st.planes))]
     members = st.planes.members.tolist()
     all_pairs = np.array(list(itertools.combinations(range(len(planes)), 2)))
     bases = st.planes.bases
-    red, rank = rref_np(f, np.concatenate((bases[all_pairs[:, 0]], bases[all_pairs[:, 1]]), axis=1))
-    foreign = _three_space_tests(f, red[:, :4], st._C_arr, st.planes, all_pairs)
+    duals = _plane_duals(f, bases)
+    assert [[tuple(row) for row in n] for n in rref_np(f, duals)[0].tolist()] == \
+        [list(plane.dual()) for plane in planes]
+    m = matmul_np(f, bases[all_pairs[:, 1]], duals[all_pairs[:, 0]].swapaxes(1, 2))
+    _, rank = rref_np(f, m)
+    space_duals = _three_space_duals(f, m, duals[all_pairs[:, 0]])
+    foreign = _three_space_tests(f, space_duals, st._C_arr, st.planes, all_pairs)
     found = 0
     for p, (a, b) in enumerate(all_pairs.tolist()):
-        m = planes[a].meet(planes[b])
-        assert rank[p] == 6 - len(m.rows)  # Grassmann
-        if m.dim != 1:
+        meet = planes[a].meet(planes[b])
+        assert 3 + rank[p] == 6 - len(meet.rows)  # Grassmann
+        if meet.dim != 1:
             continue
         sigma3 = span(st.space4, [planes[a], planes[b]])
         assert sigma3.dim == 3
-        assert tuple(map(tuple, red[p, :4].tolist())) == sigma3.rows
         dual = sigma3.dual()[0]
+        assert st.space4.normalize(space_duals[p].tolist()) == st.space4.normalize(dual)
         inside = {i for i, x in enumerate(C) if f.dot(dual, x) == 0}
         assert inside == set(members[a]) | set(members[b])
         third = [i for i, plane in enumerate(planes)
@@ -249,15 +273,14 @@ def test_three_space_tests_flags():
     planes = [plane_subspace(st, p) for p in range(len(st.planes))]
     a, b = next((a, b) for a, b in itertools.combinations(range(len(planes)), 2)
                 if planes[a].meet(planes[b]).dim == 1)
-    sigma3 = span(st.space4, [planes[a], planes[b]])
-    spans = np.array([sigma3.rows], dtype=np.int16)
+    dual = np.array(span(st.space4, [planes[a], planes[b]]).dual(), dtype=np.int16)
     pair = np.array([[a, b]])
-    assert _three_space_tests(st.base, spans, st._C_arr, st.planes, pair).tolist() == [False]
+    assert _three_space_tests(st.base, dual, st._C_arr, st.planes, pair).tolist() == [False]
     members = st.planes.members
     # plane a lists another of its members in place of one that plane b lacks
     k = next(k for k, m in enumerate(members[a]) if m not in members[b])
     members[a, k] = members[a, k - 1]
-    assert _three_space_tests(st.base, spans, st._C_arr, st.planes, pair).tolist() == [True]
+    assert _three_space_tests(st.base, dual, st._C_arr, st.planes, pair).tolist() == [True]
 
 
 def inject_foreign_point(q, seed, pair):
@@ -568,7 +591,7 @@ def test_regulus_from_matches_scalar_oracle(reguli_rows, scalar_regulus_from, q)
     for t in range(200):
         if t % 5 == 4:  # three lines of one plane
             dual = np.array(rng.choice(sigma.points()), dtype=np.int16)
-            in_plane = np.flatnonzero((dot_np(sigma.field, rows, dual) == 0).all(axis=1))
+            in_plane = np.flatnonzero((matmul_np(sigma.field, rows, dual[:, None]) == 0).all(axis=(1, 2)))
             picks = rng.sample(in_plane.tolist(), 3)
         else:
             picks = rng.sample(range(len(rows)), 3)
@@ -1256,8 +1279,11 @@ def test_pass_path_makes_no_scan(frame7, c7, monkeypatch):
     Klein plane, all in one batch: q^2 + q = 56 triples, not the 336 of one
     per open pair.
     It packs T once and sweeps the 2850 lines of PG(3,7) once, then the
-    axis (t_infinity) and the 50 spread lines (rebuild_arc).  A displaced
-    point sends axioms to the scan."""
+    axis (t_infinity) and the 50 spread lines (rebuild_arc).  It row-reduces
+    218 stacks: 56 swept plane bases (axioms), 56 conic fits, 56 trace
+    lines, 49 tangent traces and one Klein section; infinity_data's 364
+    plane pairs are read off one product with the plane duals instead.  A displaced point sends axioms
+    to the scan."""
     from pgconics import conics, projgeom
     calls = collections.Counter()
 
@@ -1272,6 +1298,9 @@ def test_pass_path_makes_no_scan(frame7, c7, monkeypatch):
             wrapped = counting(name, getattr(source, name))
             for module in (source, reconstruct):
                 monkeypatch.setattr(module, name, wrapped)
+    stacks = counting("rref_np stacks", projgeom.rref_np, lambda field, stacks: len(stacks))
+    for module in (projgeom, conics, reconstruct):
+        monkeypatch.setattr(module, "rref_np", stacks)
     monkeypatch.setattr(reconstruct, "_regulus_batch", counting("regulus batches", counting(
         "triples", reconstruct._regulus_batch, lambda f, l1, l2, l3: len(l3))))
     table = reconstruct.DirectionTable
@@ -1281,7 +1310,7 @@ def test_pass_path_makes_no_scan(frame7, c7, monkeypatch):
     records, _ = full_pipeline(c7, frame=frame7)
     assert [r.verdict for r in records] == ["pass"] * len(records)
     assert calls == {"conic_through_5": 1, "regulus batches": 1, "triples": 56,
-                     "lines swept": 2850 + 1 + 50, "packs": 1}
+                     "lines swept": 2850 + 1 + 50, "packs": 1, "rref_np stacks": 218}
     records, _ = full_pipeline(displace_point(frame7, c7, seed=0), frame=frame7)
     assert records[0].verdict == "fail"
     assert calls["scan_heavy_planes"] >= 1
