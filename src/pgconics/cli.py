@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from .bruckbose import (build_C, random_tangent_conic, verify_lemma1,
                         write_c_dump, LemmaViolation)
 from .galois import check_modulus, default_modulus, is_prime
-from .report import FAIL, PASS, Report, StageRecord, file_digest
+from .report import FAIL, PASS, Report, StageRecord, file_digest, witness_text
 from .reconstruct import (PIPELINE, PipelineState, classical_spread,
                           displace_point, make_frame, perturb_spread_by_regulus,
                           run_stages, _factor_prime_power)
@@ -207,10 +207,8 @@ def _timed_stage(name, fn):
     try:
         counts = fn()
         verdict, witness = PASS, None
-    except (LemmaViolation,) as exc:
-        w = getattr(exc, "witness", None)
-        witness = f"{type(exc).__name__}: {exc}" + (f" [{w}]" if w else "")
-        counts, verdict = {}, FAIL
+    except LemmaViolation as exc:
+        counts, verdict, witness = {}, FAIL, witness_text(exc)
     ms = (time.perf_counter() - t0) * 1000.0
     return StageRecord(name=name, verdict=verdict, counts=counts,
                        witness=witness, millis=ms)

@@ -1,9 +1,14 @@
-"""Exact arithmetic in GF(p^k) for odd prime powers, plus canonical quadratic extensions.
+"""Exact arithmetic in GF(p^k), plus canonical quadratic extensions.
 
-Elements of GF(p^k) are encoded as integers 0..q-1: the base-p digits of the
-code are the coefficients of the element in the polynomial basis, little-endian
-(code = c0 + c1*p + ... + c_{k-1}*p^{k-1}).  All arithmetic is table driven, so
-it is exact and uniform across prime and prime-power orders.
+Every field here is a quotient ring F[x]/(m) of a smaller field F by a monic
+m of degree d, and its tables come from one builder (_quotient_tables): the
+class of c_0 + c_1 x + ... + c_{d-1} x^{d-1} has the code
+sum_i c_i |F|^i, and a product is the schoolbook convolution of the
+coefficients reduced modulo m.  GF(p^k) is GF(p)[x]/(modulus), so the base-p
+digits of a code are the element's coefficients in the polynomial basis,
+little-endian.  The ring F[x]/(m) is a field exactly when it has no zero
+divisors, which is how is_irreducible tests a modulus.  All arithmetic is
+table driven, so it is exact and uniform across prime and prime-power orders.
 
 Besides the q x q operation tables, every field keeps the base-p digits of
 each code (digits_np) and the regular representation (rep_np): for each x,
@@ -12,14 +17,13 @@ mod p in every encoding here, so the digits are GF(p) coordinates, and a
 product of matrices over the field is an integer product of digit and
 representation matrices, reduced mod p (projgeom.matmul_np).
 
-A quadratic extension GF(q^2) = GF(q)[w], w^2 = s*w + t, encodes x = x0 + x1*w
-as the integer x0 + q*x1 where x0, x1 are GF(q) codes.  The embedded copy of
-GF(q) is therefore exactly the codes 0..q-1.
+A quadratic extension GF(q^2) = GF(q)[w], w^2 = s*w + t, is GF(q)[x]/(x^2 -
+s*x - t): it encodes x = x0 + x1*w as the integer x0 + q*x1 where x0, x1 are
+GF(q) codes.  The embedded copy of GF(q) is therefore exactly the codes
+0..q-1.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -37,60 +41,51 @@ def is_prime(n):
     return True
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over GF(p); polynomials are little-endian int lists
+def _quotient_tables(add, mul, low):
+    """The add and mul tables of F[x]/(x^d - sum_i low[i] x^i), given the
+    add and mul tables of a field F of order r and d = len(low).
+
+    The class of c_0 + c_1 x + ... + c_{d-1} x^{d-1} has the code
+    sum_i c_i r^i.  The product is the schoolbook convolution of the digits,
+    reduced from the top degree by x^d = sum_i low[i] x^i.
+    """
+    r, d = len(add), len(low)
+    add, mul = (np.asarray(t, dtype=np.int32).ravel() for t in (add, mul))
+
+    def op(table, x, y):
+        return np.take(table, x * r + y)
+
+    powers = r ** np.arange(d, dtype=np.int32)
+    digits = np.arange(r ** d, dtype=np.int32)[:, None] // powers % r
+    a, b = digits[:, None, :], digits[None, :, :]
+    prod = {}
+    for i in range(d):
+        for j in range(d):
+            term = op(mul, a[..., i], b[..., j])
+            prod[i + j] = op(add, prod[i + j], term) if i + j in prod else term
+    for top in range(2 * d - 2, d - 1, -1):
+        for i, c in enumerate(low):
+            prod[top - d + i] = op(add, prod[top - d + i], op(mul, prod[top], c))
+    return op(add, a, b) @ powers, sum(prod[i] * powers[i] for i in range(d))
 
 
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(a, m, p):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) > dm:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * mi) % p
-        a.pop()
-    return _poly_trim(a)
-
-
-def _poly_divides(d, a, p):
-    """True if monic d divides a over GF(p)."""
-    return not _poly_mod(a, d, p)
+def _modulus_tables(p, modulus):
+    """The add and mul tables of GF(p)[x]/(modulus), for a monic modulus."""
+    i = np.arange(p)
+    return _quotient_tables((i[:, None] + i) % p, i[:, None] * i % p,
+                            [-c % p for c in modulus[:-1]])
 
 
 def is_irreducible(modulus, p):
-    """Trial-division irreducibility test for a monic polynomial over GF(p)."""
-    m = _poly_trim(list(modulus))
-    k = len(m) - 1
-    if k < 1 or m[-1] != 1:
+    """True if modulus is a monic irreducible of degree >= 1 over GF(p): the
+    ring GF(p)[x]/(modulus) has no zero divisors."""
+    m = list(modulus)
+    while m and m[-1] == 0:
+        m.pop()
+    if len(m) < 2 or m[-1] != 1:
         return False
-    if k == 1:
-        return True
-    # no monic factor of degree 1..k//2
-    for d in range(1, k // 2 + 1):
-        for low in itertools.product(range(p), repeat=d):
-            cand = list(low) + [1]
-            if _poly_divides(cand, m, p):
-                return False
-    return True
+    _, mul = _modulus_tables(p, m)
+    return bool((mul[1:, 1:] != 0).all())
 
 
 def default_modulus(p, k):
@@ -100,12 +95,7 @@ def default_modulus(p, k):
     so the choice is deterministic across runs.
     """
     for code in range(p ** k):
-        low = []
-        c = code
-        for _ in range(k):
-            low.append(c % p)
-            c //= p
-        cand = low + [1]
+        cand = [code // p ** i % p for i in range(k)] + [1]
         if is_irreducible(cand, p):
             return tuple(cand)
     raise ValueError(f"no irreducible polynomial of degree {k} over GF({p})")
@@ -116,7 +106,7 @@ def check_modulus(p, k, modulus):
     modulus = tuple(int(c) % p for c in modulus)
     if len(modulus) != k + 1 or modulus[-1] != 1:
         raise ValueError(f"modulus must be monic of degree {k}")
-    if not is_irreducible(list(modulus), p):
+    if not is_irreducible(modulus, p):
         raise ValueError(f"modulus {modulus} is reducible over GF({p})")
     return modulus
 
@@ -138,53 +128,19 @@ class Field:
         self.q = p ** k
         self.modulus = modulus
         self.token = f"GF({self.q};{','.join(map(str, modulus))})"
-        self._finish_tables(*self._build_poly_tables())
+        self._finish_tables(*_modulus_tables(p, modulus))
 
     @classmethod
     def _quadratic(cls, base, s, t):
         """GF(q^2) over an existing GF(q), w^2 = s*w + t; codes are x0 + q*x1."""
         self = cls.__new__(cls)
-        q = base.q
         self.p = base.p
         self.k = 2 * base.k
-        self.q = q * q
+        self.q = base.q ** 2
         self.modulus = None
         self.token = f"{base.token}[w;{s},{t}]"
-        badd, bmul = base.add_np.astype(np.int32), base.mul_np
-        x1, x0 = np.divmod(np.arange(self.q), q)
-        a0, a1, b0, b1 = x0[:, None], x1[:, None], x0[None, :], x1[None, :]
-        # (a0+a1w)(b0+b1w), w^2 = sw + t
-        cross = bmul[a1, b1]
-        c0 = badd[bmul[a0, b0], bmul[t][cross]]
-        c1 = badd[badd[bmul[a0, b1], bmul[a1, b0]], bmul[s][cross]]
-        self._finish_tables(badd[a0, b0] + q * badd[a1, b1], c0 + q * c1)
+        self._finish_tables(*_quotient_tables(base.add_np, base.mul_np, (t, s)))
         return self
-
-    def _build_poly_tables(self):
-        p, k, q = self.p, self.k, self.q
-
-        def decode(c):
-            out = []
-            for _ in range(k):
-                out.append(c % p)
-                c //= p
-            return _poly_trim(out)
-
-        def encode(poly):
-            return sum(ci * p ** i for i, ci in enumerate(poly))
-
-        polys = [decode(c) for c in range(q)]
-        add = [
-            [encode([(x + y) % p for x, y in itertools.zip_longest(pa, pb, fillvalue=0)])
-             for pb in polys]
-            for pa in polys
-        ]
-        mod = list(self.modulus)
-        mul = [
-            [encode(_poly_mod(_poly_mul(pa, pb, p), mod, p)) for pb in polys]
-            for pa in polys
-        ]
-        return add, mul
 
     def _finish_tables(self, add, mul):
         """Store the add and mul tables and derive neg, inv and sub, as
@@ -278,28 +234,19 @@ class QuadExtension:
     GF(q^2) code of a, so decompose(a) == (a, 0).
     """
 
-    def __init__(self, base, s=None, t=None):
+    def __init__(self, base):
         self.base = base
-        q = base.q
-        if s is None or t is None:
-            s, t = self._canonical_pair(base)
-        if any(base.sub(base.mul(x, x), base.add(base.mul(s, x), t)) == 0
-               for x in range(q)):
-            raise ValueError(f"w^2 = {s}w + {t} is reducible over {base.token}")
-        self.s = s
-        self.t = t
-        self.ext = Field._quadratic(base, s, t)
-        self.omega = q  # code of (0, 1)
+        self.s, self.t = self._canonical_pair(base)
+        self.ext = Field._quadratic(base, self.s, self.t)
+        self.omega = base.q  # code of (0, 1)
 
     @staticmethod
     def _canonical_pair(base):
+        # roots[s, t]: X^2 - s*X - t has a root x, i.e. t = x^2 - s*x
         q = base.q
-        for n in range(q * q):
-            s, t = divmod(n, q)
-            if all(base.sub(base.mul(x, x), base.add(base.mul(s, x), t)) != 0
-                   for x in range(q)):
-                return s, t
-        raise ValueError(f"no irreducible quadratic over {base.token}")
+        roots = np.zeros((q, q), dtype=bool)
+        roots[np.arange(q)[:, None], base.sub_np[np.diagonal(base.mul_np), base.mul_np]] = True
+        return divmod(int(np.flatnonzero(~roots)[0]), q)
 
     def decompose(self, x):
         """GF(q^2) code -> (x0, x1) with x = x0 + x1*w; also elementwise on arrays."""

@@ -32,7 +32,7 @@ from .projgeom import (HEAVY, HeavyPlaneScan, ProjectiveSpace, Subspace, group_r
 from .conics import (CompletionNotUnique, DegenerateInput, NotAnArc,
                      complete_q_arc, complete_q_arcs, conic_through_5, is_arc)
 from .bruckbose import build_frame
-from .report import FAIL, PASS, SKIPPED, WARN, StageRecord
+from .report import FAIL, PASS, SKIPPED, WARN, StageRecord, witness_text
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +421,14 @@ def _three_space_tests(f, duals, arr, planes, pairs):
         own = member_of[pairs[block, 0]] | member_of[pairs[block, 1]]
         foreign[block] = (inside != own).any(axis=1)
     return foreign
+
+
+def _spread_owner(sigma, ids):
+    """Point id -> the index of its spread line, from the (lines, q+1)
+    point ids of a spread; the lines partition PG(3,q)."""
+    owner = np.empty(sigma.npoints, dtype=np.int64)
+    owner[ids] = np.arange(len(ids))[:, None]
+    return owner
 
 
 def _line_keys(sigma, ids):
@@ -1061,9 +1069,7 @@ def stage_assemble_spread(state):
     known = _line_keys(sigma, np.concatenate([cline_ids, ids[-1:]]))
     sweep = np.flatnonzero(np.isin(all_ids, ids[-1]).any(axis=1))
     sweep = sweep[~np.isin(_line_keys(sigma, all_ids[sweep]), known)]
-    owner = np.empty(sigma.npoints, dtype=np.int64)  # point -> its spread line
-    owner[ids] = np.arange(len(lines))[:, None]
-    met = owner[all_ids[sweep]]  # q * q on the axis point, masked out below
+    met = _spread_owner(sigma, ids)[all_ids[sweep]]  # q * q on the axis point, masked out below
     crowded = state.directions.line_levels()[sweep] >= 2  # a 3-point plane
     extra = (state.directions.own(all_ids[sweep], np.minimum(met, q * q - 1)) != 1) & (met < q * q)
     bad = np.flatnonzero(crowded | extra.any(axis=1))
@@ -1388,13 +1394,22 @@ def align_spreads(sigma, spread_from, lines_to):
 
 
 def stage_uniqueness(state):
+    # The spread lines partition PG(3,q), so each point has one owner, and
+    # a line is a spread line exactly when its first two points have one
+    # owner (two points span a line), the axis when two or more of its
+    # points lie on the axis, and meets the axis when exactly one does.
+    # The partition holds for every spread reaching this stage:
+    # assemble_spread's are q^2+1 disjoint lines ((q^2+1)(q+1) points, its
+    # overlap check); perturb_spread_by_regulus swaps a regulus for its
+    # opposite, which covers the same points; classical_spread is checked
+    # by the frame's _verify.
     spread, sigma = state.spread, state.sigma
     rows, ids = sigma.line_table()
-    keys = _line_keys(sigma, ids)
-    axis_ids = sigma.line_point_ids(spread.lines[[spread.axis]])
-    axis = keys == _line_keys(sigma, axis_ids)[0]
-    meeting = np.isin(ids, axis_ids).any(axis=1) & ~axis
-    in_spread = np.isin(keys, _line_keys(sigma, sigma.line_point_ids(spread.lines)))
+    owner = _spread_owner(sigma, sigma.line_point_ids(spread.lines))
+    in_spread = owner[ids[:, 0]] == owner[ids[:, 1]]
+    hits = np.flatnonzero((owner == spread.axis)[ids]) // ids.shape[1]
+    on_axis = np.bincount(hits, minlength=len(ids))  # points on the axis
+    axis, meeting = on_axis >= 2, on_axis == 1
     outside = ~(axis | meeting | in_spread)
 
     # opposite reguli of the axis reguli each contain a trace line (checked in
@@ -1458,11 +1473,7 @@ def run_stages(state, include=None):
             counts = fn(state)
             verdict, witness = PASS, None
         except _CATCHABLE as exc:
-            counts = {}
-            witness = getattr(exc, "witness", None)
-            if witness is not None and not isinstance(witness, str):
-                witness = str(witness)
-            witness = f"{type(exc).__name__}: {exc}" + (f" [{witness}]" if witness else "")
+            counts, witness = {}, witness_text(exc)
             verdict = WARN if state.exploratory else FAIL
         ms = (time.perf_counter() - t0) * 1000.0
         records.append(StageRecord(name=name, verdict=verdict, counts=counts,

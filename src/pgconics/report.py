@@ -38,6 +38,14 @@ class StageRecord:
         }
 
 
+def witness_text(exc):
+    """A failed check as "{Type}: {message}", plus " [{witness}]" when the
+    exception carries a non-empty witness (converted with str())."""
+    witness = getattr(exc, "witness", None)
+    witness = None if witness is None else str(witness)
+    return f"{type(exc).__name__}: {exc}" + (f" [{witness}]" if witness else "")
+
+
 @dataclass
 class Report:
     config: dict

@@ -296,3 +296,15 @@ def test_reconstruct_echoes_dump_modulus(tmp_path, capsys):
     code, out = run_cli(["reconstruct", "--q", "9", "--in", dump, "--stages", "axioms"], capsys)
     assert code == 0
     assert json.loads(out)["config"]["modulus"] is None
+
+
+def test_witness_text():
+    """One format for a failed check, used by the CLI's lemma1 stage and by
+    run_stages: a non-str witness goes through str() before the empty test."""
+    from pgconics.bruckbose import LemmaViolation
+    from pgconics.report import witness_text
+
+    assert witness_text(LemmaViolation("bad", witness=(1, 2))) == "LemmaViolation: bad [(1, 2)]"
+    assert witness_text(LemmaViolation("bad", witness=0)) == "LemmaViolation: bad [0]"
+    assert witness_text(LemmaViolation("bad", witness="")) == "LemmaViolation: bad"
+    assert witness_text(ValueError("bad")) == "ValueError: bad"

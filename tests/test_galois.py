@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -164,3 +166,96 @@ def test_tables_match_scalar_formula(p, k):
         assert (digits @ p ** np.arange(field.k) == np.arange(field.q)).all()
         products = np.einsum("xrs,ys->xyr", rep, digits) % p
         assert (products == digits[field.mul_np]).all()
+
+
+def schoolbook_tables(p, modulus):
+    """add and mul of GF(p)[x]/(modulus), entry by entry: each code is its
+    base-p digits, little-endian, and a product is the polynomial product
+    reduced modulo the monic modulus by long division."""
+    k = len(modulus) - 1
+    q = p ** k
+
+    def digits(c):
+        return [c // p ** i % p for i in range(k)]
+
+    def code(coeffs):
+        return sum(c * p ** i for i, c in enumerate(coeffs))
+
+    add = [[code([(x + y) % p for x, y in zip(digits(a), digits(b))]) for b in range(q)]
+           for a in range(q)]
+    mul = []
+    for a in range(q):
+        row = []
+        for b in range(q):
+            prod = [0] * (2 * k - 1)
+            for i, x in enumerate(digits(a)):
+                for j, y in enumerate(digits(b)):
+                    prod[i + j] = (prod[i + j] + x * y) % p
+            for top in range(2 * k - 2, k - 1, -1):
+                lead, prod[top] = prod[top], 0
+                for i, m in enumerate(modulus[:-1]):
+                    prod[top - k + i] = (prod[top - k + i] - lead * m) % p
+            row.append(code(prod[:k]))
+        mul.append(row)
+    return add, mul
+
+
+@pytest.mark.parametrize("p,k,modulus", [
+    (2, 2, None), (2, 3, None), (2, 4, None), (3, 2, None), (3, 3, None),
+    (5, 2, None), (7, 2, None), (3, 2, (2, 1, 1)),
+])
+def test_prime_power_tables_match_schoolbook(p, k, modulus):
+    """GF(4), GF(8), GF(16), GF(9), GF(27), GF(25) and GF(49) with their
+    default moduli, and GF(9) = GF(3)[x]/(x^2 + x + 2): every table equals
+    polynomial arithmetic modulo the modulus, computed entry by entry."""
+    field = Field(p, k, modulus)
+    assert modulus is None or field.modulus == modulus
+    add, mul = schoolbook_tables(p, field.modulus)
+    expected = dict(zip(("add", "mul", "neg", "inv", "sub"),
+                        (add, mul, *scalar_tables(add, mul))))
+    for name, table in expected.items():
+        assert getattr(field, "_" + name) == table, name
+        assert getattr(field, name + "_np").tobytes() == np.array(table, np.int16).tobytes()
+
+
+def mobius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("p,d", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+                                 (5, 1), (5, 2)])
+def test_irreducible_count_matches_gauss(p, d):
+    """is_irreducible finds (1/d) sum_{e | d} mu(d/e) p^e monic irreducibles
+    of degree d over GF(p)."""
+    found = sum(is_irreducible(list(low) + [1], p)
+                for low in itertools.product(range(p), repeat=d))
+    assert found == sum(mobius(d // e) * p ** e for e in range(1, d + 1) if d % e == 0) // d
+
+
+def test_default_modulus_pins():
+    assert default_modulus(3, 3) == (1, 2, 0, 1)  # x^3 + 2x + 1
+    assert default_modulus(5, 2) == (2, 0, 1)  # x^2 + 2
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
+                                 (13, 1), (5, 2)])
+def test_canonical_pair_matches_brute_force(p, k):
+    """QuadExtension's (s, t) is the first pair in s*q + t order for which
+    x^2 - s*x - t has no root, found by scalar search."""
+    base = Field(p, k)
+    q = base.q
+
+    def has_root(s, t):
+        return any(base.sub(base.mul(x, x), base.mul(s, x)) == t for x in range(q))
+
+    ext = QuadExtension(base)
+    assert (ext.s, ext.t) == next(divmod(n, q) for n in range(q * q)
+                                  if not has_root(*divmod(n, q)))
