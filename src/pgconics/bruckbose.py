@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .projgeom import (ProjectiveSpace, Subspace, matrix_inverse, mat_mul,
-                       normalize_rows_np, nullspace, rref)
+                       normalize_rows_np, nullspace)
 from .conics import QuadraticForm, is_arc, tangent_line
 
 
@@ -56,17 +56,16 @@ class BruckBoseFrame:
         self._verify()
 
     def _build_spread(self):
-        ext, base, q = self.ext, self.base, self.q
-        E = ext.ext
+        ext, E = self.ext, self.ext.ext
         lines = []
         self.slope_of_line = {}
         self.line_of_slope = {}
         for m in range(E.q):
-            wm = E.mul(ext.omega, m)
-            rows, _ = rref(base, (
-                (1, 0) + ext.decompose(m),
-                (0, 1) + ext.decompose(wm),
-            ))
+            # The spread line {(x, x*m)} of GF(q^2)^2 as GF(q)^4: the images of
+            # x = 1 and x = w.  These rows are already in RREF, whatever m is:
+            # their pivots are 1 in columns 0 and 1, and each row is 0 in the
+            # other's pivot column.
+            rows = ((1, 0) + ext.decompose(m), (0, 1) + ext.decompose(E.mul(ext.omega, m)))
             line = Subspace(self.sigma, rows)
             lines.append(line)
             self.slope_of_line[rows] = m

@@ -41,6 +41,7 @@ class SizeMismatch(ValueError):
     pass
 
 
+MAX_Q = 31  # the largest order tested; a q = 31 round trip peaks near 0.4 GB
 MODES = ("forward", "reconstruct", "roundtrip", "lemma1", "negative-control")
 CONTROLS = ("displaced-point", "perturbed-spread", "corrupted-arc")
 
@@ -124,12 +125,15 @@ def build_config(args):
             raise ConfigError(f"p={p} is not prime")
     elif args.q is not None:
         q = args.q
+    else:
+        raise ConfigError("one of --q or --p is required")
+    if q > MAX_Q:  # before any field table is built: GF(q^2)'s have q^4 entries
+        raise ConfigError(f"q must be at most {MAX_Q}")
+    if args.p is None:
         try:
             p, k = _factor_prime_power(q)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    else:
-        raise ConfigError("one of --q or --p is required")
     if q % 2 == 0 and not args.exploratory:
         raise ConfigError("q must be odd")
     if q < 7 and not args.exploratory:
@@ -316,7 +320,7 @@ def make_parser():
     sub = parser.add_subparsers(dest="mode", required=True, metavar="|".join(MODES))
     for mode in MODES:
         sp = sub.add_parser(mode)
-        sp.add_argument("--q", type=int, help="field order (odd prime power)")
+        sp.add_argument("--q", type=int, help="field order (odd prime power, at most 31)")
         sp.add_argument("--p", type=int, help="characteristic (alternative to --q)")
         sp.add_argument("--k", type=int, default=1, help="extension degree with --p")
         sp.add_argument("--modulus", help="modulus coefficients c0,c1,... (little-endian)")

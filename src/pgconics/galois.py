@@ -10,12 +10,15 @@ little-endian.  The ring F[x]/(m) is a field exactly when it has no zero
 divisors, which is how is_irreducible tests a modulus.  All arithmetic is
 table driven, so it is exact and uniform across prime and prime-power orders.
 
-Besides the q x q operation tables, every field keeps the base-p digits of
-each code (digits_np) and the regular representation (rep_np): for each x,
-the k x k matrix over GF(p) of y -> xy on those digits.  Addition is digit-wise
-mod p in every encoding here, so the digits are GF(p) coordinates, and a
-product of matrices over the field is an integer product of digit and
-representation matrices, reduced mod p (projgeom.matmul_np).
+Each table is held once, as an int16 array (add_np, sub_np, mul_np, neg_np,
+inv_np): the array kernels index it, and the scalar operations (add, mul,
+inv, dot, ...) read one entry of it as an int.  Besides the q x q operation
+tables, every field keeps the base-p digits of each code (digits_np) and the
+regular representation (rep_np): for each x, the k x k matrix over GF(p) of
+y -> xy on those digits.  Addition is digit-wise mod p in every encoding
+here, so the digits are GF(p) coordinates, and a product of matrices over
+the field is an integer product of digit and representation matrices,
+reduced mod p (projgeom.matmul_np).
 
 A quadratic extension GF(q^2) = GF(q)[w], w^2 = s*w + t, is GF(q)[x]/(x^2 -
 s*x - t): it encodes x = x0 + x1*w as the integer x0 + q*x1 where x0, x1 are
@@ -143,10 +146,9 @@ class Field:
         return self
 
     def _finish_tables(self, add, mul):
-        """Store the add and mul tables and derive neg, inv and sub, as
-        int16 arrays and as the nested lists the scalar operations read;
-        then the int32 digits (q, k) and regular representation (q, k, k),
-        rep_np[x] @ digits_np[y] = digits_np[x * y] mod p."""
+        """Store the add and mul tables and derive neg, inv and sub, all
+        int16 arrays; then the int32 digits (q, k) and regular representation
+        (q, k, k), rep_np[x] @ digits_np[y] = digits_np[x * y] mod p."""
         dtype = np.int16
         self.add_np = np.asarray(add, dtype=dtype)
         self.mul_np = np.asarray(mul, dtype=dtype)
@@ -157,53 +159,49 @@ class Field:
         self.digits_np = (np.arange(self.q)[:, None] // powers % self.p).astype(np.int32)
         # column j of rep_np[x]: the digits of x times the j-th basis element
         self.rep_np = self.digits_np[self.mul_np[:, powers]].transpose(0, 2, 1)
-        self._add, self._mul, self._neg, self._inv = (
-            t.tolist() for t in (self.add_np, self.mul_np, self.neg_np, self.inv_np))
-        # rows of _add reordered, so sub shares add's int objects
-        self._sub = [list(map(row.__getitem__, self._neg)) for row in self._add]
 
     # -- scalar operations ---------------------------------------------------
 
     def add(self, a, b):
-        return self._add[a][b]
+        return self.add_np.item(a, b)
 
     def sub(self, a, b):
-        return self._sub[a][b]
+        return self.sub_np.item(a, b)
 
     def mul(self, a, b):
-        return self._mul[a][b]
+        return self.mul_np.item(a, b)
 
     def neg(self, a):
-        return self._neg[a]
+        return self.neg_np.item(a)
 
     def inv(self, a):
         if a == 0:
             raise DivisionByZero(f"inverse of zero in {self.token}")
-        return self._inv[a]
+        return self.inv_np.item(a)
 
     def div(self, a, b):
         if b == 0:
             raise DivisionByZero(f"division by zero in {self.token}")
-        return self._mul[a][self._inv[b]]
+        return self.mul_np.item(a, self.inv_np.item(b))
 
     def pow(self, a, e):
         if e < 0:
             a = self.inv(a)
             e = -e
         r = 1
-        mul = self._mul
+        mul = self.mul_np.item
         while e:
             if e & 1:
-                r = mul[r][a]
-            a = mul[a][a]
+                r = mul(r, a)
+            a = mul(a, a)
             e >>= 1
         return r
 
     def dot(self, u, v):
         r = 0
-        add, mul = self._add, self._mul
+        add, mul = self.add_np.item, self.mul_np.item
         for x, y in zip(u, v):
-            r = add[r][mul[x][y]]
+            r = add(r, mul(x, y))
         return r
 
     def __eq__(self, other):

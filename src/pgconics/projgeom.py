@@ -120,9 +120,8 @@ class ProjectiveSpace:
             if x:
                 if x == 1:
                     return tuple(vec)
-                inv = self.field.inv(x)
-                mul = self.field._mul[inv]
-                return tuple(vec[:i]) + (1,) + tuple(mul[y] for y in vec[i + 1:])
+                inv, mul = self.field.inv(x), self.field.mul
+                return tuple(vec[:i]) + (1,) + tuple(mul(inv, y) for y in vec[i + 1:])
         raise ValueError("zero vector is not a projective point")
 
     def points(self):
@@ -281,23 +280,16 @@ class Subspace:
         return not any(v)
 
     def points(self):
-        """All points of the subspace (q^(d+1)-1)/(q-1) of them), normalized."""
+        """All points of the subspace ((q^(d+1)-1)/(q-1) of them), normalized.
+
+        Point i is the i-th point of PG(d,q), read as coefficients of the
+        basis rows: those leading with row l come before those leading later,
+        the later coefficients in base-q order, last fastest.
+        """
         f = self.space.field
-        q = f.q
-        k = len(self.rows)
-        rows = self.rows
-        out = []
-        add, mul = f._add, f._mul
-        for lead in range(k):
-            for rest in itertools.product(range(q), repeat=k - lead - 1):
-                v = list(rows[lead])
-                for j, c in enumerate(rest):
-                    if c:
-                        row = rows[lead + 1 + j]
-                        mc = mul[c]
-                        v = [add[x][mc[y]] for x, y in zip(v, row)]
-                out.append(self.space.normalize(v))
-        return out
+        coeffs = ProjectiveSpace(self.dim, f).points_np()
+        pts = matmul_np(f, coeffs, np.array(self.rows, dtype=np.int16))
+        return list(map(tuple, normalize_rows_np(f, pts)[0].tolist()))
 
     def dual(self):
         """RREF basis of the annihilator {u : u . x = 0 for x in subspace}."""

@@ -200,7 +200,6 @@ class PipelineState:
         self.spread = None
         self.reguli = None
         self.regular = False  # set by klein_regularity; rebuild_arc aligns only a regular spread
-        self.fitted_form = None
 
     @property
     def directions(self):
@@ -1286,7 +1285,6 @@ def stage_rebuild_arc(state):
         off = np.flatnonzero(form.values(np.array(arc, dtype=np.int16)))
         if len(off):
             raise NotAnArc(f"lifted point {arc[off[0]]} is off the fitted conic")
-        state.fitted_form = form
         counts_out["conic_fit"] = 1
         counts_out["alignment_identity"] = int(is_identity)
         if is_identity and state.conic is not None:

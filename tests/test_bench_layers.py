@@ -19,10 +19,12 @@ def test_bench_layers_writes_the_declared_keys(tmp_path):
     assert set(report["machine"]) == {"platform", "cpus", "python", "numpy"}
     assert list(report["results"]) == ["7"]
     result = report["results"]["7"]
-    assert set(result) == {"runs", "passed", "fields_ms", "frame_ms", "forward_ms",
-                           "pipeline_ms", "peak_rss_mb", "stages_ms"}
+    assert set(result) == {"runs", "passed", "fields_ms", "frame_ms", "frame_rss_mb",
+                           "forward_ms", "pipeline_ms", "peak_rss_mb", "stages_ms"}
     assert result["runs"] == 1 and result["passed"] is True
     assert list(result["stages_ms"]) == STAGES
-    assert all(v > 0 for v in [result[k] for k in ("fields_ms", "frame_ms", "forward_ms",
-                                                   "pipeline_ms", "peak_rss_mb")]
+    assert all(v > 0 for v in [result[k] for k in ("fields_ms", "frame_ms", "frame_rss_mb",
+                                                   "forward_ms", "pipeline_ms", "peak_rss_mb")]
                + list(result["stages_ms"].values()))
+    # ru_maxrss only grows, and make_frame runs before the round trip
+    assert result["frame_rss_mb"] <= result["peak_rss_mb"]

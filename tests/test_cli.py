@@ -245,6 +245,32 @@ def test_config_validation():
     assert (cfg.p, cfg.k) == (3, 2)
 
 
+@pytest.mark.parametrize("argv", [
+    ["roundtrip", "--q", "37"],
+    ["roundtrip", "--q", "32", "--exploratory"],
+    # (x^3 + x + 1)^2 = x^6 + x^2 + 1, reducible over GF(2)
+    ["roundtrip", "--p", "2", "--k", "6", "--modulus", "1,0,1,0,0,0,1", "--exploratory"],
+])
+def test_config_bounds_q_before_any_table(argv, monkeypatch):
+    """q > 31 is a configuration error, raised before the modulus is checked
+    (check_modulus builds the q x q tables of GF(p)[x]/(m))."""
+    def no_tables(*args):
+        raise AssertionError("check_modulus called")
+    monkeypatch.setattr("pgconics.cli.check_modulus", no_tables)
+    with pytest.raises(ConfigError, match="^q must be at most 31$"):
+        build_config(make_parser().parse_args(argv))
+
+
+def test_config_accepts_q_27_and_31():
+    parser = make_parser()
+    cfg = build_config(parser.parse_args(["roundtrip", "--q", "27"]))
+    assert (cfg.q, cfg.p, cfg.k) == (27, 3, 3)
+    cfg = build_config(parser.parse_args(["roundtrip", "--q", "31"]))
+    assert (cfg.q, cfg.p, cfg.k) == (31, 31, 1)
+    cfg = build_config(parser.parse_args(["roundtrip", "--p", "31", "--modulus", "28,1"]))
+    assert (cfg.q, cfg.modulus) == (31, (28, 1))
+
+
 # ---------------------------------------------------------------------------
 # exit-code contract: bad selections and fields are configuration errors
 

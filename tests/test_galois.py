@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -143,23 +144,63 @@ def scalar_quadratic_tables(base, s, t):
     return add, mul
 
 
+def check_scalar_operations(field, add, mul):
+    """add, sub, mul, neg, inv and div of field equal the formula tables add
+    and mul (and the neg, inv and sub derived from them) on every pair, as
+    Python ints, and each int16 array holds the same table; dot and pow
+    agree with the formula on samples."""
+    q = field.q
+    neg, inv, sub = scalar_tables(add, mul)
+    for name, table in zip(("add", "mul", "neg", "inv", "sub"), (add, mul, neg, inv, sub)):
+        array = getattr(field, name + "_np")
+        assert array.dtype == np.int16
+        assert array.tobytes() == np.array(table, dtype=np.int16).tobytes(), name
+    for a in range(q):
+        assert field.neg(a) == neg[a] and type(field.neg(a)) is int
+        if a:
+            assert field.inv(a) == inv[a] and type(field.inv(a)) is int
+        for b in range(q):
+            got = (field.add(a, b), field.sub(a, b), field.mul(a, b))
+            assert got == (add[a][b], sub[a][b], mul[a][b]), (a, b)
+            assert all(type(x) is int for x in got)
+            if b:
+                assert field.div(a, b) == mul[a][inv[b]], (a, b)
+    with pytest.raises(DivisionByZero):
+        field.inv(0)
+    with pytest.raises(DivisionByZero):
+        field.div(1, 0)
+    with pytest.raises(DivisionByZero):
+        field.pow(0, -1)
+    rng = random.Random(q)
+    for n in (0, 1, 2, 5, 6):
+        for _ in range(10):
+            u = [rng.randrange(q) for _ in range(n)]
+            v = [rng.randrange(q) for _ in range(n)]
+            expected = 0
+            for x, y in zip(u, v):
+                expected = add[expected][mul[x][y]]
+            assert field.dot(u, v) == expected and type(field.dot(u, v)) is int
+    for a in rng.sample(range(q), min(q, 12)) + [0, 1]:
+        power = 1
+        for e in range(2 * q + 1):
+            assert field.pow(a, e) == power, (a, e)
+            if a:
+                assert field.pow(a, -e) == field.pow(inv[a], e), (a, -e)
+            power = mul[power][a]
+
+
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)])
 def test_tables_match_scalar_formula(p, k):
-    """Every table of GF(q) and GF(q^2) (q^2 = 9 ... 169), as an int16 array
-    and as the lists the scalar operations read, equals the entry-by-entry
-    formula.  The digits read back as the codes, and the regular
-    representation times the digits of y is the digits of x * y, mod p."""
+    """GF(q) against polynomial arithmetic modulo its modulus and GF(q^2)
+    (q^2 = 9 ... 169) against the entry-by-entry formula of GF(q)[w]: every
+    scalar operation and every int16 table.  The digits read back as the
+    codes, and the regular representation times the digits of y is the
+    digits of x * y, mod p."""
     base = Field(p, k)
     ext = QuadExtension(base)
-    for field, (add, mul) in ((base, (base._add, base._mul)),
+    for field, (add, mul) in ((base, schoolbook_tables(p, base.modulus)),
                               (ext.ext, scalar_quadratic_tables(base, ext.s, ext.t))):
-        expected = dict(zip(("add", "mul", "neg", "inv", "sub"),
-                            (add, mul, *scalar_tables(add, mul))))
-        for name, table in expected.items():
-            assert getattr(field, "_" + name) == table, name
-            array = getattr(field, name + "_np")
-            assert array.dtype == np.int16
-            assert array.tobytes() == np.array(table, dtype=np.int16).tobytes(), name
+        check_scalar_operations(field, add, mul)
         digits, rep = field.digits_np, field.rep_np
         assert digits.dtype == rep.dtype == np.int32
         assert digits.shape == (field.q, field.k) and rep.shape == (field.q, field.k, field.k)
@@ -206,16 +247,12 @@ def schoolbook_tables(p, modulus):
 ])
 def test_prime_power_tables_match_schoolbook(p, k, modulus):
     """GF(4), GF(8), GF(16), GF(9), GF(27), GF(25) and GF(49) with their
-    default moduli, and GF(9) = GF(3)[x]/(x^2 + x + 2): every table equals
-    polynomial arithmetic modulo the modulus, computed entry by entry."""
+    default moduli, and GF(9) = GF(3)[x]/(x^2 + x + 2): every scalar
+    operation and every table equals polynomial arithmetic modulo the
+    modulus, computed entry by entry."""
     field = Field(p, k, modulus)
     assert modulus is None or field.modulus == modulus
-    add, mul = schoolbook_tables(p, field.modulus)
-    expected = dict(zip(("add", "mul", "neg", "inv", "sub"),
-                        (add, mul, *scalar_tables(add, mul))))
-    for name, table in expected.items():
-        assert getattr(field, "_" + name) == table, name
-        assert getattr(field, name + "_np").tobytes() == np.array(table, np.int16).tobytes()
+    check_scalar_operations(field, *schoolbook_tables(p, field.modulus))
 
 
 def mobius(n):

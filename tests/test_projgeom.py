@@ -111,6 +111,53 @@ def test_subspace_point_enumeration(pg4):
     assert all(plane.contains(p) for p in pts)
 
 
+def reference_points(subspace):
+    """Subspace.points() as a scalar loop: for each lead row, the lead row
+    plus every combination of the later rows, coefficients in
+    itertools.product order, each sum normalized."""
+    space, rows = subspace.space, subspace.rows
+    f, k = space.field, len(rows)
+    out = []
+    for lead in range(k):
+        for rest in itertools.product(range(f.q), repeat=k - lead - 1):
+            v = list(rows[lead])
+            for j, c in enumerate(rest):
+                if c:
+                    v = [f.add(x, f.mul(c, y)) for x, y in zip(v, rows[lead + 1 + j])]
+            out.append(space.normalize(v))
+    return out
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(2, 2), Field(7), Field(3, 2)],
+                         ids=["q3", "q4", "q7", "q9"])
+def test_subspace_points_match_the_scalar_loop(field):
+    """Every subspace of dimension 0-3 of PG(3,q) lists the same points, in
+    the same order, as the scalar loop."""
+    space = ProjectiveSpace(3, field)
+    for d in range(4):
+        for s in space.subspaces(d):
+            assert s.points() == reference_points(s), s
+
+
+def test_subspace_points_of_non_rref_bases():
+    """Random bases of rank 1-4 in PG(4,7), not in RREF: the same list as the
+    scalar loop, and the point set of the subspace they span."""
+    f = Field(7)
+    space = ProjectiveSpace(4, f)
+    rng = random.Random(5)
+    for k in (1, 2, 3, 4):
+        for _ in range(25):
+            while True:
+                rows = tuple(tuple(rng.randrange(7) for _ in range(5)) for _ in range(k))
+                if len(rref(f, rows)[0]) == k:
+                    break
+            s = Subspace(space, rows)
+            pts = s.points()
+            assert pts == reference_points(s)
+            assert set(pts) == set(Subspace.from_vectors(space, rows).points())
+            assert len(pts) == (7 ** k - 1) // 6
+
+
 def test_ambient_mismatch(pg4, pg3):
     l3 = span(pg3, [(1, 0, 0, 0), (0, 1, 0, 0)])
     l4 = span(pg4, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)])

@@ -5,6 +5,7 @@ first line table) show as a CLI call pays them.  In that process, in order:
 
 - fields_ms: the GF(q) and GF(q^2) tables (Field, then QuadExtension);
 - frame_ms: make_frame(q), which builds its own fields again;
+- frame_rss_mb: the process's peak resident set (ru_maxrss) right after it;
 - forward_ms: the canonical tangent conic and its point set C;
 - pipeline_ms: full_pipeline on C, with each stage's StageRecord.millis;
 - peak_rss_mb: the process's peak resident set (ru_maxrss) at the end.
@@ -34,11 +35,16 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_Q = (7, 9, 11, 13)
 LARGE_Q = (25, 27, 31)
-METRICS = ("fields_ms", "frame_ms", "forward_ms", "pipeline_ms", "peak_rss_mb")
+METRICS = ("fields_ms", "frame_ms", "frame_rss_mb", "forward_ms", "pipeline_ms",
+           "peak_rss_mb")
 
 
 def _ms_since(t0):
     return (time.perf_counter() - t0) * 1000.0
+
+
+def _peak_rss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def measure(q):
@@ -53,6 +59,7 @@ def measure(q):
     t0 = time.perf_counter()
     frame = make_frame(q)
     frame_ms = _ms_since(t0)
+    frame_rss_mb = _peak_rss_mb()
     t0 = time.perf_counter()
     conic = canonical_tangent_conic(frame)
     C = build_C(frame, conic)
@@ -63,11 +70,12 @@ def measure(q):
     return {
         "fields_ms": fields_ms,
         "frame_ms": frame_ms,
+        "frame_rss_mb": frame_rss_mb,
         "forward_ms": forward_ms,
         "pipeline_ms": pipeline_ms,
         "stages_ms": {r.name: r.millis for r in records},
         "passed": all(r.verdict == "pass" for r in records),
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mb": _peak_rss_mb(),
     }
 
 
