@@ -243,6 +243,10 @@ def test_config_validation():
         build_config(parser.parse_args(["negative-control", "--q", "7"]))
     cfg = build_config(parser.parse_args(["roundtrip", "--q", "9"]))
     assert (cfg.p, cfg.k) == (3, 2)
+    cfg = build_config(parser.parse_args(["roundtrip", "--q", "27"]))
+    assert (cfg.p, cfg.k) == (3, 3)
+    cfg = build_config(parser.parse_args(["roundtrip", "--q", "31"]))  # the largest order
+    assert (cfg.p, cfg.k) == (31, 1)
 
 
 @pytest.mark.parametrize("argv", [
@@ -259,16 +263,6 @@ def test_config_bounds_q_before_any_table(argv, monkeypatch):
     monkeypatch.setattr("pgconics.cli.check_modulus", no_tables)
     with pytest.raises(ConfigError, match="^q must be at most 31$"):
         build_config(make_parser().parse_args(argv))
-
-
-def test_config_accepts_q_27_and_31():
-    parser = make_parser()
-    cfg = build_config(parser.parse_args(["roundtrip", "--q", "27"]))
-    assert (cfg.q, cfg.p, cfg.k) == (27, 3, 3)
-    cfg = build_config(parser.parse_args(["roundtrip", "--q", "31"]))
-    assert (cfg.q, cfg.p, cfg.k) == (31, 31, 1)
-    cfg = build_config(parser.parse_args(["roundtrip", "--p", "31", "--modulus", "28,1"]))
-    assert (cfg.q, cfg.modulus) == (31, (28, 1))
 
 
 # ---------------------------------------------------------------------------

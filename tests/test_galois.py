@@ -181,11 +181,12 @@ def check_scalar_operations(field, add, mul):
                 expected = add[expected][mul[x][y]]
             assert field.dot(u, v) == expected and type(field.dot(u, v)) is int
     for a in rng.sample(range(q), min(q, 12)) + [0, 1]:
-        power = 1
+        power = inverse_power = 1
         for e in range(2 * q + 1):
             assert field.pow(a, e) == power, (a, e)
             if a:
-                assert field.pow(a, -e) == field.pow(inv[a], e), (a, -e)
+                assert field.pow(a, -e) == inverse_power, (a, -e)
+                inverse_power = mul[inverse_power][inv[a]]
             power = mul[power][a]
 
 
