@@ -134,10 +134,16 @@ class BruckBoseFrame:
             raise AssertionError("spread lines are not pairwise skew")
         if (counts == 0).any():
             raise AssertionError("spread does not cover the hyperplane at infinity")
-        pts = self.affine_plane_points()
-        bad = np.flatnonzero((self.points_up(self.points_down(pts)) != pts).any(axis=1))
+        # points_down scales (dec x, dec y, 1) by some lambda^-1 of GF(q), so
+        # its last coordinate is lambda^-1, and points_up multiplies by that
+        # coordinate's inverse lambda: it gets (dec x, dec y) back whenever
+        # the GF(q) tables form a field (verify_field_axioms checks them).
+        # So every affine point of PG(2,q^2) comes back from the round trip
+        # exactly when compose(decompose(z)) = z for every code z of GF(q^2).
+        z = np.arange(self.ext.ext.q)
+        bad = np.flatnonzero(self.ext.compose(*self.ext.decompose(z)) != z)
         if len(bad):
-            raise AssertionError(f"down/up round trip failed at {tuple(pts[bad[0]].tolist())}")
+            raise AssertionError(f"compose/decompose round trip failed at {bad[0]}")
 
 
 def build_frame(ext):

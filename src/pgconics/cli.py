@@ -120,20 +120,24 @@ def _check_stages(stages):
 def build_config(args):
     if args.p is not None:
         p, k = args.p, args.k or 1
-        q = p ** k
-        if not is_prime(p):
-            raise ConfigError(f"p={p} is not prime")
+        # p^k for 1 < p <= 31 and k <= 5, else past the bound (2^6 > 31) or
+        # p itself: no huge power is formed
+        q = p ** min(k, 6) if 1 < p <= MAX_Q else p
     elif args.q is not None:
         q = args.q
     else:
         raise ConfigError("one of --q or --p is required")
-    if q > MAX_Q:  # before any field table is built: GF(q^2)'s have q^4 entries
+    # before any field table is built (GF(q^2)'s have q^4 entries) and before
+    # is_prime, which tries divisors up to sqrt(p)
+    if q > MAX_Q:
         raise ConfigError(f"q must be at most {MAX_Q}")
     if args.p is None:
         try:
             p, k = _factor_prime_power(q)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+    elif not is_prime(p):
+        raise ConfigError(f"p={p} is not prime")
     if q % 2 == 0 and not args.exploratory:
         raise ConfigError("q must be odd")
     if q < 7 and not args.exploratory:

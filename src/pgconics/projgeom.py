@@ -107,7 +107,6 @@ class ProjectiveSpace:
         self.field = field
         self._points = None
         self._points_np = None
-        self._lines = None
 
     @property
     def npoints(self):
@@ -169,65 +168,77 @@ class ProjectiveSpace:
     def line_point_ids(self, rows):
         """Point ids of lines given by RREF bases, shape (k, 2, n+1) -> (k, q+1).
 
-        Each row lists its line's points in Subspace.points() order.
+        Each row lists its line's points in Subspace.points() order: r0 + c r1
+        for c < q, then r1, each normalized, as it leads with a pivot 1.
         """
-        f = self.field
         rows = np.asarray(rows, dtype=np.int16)
-        ids = np.empty((len(rows), f.q + 1), dtype=np.int32)
-        # flat lookups: add_np[x, y] is add[x q + y]
-        add, r0q, r1 = f.add_np.ravel(), rows[:, 0].astype(np.intp) * f.q, rows[:, 1]
-        for c in range(f.q):  # the points r0 + c r1, then r1
-            ids[:, c] = self.point_ids(np.take(add, r0q + np.take(f.mul_np[c], r1)))
-        ids[:, f.q] = self.point_ids(r1)
-        return ids
+        pts = line_points_np(self.field, rows[:, 0], rows[:, 1])
+        return self.point_ids(pts.reshape(-1, self.n + 1)).reshape(len(rows), -1)
 
-    def line_table(self):
-        """Every line, in subspaces(1) order, as (rows, point ids).
+    def line_blocks(self):
+        """Point ids of every line, block by block, as (start, block): block is
+        an intp array (q+1, m), m <= q^3, whose column l lists the points of
+        line start + l of subspaces(1) in Subspace.points() order.
 
-        rows has shape (n_lines, 2, n+1), the RREF bases; point ids has
-        shape (n_lines, q+1), as line_point_ids.  Built once, vectorized.
+        For pivots p0 < p1, point c < q of a line is r0 + c r1: r0's entries
+        up to p1, c at p1 and r0[j] + c r1[j] after it; point q is r1.  Entry
+        j adds its value times q^(n-j) to a point's id (point_ids), so a block
+        is a sum of tables broadcast over the free entries.  A pattern with
+        s > 3 free entries is split by its first s - 3, which then hold one
+        value each.
         """
-        if self._lines is None:
-            q, w = self.field.q, self.n + 1
-            blocks = []
-            for pivots in itertools.combinations(range(w), 2):
-                slots = [(i, c) for i, p in enumerate(pivots)
-                         for c in range(p + 1, w) if c not in pivots]
-                # free entries in itertools.product order: first slot slowest
-                values = np.indices((q,) * len(slots)).reshape(len(slots), q ** len(slots)).T
-                rows = np.zeros((len(values), 2, w), dtype=np.int16)
-                rows[:, 0, pivots[0]] = rows[:, 1, pivots[1]] = 1
-                for s, (i, c) in enumerate(slots):
-                    rows[:, i, c] = values[:, s]
-                blocks.append(rows)
-            rows = np.concatenate(blocks)
-            self._lines = rows, self.line_point_ids(rows)
-        return self._lines
+        f, n, q = self.field, self.n, self.field.q
+        place = q ** np.arange(n, -1, -1)
+        start = np.concatenate(([0], np.cumsum(place[:-1])))  # the first id leading at each column
+        lo = 0
+        for (p0, p1), slots in self._patterns(2):
+            for head in itertools.product(range(q), repeat=max(0, len(slots) - 3)):
+                # c along axis 0, then the values of each slot along its own axis
+                c, *grid = np.ix_(range(q), *[[v] for v in head], *[range(q)] * min(len(slots), 3))
+                at = dict(zip(slots, grid))
+                ids, last = start[p0] + c * place[p1], start[p1]
+                for j in [j for j in range(p0 + 1, n + 1) if j != p1]:
+                    r1 = at.get((1, j), 0)  # r1 is zero before p1
+                    ids = ids + f.add_np[at[0, j], f.mul_np[c, r1]] * place[j]
+                    last = last + r1 * place[j]
+                block = np.concatenate((ids, np.broadcast_to(last, (1,) + ids.shape[1:])))
+                yield lo, block.reshape(q + 1, -1)
+                lo += block[0].size
+
+    def subspace_rows(self, d, index):
+        """The RREF bases (m, d+1, n+1) int16 of the d-dimensional subspaces
+        at the given positions of subspaces(d); for d = 1, the inverse of
+        line_blocks' numbering."""
+        q, k, lo = self.field.q, d + 1, 0
+        index = np.asarray(index, dtype=np.int64)
+        rows = np.zeros((len(index), k, self.n + 1), dtype=np.int16)
+        for pivots, slots in self._patterns(k):
+            at = np.flatnonzero((index >= lo) & (index < lo + q ** len(slots)))
+            local = index[at] - lo
+            rows[at[:, None], np.arange(k), pivots] = 1
+            for i, col in reversed(slots):  # the last slot runs fastest
+                local, rows[at, i, col] = np.divmod(local, q)
+            lo += q ** len(slots)
+        return rows
+
+    def _patterns(self, k):
+        """(pivots, free slots) of the k-row RREF bases, in subspaces() order:
+        the slots (row, column) right of the row's pivot and off the pivots."""
+        w = self.n + 1
+        for pivots in itertools.combinations(range(w), k):
+            yield pivots, [(i, c) for i, p in enumerate(pivots)
+                           for c in range(p + 1, w) if c not in pivots]
 
     def subspaces(self, d):
         """All d-dimensional projective subspaces, each exactly once.
 
         Deterministic order: pivot patterns lexicographically, then free
-        entries in ascending code order.
+        entries in ascending code order, the last fastest.
         """
-        if d < 0 or d > self.n:
-            return
-        k = d + 1
-        w = self.n + 1
-        q = self.field.q
-        for pivots in itertools.combinations(range(w), k):
-            pivset = set(pivots)
-            # free slots: (row, col) with col > pivot of row, col not a pivot
-            slots = [(i, c) for i, p in enumerate(pivots)
-                     for c in range(p + 1, w) if c not in pivset]
-            base = [[0] * w for _ in range(k)]
-            for i, p in enumerate(pivots):
-                base[i][p] = 1
-            for values in itertools.product(range(q), repeat=len(slots)):
-                rows = [row[:] for row in base]
-                for (i, c), v in zip(slots, values):
-                    rows[i][c] = v
-                yield Subspace(self, tuple(tuple(r) for r in rows))
+        if 0 <= d <= self.n:
+            count = gaussian_binomial(self.n + 1, d + 1, self.field.q)
+            for rows in self.subspace_rows(d, np.arange(count)).tolist():
+                yield Subspace(self, tuple(map(tuple, rows)))
 
     def lines(self):
         return self.subspaces(1)
@@ -371,6 +382,13 @@ def matmul_np(field, a, b):
     for i in range(1, k):
         codes = codes + digits[..., i] * p ** i
     return codes.astype(np.int16)
+
+
+def line_points_np(field, x, y):
+    """The points x + c y (c = 0..q-1), then y, of the lines <x, y>: (..., q+1, n)."""
+    c = np.arange(field.q)[:, None]
+    pts = field.add_np[x[..., None, :], field.mul_np[c, y[..., None, :]]]
+    return np.concatenate((pts, y[..., None, :]), axis=-2)
 
 
 def reduce_rows_np(field, basis_rows, arr):

@@ -18,6 +18,7 @@ claims by exhaustive enumeration and fails loudly with a witness otherwise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -26,9 +27,9 @@ import numpy as np
 
 from .galois import Field, QuadExtension
 from .projgeom import (HEAVY, HeavyPlaneScan, ProjectiveSpace, Subspace, group_rows,
-                       mat_mul, matmul_np, matrix_inverse, normalize_rows_np,
-                       nullspace, points_array, reduce_rows_np, rref, rref_np,
-                       scan_heavy_planes, span)
+                       line_points_np, mat_mul, matmul_np, matrix_inverse,
+                       normalize_rows_np, nullspace, points_array, reduce_rows_np, rref,
+                       rref_np, scan_heavy_planes, span)
 from .conics import (CompletionNotUnique, DegenerateInput, NotAnArc,
                      complete_q_arc, complete_q_arcs, conic_through_5, is_arc)
 from .bruckbose import build_frame
@@ -234,16 +235,21 @@ class DirectionTable:
     increment at a time.  A 0/1 table without repeats has one unit plane
     and presets of zero.
 
-    line_levels() sweeps every line of sigma.line_table() once and keeps
-    the (line, point) entries at the cap for heavy().  heavy() answers only
-    when T is 0/1 and no point repeats, as axiom 1 requires (T >= 2 means
-    three collinear points); it returns None otherwise, without sweeping.
-    Such an input fails axiom 1, and the scan, which names the collinear
-    triple, needs no sweep of every line first.
+    line_levels() reads the levels of every line of sigma off one sweep,
+    run by run as _line_runs() joins and splits sigma.line_blocks() to
+    WORDS words per counter and at most LINES lines.  The sweep also keeps
+    the (line, point) entries at the cap for heavy() and the lines of level
+    0 or 1 for low(), which assemble_spread and uniqueness read instead of
+    every line.  heavy() answers only when T is 0/1 and no point repeats,
+    as axiom 1 requires (T >= 2 means three collinear points); it returns
+    None otherwise, without sweeping.  Such an input fails axiom 1, and the
+    scan, which names the collinear triple, needs no sweep of every line
+    first.
     """
 
     LEVELS = HEAVY - 1
-    WORDS = 1 << 14  # 64-bit words per counter in one block of the sweep
+    WORDS = 1 << 14  # 64-bit words per counter in one run of the sweep
+    LINES = 1 << 12  # lines in one run at most, bounding a small field's run
 
     def __init__(self, state):
         f, arr = state.base, state._C_arr
@@ -259,9 +265,10 @@ class DirectionTable:
         self.repeats = (np.bincount(a[zero], minlength=n) - 1).astype(np.int16)
         # counts are below |C| = q^2, so int16 holds them for q <= 181
         self.T = np.zeros((state.sigma.npoints, n), dtype=np.int16)
-        np.add.at(self.T, (state.sigma.point_ids(dirs[~zero]), a[~zero]), 1)
+        # on the flat view with an int16 one, numpy's fast path for ufunc.at
+        np.add.at(self.T.ravel(), state.sigma.point_ids(dirs[~zero]) * n + a[~zero], np.int16(1))
         self.binary = self.T.max(initial=0) <= 1 and not self.repeats.any()
-        self._packed = self._levels = self._heavy = None
+        self.words = -(-n // 64)  # uint64 words of bits over the input points
 
     def own(self, ids, points):
         """Input points on the plane <l, a> for each line l, given by its point
@@ -269,7 +276,7 @@ class DirectionTable:
         The working memory is a few times that of the result, (k, m)."""
         flat, n = self.T.ravel(), self.T.shape[1]
         sums = 1 + self.repeats[points]
-        for col in ids.astype(np.int64).T:
+        for col in ids.T:
             sums += flat.take(col[:, None] * n + points)
         return sums
 
@@ -279,62 +286,63 @@ class DirectionTable:
         a whose plane <l, a> carries HEAVY or more input points, in (l, a)
         order.  Counter k holds the points with more than k other points on
         the plane, and a unit plane x of a line point sets it where counter
-        k-1 and x are both set."""
-        if self._packed is None:
-            self._packed = self._pack()
+        k-1 and x are both set.  The working memory is 2 LEVELS k words."""
         units, preset = self._packed
-        n, words = self.T.shape[1], preset.shape[1]
-        step = max(1, self.WORDS // words)
-        levels = np.empty(len(ids), dtype=np.int8)
-        lines, points = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-        buffers = np.empty((self.LEVELS + 2, min(step, len(ids)), words), dtype=np.uint64)
-        for lo in range(0, len(ids), step):
-            block = ids[lo:lo + step]
-            counters, (x, both) = np.split(buffers[:, :len(block)], [self.LEVELS])
-            counters[...] = preset[:, None]
-            for col in block.T:
-                for bits in units:
-                    np.take(bits, col, axis=0, out=x)
-                    for k in range(self.LEVELS - 1, 0, -1):
-                        np.bitwise_and(counters[k - 1], x, out=both)
-                        counters[k] |= both
-                    counters[0] |= x
-            hit = counters.any(axis=2)
-            levels[lo:lo + len(block)] = hit.sum(axis=0)
-            rows = np.flatnonzero(hit[-1])
-            flags = np.unpackbits(counters[-1, rows].view(np.uint8), axis=1, count=n)
-            r, a = np.nonzero(flags)
-            lines.append(lo + rows[r])
-            points.append(a)
-        return levels, (np.concatenate(lines), np.concatenate(points))
+        buf = np.empty((2 * self.LEVELS, len(ids), preset.shape[1]), dtype=np.uint64)
+        counters, x, both = buf[:self.LEVELS], buf[self.LEVELS], buf[self.LEVELS + 1:]
+        counters[...] = preset[:, None]
+        for col in ids.T:
+            for bits in units:
+                np.take(bits, col, axis=0, out=x)
+                np.bitwise_and(counters[:-1], x, out=both)  # all before x is added
+                counters[1:] |= both
+                counters[0] |= x
+        # nonzero words, OR-ed word by word: any(axis=2) over few words is slow
+        hit = functools.reduce(np.bitwise_or, np.moveaxis(counters, 2, 0)) != 0
+        rows = np.flatnonzero(hit[-1])
+        flags = np.unpackbits(counters[-1, rows].view(np.uint8), axis=1, count=self.T.shape[1])
+        r, a = np.nonzero(flags)
+        return hit.sum(axis=0).astype(np.int8), (rows[r], a)
+
+    _packed = functools.cached_property(lambda self: self._pack())
 
     def _pack(self):
         """The unit planes T >= u, u = 1 .. min(T.max(), LEVELS), one array
         (points of PG(3,q), words) each, and the presets repeats > k, k <
         LEVELS, (LEVELS, words): bits over the input points, in uint64 words."""
         n = self.T.shape[1]
-        words = -(-n // 64)
 
         def bits(flags):
-            packed = np.zeros(flags.shape[:-1] + (8 * words,), dtype=np.uint8)
+            packed = np.zeros(flags.shape[:-1] + (8 * self.words,), dtype=np.uint8)
             packed[..., :-(-n // 8)] = np.packbits(flags, axis=-1)
             return packed.view(np.uint64)
         units = [bits(self.T >= u) for u in range(1, min(self.T.max(initial=0), self.LEVELS) + 1)]
         return units, bits(self.repeats > np.arange(self.LEVELS)[:, None])
 
+    @functools.cached_property
+    def _sweep(self):
+        """Every line of sigma swept once, in subspaces(1) order: [levels,
+        then the lines and points of the entries at the cap, then the
+        positions and point ids of the lines of level 0 or 1]."""
+        parts = []
+        for lo, ids in _line_runs(self.sigma, min(self.LINES, self.WORDS // self.words)):
+            level, (line, a) = self.levels(ids)  # a: the input points at the cap
+            parts.append((level, lo + line, a, lo + np.flatnonzero(level <= 1), ids[level <= 1]))
+        return [np.concatenate(part) for part in zip(*parts)]
+
     def line_levels(self):
-        """The level of every line of sigma.line_table(), int8; swept once."""
-        if self._levels is None:
-            self._levels, self._heavy = self.levels(self.sigma.line_table()[1])
-        return self._levels
+        """The level of every line of sigma, in subspaces(1) order, int8."""
+        return self._sweep[0]
+
+    def low(self):
+        """The lines of level 0 or 1, kept from the sweep: (positions in
+        subspaces(1), point ids (k, q+1))."""
+        return self._sweep[3:]
 
     def heavy(self):
-        """line_levels()'s entries at the cap, lines as line_table() indices;
+        """The sweep's entries at the cap, lines as subspaces(1) positions;
         None, without sweeping, unless T is 0/1 without repeats."""
-        if not self.binary:
-            return None
-        self.line_levels()
-        return self._heavy
+        return self._sweep[1:3] if self.binary else None
 
 
 # ---------------------------------------------------------------------------
@@ -422,17 +430,23 @@ def _three_space_tests(f, duals, arr, planes, pairs):
     return foreign
 
 
+def _line_runs(sigma, size):
+    """The lines of sigma as (start, ids): the point ids (k, q+1) of lines
+    start .. start + k - 1, k <= size: line_blocks() starting in one window
+    of size lines joined, and split where they hold more."""
+    for _, run in itertools.groupby(sigma.line_blocks(), lambda b: b[0] // size):
+        (lo, block), *rest = run
+        ids = (np.concatenate([block] + [b for _, b in rest], axis=1) if rest else block).T
+        for at in range(0, len(ids), size):
+            yield lo + at, ids[at:at + size]
+
+
 def _spread_owner(sigma, ids):
     """Point id -> the index of its spread line, from the (lines, q+1)
     point ids of a spread; the lines partition PG(3,q)."""
     owner = np.empty(sigma.npoints, dtype=np.int64)
     owner[ids] = np.arange(len(ids))[:, None]
     return owner
-
-
-def _line_keys(sigma, ids):
-    """One integer per line, from the ids of its two RREF basis points."""
-    return ids[:, 0].astype(np.int64) * sigma.npoints + ids[:, -1]
 
 
 # Plucker coordinates p01, p02, p03, p12, p13, p23 of the line <x, y>
@@ -472,13 +486,6 @@ def _line_key_np(f, rows):
     """One integer per line <x, y>, rows (..., 2, 4) holding x and y: the
     _point_codes of its Plucker coordinates."""
     return _point_codes(f, _plucker_np(f, rows[..., 0, :], rows[..., 1, :]))
-
-
-def _line_points_np(f, x, y):
-    """The points x + c y (c = 0..q-1), then y, of the lines <x, y>: (..., q+1, 4)."""
-    c = np.arange(f.q)[:, None]
-    pts = f.add_np[x[..., None, :], f.mul_np[c, y[..., None, :]]]
-    return np.concatenate((pts, y[..., None, :]), axis=-2)
 
 
 def _transversals_np(f, V, p2, r1, r2):
@@ -525,9 +532,9 @@ def _regulus_batch(f, l1, l2, l3):
     # transversals of three pairwise skew lines are pairwise skew, and the
     # transversals of three of those are q+1 distinct lines forming the
     # unique regulus through l1, l2 and l3 (Hirschfeld 1985).
-    V = _line_points_np(f, l1[:, 0], l1[:, 1])
+    V = line_points_np(f, l1[:, 0], l1[:, 1])
     W = _transversals_np(f, V, p[1], l3[:, 0], l3[:, 1])
-    U = _line_points_np(f, V[:, 0], W[:, 0])
+    U = line_points_np(f, V[:, 0], W[:, 0])
     W2 = _transversals_np(f, U, _plucker_np(f, V[:, 1], W[:, 1]), V[:, 2], W[:, 2])
     lines = np.stack((U, W2), axis=2)
     spans = np.stack((lines, np.stack((V, W), axis=2)), axis=1)
@@ -607,7 +614,7 @@ def _swept_planes(state):
     if heavy is None:
         return None
     lines, points = heavy
-    rows = state.sigma.line_table()[0][lines]
+    rows = state.sigma.subspace_rows(1, lines)
     pivots = (rows != 0).argmax(axis=2)
     at = np.arange(len(rows))
     res = table.affine[points]
@@ -721,8 +728,9 @@ def stage_axioms(state):
     state.planes = planes
     state.plane_point_ids = ids.reshape(len(planes), len(coeffs))
     state.affine_plane_counts = counts
-    state.planes_through = tuple(tuple(np.flatnonzero(on).tolist())
-                                 for on in planes.member_table(q * q).T)
+    # every point lies on q + 1 planes (above), listed in plane order
+    state.planes_through = tuple(map(tuple, np.nonzero(planes.member_table(q * q).T)[1]
+                                     .reshape(q * q, q + 1).tolist()))
     return {
         "points": q * q,
         "planes": len(planes),
@@ -1062,24 +1070,41 @@ def stage_assemble_spread(state):
     provenance = {tuple(map(tuple, rows)): c for c, rows in enumerate(traces.tolist())}
     state.spread = Spread(lines=lines, axis=q * q, provenance=provenance)
 
-    # lines meeting the axis that are not trace lines: planes through them
+    # lines meeting the axis that are not C-plane traces: planes through them
     # carry at most two points, and exactly one together with a met trace line
-    all_rows, all_ids = sigma.line_table()
-    known = _line_keys(sigma, np.concatenate([cline_ids, ids[-1:]]))
-    sweep = np.flatnonzero(np.isin(all_ids, ids[-1]).any(axis=1))
-    sweep = sweep[~np.isin(_line_keys(sigma, all_ids[sweep]), known)]
-    met = _spread_owner(sigma, ids)[all_ids[sweep]]  # q * q on the axis point, masked out below
+    owner, at = _spread_owner(sigma, ids), np.full(sigma.npoints, -1)
+    at[ids[-1]] = np.arange(q + 1)  # each axis point's place on the axis
+
+    def swept(index, line_ids, trace):
+        """The lines at positions index, with point ids line_ids, that meet
+        the axis once and are not C-plane traces, with their keys (place of
+        the axis point) npoints + (least other point), which determine them."""
+        place = at[line_ids]
+        key = place.max(axis=1) * len(at) + np.where(place < 0, line_ids, len(at)).min(axis=1)
+        sel = np.flatnonzero((place >= 0).sum(axis=1) == 1)
+        sel = sel[~trace[key[sel]]]
+        return index[sel], line_ids[sel], key[sel]
+    # each C-plane trace meets q member trace lines (checked above), which are
+    # disjoint, so its last point lies on the axis
+    trace = np.zeros((q + 1) * sigma.npoints, dtype=bool)
+    trace[swept(np.arange(len(cline_ids)), cline_ids, trace)[2]] = True
+    # (q+1)(q^2+q) lines meet the axis once (the spread partitions PG(3,q)),
+    # the C-plane traces among them.  When the lines of level 0 or 1 give
+    # all the others, no swept line is crowded; else every line is read.
+    sweep, pts, key = swept(*state.directions.low(), trace)
+    if len(sweep) != (q + 1) * (q * q + q) - np.count_nonzero(trace):
+        parts = [swept(lo + np.arange(len(run)), run, trace)
+                 for lo, run in _line_runs(sigma, DirectionTable.LINES)]
+        sweep, pts, key = map(np.concatenate, zip(*parts))
+    met = owner[pts]  # q * q on the axis point, masked out below
     crowded = state.directions.line_levels()[sweep] >= 2  # a 3-point plane
-    extra = (state.directions.own(all_ids[sweep], np.minimum(met, q * q - 1)) != 1) & (met < q * q)
+    extra = (state.directions.own(pts, np.minimum(met, q * q - 1)) != 1) & (met < q * q)
     bad = np.flatnonzero(crowded | extra.any(axis=1))
     if len(bad):
         # report the first bad line of the enumeration "each axis point V in
-        # order, then each other point X by id": least (position of V, min X)
-        pts = all_ids[sweep[bad]]
-        axis_pos = np.argmax(pts[:, :, None] == ids[-1][None, None, :], axis=2).max(axis=1)
-        first = np.where(np.isin(pts, ids[-1]), sigma.npoints, pts).min(axis=1)
-        i = bad[np.lexsort((first, axis_pos))[0]]
-        line = _rows_text(all_rows[sweep[i]])  # line_table rows are RREF
+        # order, then each other point X by id": least (place of V, min X)
+        i = bad[key[bad].argmin()]
+        line = _rows_text(sigma.points_np()[pts[i, [0, -1]]])  # its RREF rows, r0 and r1
         if crowded[i]:
             raise StructureViolation(
                 "plane through an axis-meeting line carries > 2 points", witness=line)
@@ -1400,32 +1425,32 @@ def stage_uniqueness(state):
     # assemble_spread's are q^2+1 disjoint lines ((q^2+1)(q+1) points, its
     # overlap check); perturb_spread_by_regulus swaps a regulus for its
     # opposite, which covers the same points; classical_spread is checked
-    # by the frame's _verify.
-    spread, sigma = state.spread, state.sigma
-    rows, ids = sigma.line_table()
+    # by the frame's _verify.  So q^2 + q lines other than the axis pass
+    # through each of its q + 1 points, meeting it there alone, the q^2 other
+    # spread lines miss it, and the remaining lines lie outside the spread:
+    # these counts are not taken.
+    q, spread, sigma = state.q, state.spread, state.sigma
     owner = _spread_owner(sigma, sigma.line_point_ids(spread.lines))
-    in_spread = owner[ids[:, 0]] == owner[ids[:, 1]]
-    hits = np.flatnonzero((owner == spread.axis)[ids]) // ids.shape[1]
-    on_axis = np.bincount(hits, minlength=len(ids))  # points on the axis
-    axis, meeting = on_axis >= 2, on_axis == 1
-    outside = ~(axis | meeting | in_spread)
 
     # opposite reguli of the axis reguli each contain a trace line (checked in
     # the closure stage); here the per-line argument:
-    # a plane through a line carries 1 + its level points, below the cap
-    levels = state.directions.line_levels()
-    violations = np.flatnonzero(outside & (levels < 2))
+    # a plane through a line carries 1 + its level points, below the cap, so
+    # only the lines of level 0 or 1 are read
+    _, ids = state.directions.low()
+    on_axis = (owner == spread.axis)[ids].sum(axis=1)  # points on the axis
+    violations = np.flatnonzero((on_axis == 0) & (owner[ids[:, 0]] != owner[ids[:, 1]]))
     if len(violations):
         raise UniquenessViolation(
             "a line outside the spread admits no 3-point plane",
-            witness=_rows_text(rows[violations[0]]))  # line_table rows are RREF
-    disjoint_outside = int(outside.sum())
+            witness=_rows_text(sigma.points_np()[ids[violations[0], [0, -1]]]))  # r0, r1
+    # of the (q^2+1)(q^2+q+1) lines, q^2+1 are spread lines and (q+1)(q^2+q) meet the axis once
+    meeting, disjoint_outside = (q + 1) * (q * q + q), q ** 4 - q * q
     out = {
         "lines_disjoint_outside": disjoint_outside,
         "incompatible": disjoint_outside,
-        "spread_lines_compatible": int((in_spread & ~axis & ~meeting).sum()) + 1,
-        "axis_meeting_lines": int(meeting.sum()),
-        "axis_meeting_compatible": int((meeting & (levels <= 1)).sum()),
+        "spread_lines_compatible": q * q + 1,
+        "axis_meeting_lines": meeting,
+        "axis_meeting_compatible": int(np.count_nonzero(on_axis == 1)),
         "opposites_with_trace_line": len(state.reguli),
     }
     if state.expect_classical:

@@ -12,7 +12,8 @@ from pgconics.bruckbose import (BruckBoseFrame, LemmaViolation, _tangent_counts,
                                 baer_closure, baer_subplane_through, build_frame,
                                 canonical_tangent_conic, random_tangent_conic,
                                 verify_lemma1, write_c_dump)
-from pgconics.reconstruct import CheckViolation, PipelineState, regulus_from, stage_axioms
+from pgconics.reconstruct import (CheckViolation, PipelineState, make_frame, regulus_from,
+                                  stage_axioms)
 
 
 def test_frame_counts(frame7):
@@ -307,22 +308,28 @@ def test_frame_rejects_broken_spreads(monkeypatch, edit, message):
 
 
 def test_frame_names_the_first_failed_round_trip(monkeypatch):
-    """Corrupting (5, 3, 1) and (2, 40, 1) names (2, 40, 1), normalized:
-    it comes first in x-major order."""
-    original = BruckBoseFrame.points_up
+    """The frame checks compose(decompose(z)) = z over the codes of GF(q^2).
+    Corrupting compose at the codes 40 and 5 of GF(49) names 5: it comes
+    first in code order."""
+    original = QuadExtension.compose
 
-    def corrupt(self, pts):
-        up = original(self, pts)
-        E = self.ext.ext
-        hit = np.zeros(len(up), dtype=bool)
-        for x, y in ((5, 3), (2, 40)):
-            hit |= (up == self.plane.normalize((x, y, 1))).all(axis=1)
-        up[hit, 1] = E.add_np[up[hit, 1], 1]
-        return up
-    monkeypatch.setattr(BruckBoseFrame, "points_up", corrupt)
+    def corrupt(self, x0, x1):
+        z = original(self, x0, x1)
+        return np.where(np.isin(z, (5, 40)), (z + 1) % self.ext.q, z)
+    monkeypatch.setattr(QuadExtension, "compose", corrupt)
     with pytest.raises(AssertionError) as info:
         build_frame(QuadExtension(Field(7)))
-    assert str(info.value) == "down/up round trip failed at (1, 48, 4)"
+    assert str(info.value) == "compose/decompose round trip failed at 5"
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11])
+def test_every_affine_point_survives_down_and_up(q):
+    """points_up(points_down(P)) = P for all q^4 affine points P of
+    PG(2,q^2): the round trip that the frame's element check implies."""
+    frame = make_frame(q)
+    pts = frame.affine_plane_points()
+    assert len(pts) == q ** 4
+    assert np.array_equal(frame.points_up(frame.points_down(pts)), pts)
 
 
 @pytest.mark.parametrize("q", [7, 9])

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -247,6 +248,11 @@ def test_config_validation():
     assert (cfg.p, cfg.k) == (3, 3)
     cfg = build_config(parser.parse_args(["roundtrip", "--q", "31"]))  # the largest order
     assert (cfg.p, cfg.k) == (31, 1)
+    cfg = build_config(parser.parse_args(["roundtrip", "--p", "3", "--k", "3"]))
+    assert (cfg.q, cfg.p, cfg.k) == (27, 3, 3)
+    for p, k in (("1", "1000000000"), ("-5", "1000000000"), ("4", "1")):  # is_prime decides
+        with pytest.raises(ConfigError, match=f"^p={p} is not prime$"):
+            build_config(parser.parse_args(["roundtrip", "--p", p, "--k", k]))
 
 
 @pytest.mark.parametrize("argv", [
@@ -254,15 +260,25 @@ def test_config_validation():
     ["roundtrip", "--q", "32", "--exploratory"],
     # (x^3 + x + 1)^2 = x^6 + x^2 + 1, reducible over GF(2)
     ["roundtrip", "--p", "2", "--k", "6", "--modulus", "1,0,1,0,0,0,1", "--exploratory"],
+    # a large prime: is_prime would try divisors up to 10^9
+    ["roundtrip", "--p", "1000000000000000003"],
+    # 2^(10^9) is never formed
+    ["roundtrip", "--p", "2", "--k", "1000000000"],
 ])
 def test_config_bounds_q_before_any_table(argv, monkeypatch):
-    """q > 31 is a configuration error, raised before the modulus is checked
-    (check_modulus builds the q x q tables of GF(p)[x]/(m))."""
-    def no_tables(*args):
-        raise AssertionError("check_modulus called")
-    monkeypatch.setattr("pgconics.cli.check_modulus", no_tables)
+    """q > 31 is a configuration error, raised within a second, before the
+    modulus is checked (check_modulus builds the q x q tables of
+    GF(p)[x]/(m)) and before p is tested for primality."""
+    def called(name):
+        def fail(*args):
+            raise AssertionError(f"{name} called")
+        return fail
+    monkeypatch.setattr("pgconics.cli.check_modulus", called("check_modulus"))
+    monkeypatch.setattr("pgconics.cli.is_prime", called("is_prime"))
+    t0 = time.perf_counter()
     with pytest.raises(ConfigError, match="^q must be at most 31$"):
         build_config(make_parser().parse_args(argv))
+    assert time.perf_counter() - t0 < 1.0
 
 
 # ---------------------------------------------------------------------------

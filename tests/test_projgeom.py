@@ -39,6 +39,29 @@ def test_subspace_counts_match_gaussian_binomial(q, n, d):
     assert len({s.rows for s in subs}) == len(subs)
 
 
+def reference_subspaces(space, d):
+    """The RREF bases of subspaces(d) as a scalar loop: pivot patterns in
+    lexicographic order, then the free entries (row, column) right of each
+    row's pivot and off the pivots, in itertools.product order."""
+    w, q = space.n + 1, space.field.q
+    for pivots in itertools.combinations(range(w), d + 1):
+        slots = [(i, c) for i, p in enumerate(pivots) for c in range(p + 1, w) if c not in pivots]
+        for values in itertools.product(range(q), repeat=len(slots)):
+            rows = [[int(c == p) for c in range(w)] for p in pivots]
+            for (i, c), v in zip(slots, values):
+                rows[i][c] = v
+            yield tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (4, 3), (5, 3), (3, 4)])
+def test_subspaces_match_the_pivot_pattern_enumeration(q, n):
+    """subspaces(d), decoded by subspace_rows, in the order of the scalar loop."""
+    space = ProjectiveSpace(n, {4: Field(2, 2)}.get(q) or Field(q))
+    for d in range(n + 1):
+        assert [s.rows for s in space.subspaces(d)] == list(reference_subspaces(space, d)), d
+    assert list(space.subspaces(-1)) == list(space.subspaces(n + 1)) == []
+
+
 def test_lines_of_pg37_count(pg3):
     assert sum(1 for _ in pg3.lines()) == 2850
 
@@ -183,9 +206,32 @@ def test_nullspace_orthogonality(gf7):
             assert gf7.dot(r, v) == 0
 
 
+def field_of(q):
+    return {4: Field(2, 2), 8: Field(2, 3), 9: Field(3, 2)}.get(q) or Field(q)
+
+
+def line_table(space):
+    """The ids of every line, the line blocks side by side: (n_lines, q+1)."""
+    return np.concatenate([block for _, block in space.line_blocks()], axis=1).T
+
+
+def line_point_ids_by_column(space, rows):
+    """line_point_ids as one point_ids call per point of the lines: the
+    reference for its one gather."""
+    f = space.field
+    rows = np.asarray(rows, dtype=np.int16)
+    ids = np.empty((len(rows), f.q + 1), dtype=np.int64)
+    add, r0q, r1 = f.add_np.ravel(), rows[:, 0].astype(np.intp) * f.q, rows[:, 1]
+    for c in range(f.q):  # the points r0 + c r1, then r1
+        ids[:, c] = space.point_ids(np.take(add, r0q + np.take(f.mul_np[c], r1)))
+    ids[:, f.q] = space.point_ids(r1)
+    return ids
+
+
 def test_line_table_incidence():
     space = ProjectiveSpace(2, Field(3))
-    rows, ids = space.line_table()
+    ids = line_table(space)
+    rows = space.subspace_rows(1, np.arange(len(ids)))
     assert rows.shape == (13, 2, 3) and ids.shape == (13, 4)
     lines = [Subspace(space, tuple(map(tuple, r))) for r in rows.tolist()]
     for pid, p in enumerate(space.points()):
@@ -195,17 +241,54 @@ def test_line_table_incidence():
             assert lines[sid].contains(p)
 
 
-@pytest.mark.parametrize("q,n", [(3, 2), (5, 3), (7, 3), (9, 3), (3, 4)])
+@pytest.mark.parametrize("q,n", [(3, 2), (5, 3), (7, 3), (9, 3), (3, 4),
+                                 (3, 3), (4, 3), (8, 3)])
 def test_line_table_matches_subspace_enumeration(q, n):
-    space = ProjectiveSpace(n, Field(q) if q != 9 else Field(3, 2))
-    rows, ids = space.line_table()
+    """The line blocks, side by side, list the points of subspaces(1), row
+    for row, and subspace_rows decodes every position to that line's basis."""
+    space = ProjectiveSpace(n, field_of(q))
+    ids = line_table(space)
     index = {p: i for i, p in enumerate(space.points())}
     lines = list(space.subspaces(1))
-    assert len(lines) == len(rows) == gaussian_binomial(n + 1, 2, q)
-    for line, r, i in zip(lines, rows.tolist(), ids.tolist()):
-        assert tuple(map(tuple, r)) == line.rows
+    assert len(lines) == len(ids) == gaussian_binomial(n + 1, 2, q)
+    assert ids.dtype == np.intp
+    rows = space.subspace_rows(1, np.arange(len(lines)))
+    assert rows.tolist() == [list(map(list, line.rows)) for line in lines]
+    for line, i in zip(lines, ids.tolist()):
         assert i == [index[p] for p in line.points()]
     assert space.point_ids(space.points()).tolist() == list(range(space.npoints))
+
+
+@pytest.mark.parametrize("q,n", [(3, 3), (4, 3), (5, 3), (7, 3), (8, 3), (9, 3),
+                                 (3, 4), (4, 4), (5, 4)])
+def test_line_blocks_partition_the_lines(q, n):
+    """Each block follows the last, holds at most q^3 lines and as many
+    distinct lines as it has columns; subspace_rows inverts any order of
+    positions."""
+    space = ProjectiveSpace(n, field_of(q))
+    lo = 0
+    for start, block in space.line_blocks():
+        assert start == lo and block.shape[0] == q + 1 and 0 < block.shape[1] <= q ** 3
+        assert block.dtype == np.intp and block.flags.c_contiguous
+        lo += block.shape[1]
+    assert lo == gaussian_binomial(n + 1, 2, q)
+    ids = line_table(space)
+    assert len({frozenset(line) for line in ids.tolist()}) == lo
+    order = np.random.default_rng(q).permutation(lo)
+    assert np.array_equal(space.line_point_ids(space.subspace_rows(1, order)), ids[order])
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_line_point_ids_one_gather_matches_per_column_loop(q):
+    """On 200 random lines of PG(3,q), as scalar rref makes their bases."""
+    space = ProjectiveSpace(3, field_of(q))
+    rng = random.Random(q)
+    rows = []
+    while len(rows) < 200:
+        red, _ = rref(space.field, [[rng.randrange(q) for _ in range(4)] for _ in range(2)])
+        if len(red) == 2:
+            rows.append(red)
+    assert np.array_equal(space.line_point_ids(rows), line_point_ids_by_column(space, rows))
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])

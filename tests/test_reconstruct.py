@@ -27,6 +27,13 @@ from pgconics.reconstruct import (NotCollinear, NotSkew,
                                   plucker, regulus_from, run_stages)
 
 
+def line_table(sigma):
+    """Every line of sigma in subspaces(1) order, as (RREF rows, point ids):
+    the line blocks side by side, and their decoded rows."""
+    ids = np.concatenate([block for _, block in sigma.line_blocks()], axis=1).T
+    return sigma.subspace_rows(1, np.arange(len(ids))), ids
+
+
 def records_by_name(records):
     return {r.name: r for r in records}
 
@@ -382,7 +389,7 @@ def assert_direction_table_matches_oracle(frame, C):
     own(), equals that of _residual_groups, and the swept level is the
     fullest plane's other points, capped at 4.  Returns the fullest planes."""
     state = PipelineState(frame, C)
-    rows, ids = frame.sigma.line_table()
+    rows, ids = line_table(frame.sigma)
     n = len(state.C)
     own = state.directions.own(ids, np.broadcast_to(np.arange(n), (len(ids), n)))
     largest = np.empty(len(ids), dtype=np.int64)
@@ -576,14 +583,14 @@ def test_regulus_closure_matches_scalar_oracle(closure_record, closure_oracle, q
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_regulus_from_matches_scalar_oracle(reguli_rows, scalar_regulus_from, q):
-    """On spread triples and on random triples of sigma.line_table(),
+    """On spread triples and on random triples of the lines of sigma,
     meeting and coplanar ones included, regulus_from passes or fails with
     the message of the scalar construction, which keeps the checks the
     batch leaves out as implied by skewness."""
     frame = make_frame(q)
     sigma = frame.sigma
     spread_lines = list(frame.spread)
-    rows, _ = sigma.line_table()
+    rows, _ = line_table(sigma)
     rng = random.Random(q)
     triples = [rng.sample(spread_lines, 3) if t % 2 else
                [span(sigma, rng.sample(sigma.points(), 2)) for _ in range(3)]
@@ -1048,6 +1055,19 @@ def test_tangent_traces_match_scalar_oracle(q, seed):
         [expected[0], expected[-1]]
 
 
+@pytest.mark.parametrize("q,seed", [(7, 0), (9, 2)])
+def test_planes_through_lists_each_points_planes(q, seed):
+    """axioms reads planes_through off one np.nonzero: for each input point
+    the q + 1 planes carrying it, ascending, as a flatnonzero per point
+    lists them."""
+    frame = make_frame(q)
+    st = PipelineState(frame, build_C(frame, random_tangent_conic(frame, seed)))
+    assert run_stages(st, include={"axioms"})[0].verdict == "pass"
+    expected = tuple(tuple(np.flatnonzero(on).tolist()) for on in st.planes.member_table(q * q).T)
+    assert st.planes_through == expected
+    assert {len(t) for t in expected} == {q + 1}
+
+
 def set_planes_through(st, cid, pids):
     through = list(st.planes_through)
     through[cid] = tuple(pids)
@@ -1326,12 +1346,14 @@ def uniqueness_oracle(st):
     through it carrying three input points, and an axis-meeting line is
     compatible when no plane through it carries more than two."""
     sigma, spread = st.sigma, st.spread
-    rows, ids = sigma.line_table()
-    keys = reconstruct._line_keys(sigma, ids)
+    rows, ids = line_table(sigma)
+
+    def keys(ids):  # a line is known by its first and last point
+        return ids[:, 0] * sigma.npoints + ids[:, -1]
     axis_ids = sigma.line_point_ids(spread.lines[[spread.axis]])
-    axis = keys == reconstruct._line_keys(sigma, axis_ids)[0]
+    axis = keys(ids) == keys(axis_ids)[0]
     meeting = np.isin(ids, axis_ids).any(axis=1) & ~axis
-    in_spread = np.isin(keys, reconstruct._line_keys(sigma, sigma.line_point_ids(spread.lines)))
+    in_spread = np.isin(keys(ids), keys(sigma.line_point_ids(spread.lines)))
     outside = ~(axis | meeting | in_spread)
     n = len(st.C)
     largest = st.directions.own(ids, np.broadcast_to(np.arange(n), (len(ids), n))).max(axis=1)
@@ -1383,18 +1405,50 @@ def test_uniqueness_levels_match_plane_counts(run7, inject, binary, expected):
 def test_crowded_axis_meeting_line_witness(frame7, c7, monkeypatch):
     """assemble_spread with the level of the axis-meeting line
     [1,0,0,0;0,0,1,1] raised from 1 to 2, a 3-point plane through it, as
-    moving input point 48 to (1,1,1,0,3) makes it above: the line is named."""
+    moving input point 48 to (1,1,1,0,3) makes it above: the line is named.
+    It leaves the lines of level 0 or 1, which then miss a line meeting the
+    axis once, so every line is read."""
     st = trace_state(frame7, c7)
-    rows, _ = st.sigma.line_table()
+    rows, _ = line_table(st.sigma)
     k = np.flatnonzero((rows == np.array([[1, 0, 0, 0], [0, 0, 1, 1]])).all(axis=(1, 2)))
     levels = st.directions.line_levels().copy()
     assert levels[k].tolist() == [1]
     levels[k] = 2
+    index, ids = st.directions.low()
     monkeypatch.setattr(st.directions, "line_levels", lambda: levels)
+    monkeypatch.setattr(st.directions, "low", lambda: (index[index != k], ids[index != k]))
+    sweeps, line_runs = [], reconstruct._line_runs
+    monkeypatch.setattr(reconstruct, "_line_runs",
+                        lambda *args: sweeps.append(args) or line_runs(*args))
     rec = run_stages(st, include={"assemble_spread"})[0]
     assert (rec.verdict, rec.witness) == (
         "fail", "StructureViolation: plane through an axis-meeting line carries > 2 points "
                 "[1,0,0,0;0,0,1,1]")
+    assert len(sweeps) == 1
+
+
+def test_extra_point_axis_meeting_line_witness(frame7, c7, monkeypatch):
+    """assemble_spread with one more input point on the planes through the
+    axis-meeting line [1,0,0,0;0,0,1,1] and input points 15 and 17, whose
+    trace lines it meets: the line and point 15, met first, are named.  Its
+    level stays 1, so the lines of level 0 or 1 give every swept line, as
+    on the pass path; the crowded witness above reads every line."""
+    st = trace_state(frame7, c7)
+    target = set(st.sigma.line_point_ids([[[1, 0, 0, 0], [0, 0, 1, 1]]])[0].tolist())
+    own = st.directions.own
+
+    def raised(ids, points):
+        hit = np.array([set(line) == target for line in ids.tolist()])
+        return own(ids, points) + (hit[:, None] & np.isin(points, (15, 17)))
+    monkeypatch.setattr(st.directions, "own", raised)
+
+    def every_line(*args):
+        raise AssertionError("every line read")
+    monkeypatch.setattr(reconstruct, "_line_runs", every_line)
+    rec = run_stages(st, include={"assemble_spread"})[0]
+    assert (rec.verdict, rec.witness) == (
+        "fail", "StructureViolation: plane through point 15 and an axis-meeting line "
+                "carries extra points [1,0,0,0;0,0,1,1]")
 
 
 # the spread assembled with, in place of the axis, the line through a point
