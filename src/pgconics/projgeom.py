@@ -187,10 +187,9 @@ class ProjectiveSpace:
         s > 3 free entries is split by its first s - 3, which then hold one
         value each.
         """
-        f, n, q = self.field, self.n, self.field.q
+        f, n, q, lo = self.field, self.n, self.field.q, 0
         place = q ** np.arange(n, -1, -1)
         start = np.concatenate(([0], np.cumsum(place[:-1])))  # the first id leading at each column
-        lo = 0
         for (p0, p1), slots in self._patterns(2):
             for head in itertools.product(range(q), repeat=max(0, len(slots) - 3)):
                 # c along axis 0, then the values of each slot along its own axis
@@ -237,8 +236,9 @@ class ProjectiveSpace:
         """
         if 0 <= d <= self.n:
             count = gaussian_binomial(self.n + 1, d + 1, self.field.q)
-            for rows in self.subspace_rows(d, np.arange(count)).tolist():
-                yield Subspace(self, tuple(map(tuple, rows)))
+            for lo in range(0, count, 4096):  # decoded a chunk at a time
+                for rows in self.subspace_rows(d, np.arange(lo, min(lo + 4096, count))).tolist():
+                    yield Subspace(self, tuple(map(tuple, rows)))
 
     def lines(self):
         return self.subspaces(1)

@@ -53,10 +53,11 @@ def reference_subspaces(space, d):
             yield tuple(map(tuple, rows))
 
 
-@pytest.mark.parametrize("q,n", [(3, 2), (4, 3), (5, 3), (3, 4)])
+@pytest.mark.parametrize("q,n", [(3, 2), (4, 3), (5, 3), (3, 4), (9, 3)])
 def test_subspaces_match_the_pivot_pattern_enumeration(q, n):
-    """subspaces(d), decoded by subspace_rows, in the order of the scalar loop."""
-    space = ProjectiveSpace(n, {4: Field(2, 2)}.get(q) or Field(q))
+    """subspaces(d), decoded by subspace_rows a chunk at a time, in the order
+    of the scalar loop; PG(3,9) has 7,462 lines, more than one chunk."""
+    space = ProjectiveSpace(n, field_of(q))
     for d in range(n + 1):
         assert [s.rows for s in space.subspaces(d)] == list(reference_subspaces(space, d)), d
     assert list(space.subspaces(-1)) == list(space.subspaces(n + 1)) == []
