@@ -13,6 +13,7 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 invalid config/input.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -347,10 +348,14 @@ def make_parser():
     return parser
 
 
+# Built on the first main() call: parse_args starts each call from a fresh
+# namespace, so one parser serves every call of a process.
+_parser = functools.cache(make_parser)
+
+
 def main(argv=None):
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return exc.code
     try:

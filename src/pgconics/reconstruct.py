@@ -260,13 +260,17 @@ class DirectionTable:
         n = len(arr)
         aff = f.mul_np[f.inv_np[arr[:, 4]][:, None], arr[:, :4]]  # scaled to x4 = 1
         self.affine = aff
-        dirs, zero = normalize_rows_np(f, f.sub_np[aff[None], aff[:, None]].reshape(-1, 4))
-        a = np.repeat(np.arange(n), n)
-        self.repeats = (np.bincount(a[zero], minlength=n) - 1).astype(np.int16)
+        # the direction from a to b is the direction from b to a, so each
+        # pair a < b is normalized once and counted at both ends
+        a, b = np.triu_indices(n, 1)
+        dirs, zero = normalize_rows_np(f, f.sub_np[aff[b], aff[a]])
+        self.repeats = (np.bincount(a[zero], minlength=n)
+                        + np.bincount(b[zero], minlength=n)).astype(np.int16)
         # counts are below |C| = q^2, so int16 holds them for q <= 181
         self.T = np.zeros((state.sigma.npoints, n), dtype=np.int16)
+        ids = state.sigma.point_ids(dirs[~zero]) * n
         # on the flat view with an int16 one, numpy's fast path for ufunc.at
-        np.add.at(self.T.ravel(), state.sigma.point_ids(dirs[~zero]) * n + a[~zero], np.int16(1))
+        np.add.at(self.T.ravel(), np.concatenate((ids + a[~zero], ids + b[~zero])), np.int16(1))
         self.binary = self.T.max(initial=0) <= 1 and not self.repeats.any()
         self.words = -(-n // 64)  # uint64 words of bits over the input points
 
@@ -1130,39 +1134,51 @@ def _klein_plane_codes(f, pa, pi, pj):
     return _point_codes(f, reduce_rows_np(f, basis, pj))
 
 
-def stage_regulus_closure(state):
-    """Greedy closure of the spread lines under the reguli through the axis.
+def _affine_leads(state, pa, plk):
+    """The closure's leads read off the affine plane of Klein residues: (i,
+    j) index arrays in lexicographic order, or None where the residues of
+    the Plucker points plk modulo pa are not the q^2 points of one."""
+    q, f = state.q, state.base
+    if len(plk) != q * q:
+        return None
+    res = reduce_rows_np(f, rref(f, (pa.tolist(),))[0], plk)
+    red, rank = rref_np(f, res[None])
+    if rank[0] != 3:
+        return None
+    # a vector of W is its coordinates at the pivot columns of W's RREF
+    pts, _ = normalize_rows_np(f, res[:, (red[0, :3] != 0).argmax(axis=1)])
+    # PG(2,q) is self-dual: its points are also the duals of its lines
+    on = matmul_np(f, state.plane2.points_np(), pts.T) == 0
+    counts = on.sum(axis=1)
+    if counts.min() or len(np.unique(pts.astype(np.int64) @ q ** np.arange(3))) < q * q:
+        return None
+    # every line but the empty one holds q points; its two least lead
+    members = np.nonzero(on[counts > 0])[1].reshape(-1, q)
+    order = np.lexsort((members[:, 1], members[:, 0]))
+    return members[order, 0], members[order, 1]
 
-    Pairs (i, j) of non-axis lines are visited in order; one not yet inside
-    an accepted regulus must have its regulus with the axis in the spread,
-    and that regulus is accepted.
 
-    The closure runs in two phases.  Under the Klein correspondence the
-    regulus through the axis a and skew lines i and j consists of the lines
-    whose Plucker points lie on the plane <P(a), P(i), P(j)> (Hirschfeld
-    1985).  Phase 1 settles the cover from that alone.  For each row i with
-    open pairs, the j > i whose P(j) have one residue modulo the line
-    <P(a), P(i)> lie on one plane with it; the first open j of each such
-    group is a lead, and a j of residue 0 (for skew a and i, a repeat of i)
-    is a group of its own.  A lead's regulus covers the pairs inside its
-    group, counting a repeated line only by its last copy, since the
-    pair-by-pair closure maps a regulus's line keys to last copies.  Phase
-    1 stops after a lead known to fail: one whose residue fewer than q-1
-    last copies share.  Phase 2 builds the reguli of all leads in one batch
-    and checks them in lexicographic order: the first lead that is not
-    skew, or whose regulus leaves the spread, fails.
+def _row_leads(state, keys, pa, plk):
+    """The closure's leads found row by row from the Klein-plane codes, up
+    to one known to fail: (i, j) index arrays in lexicographic order.
 
-    The result is that of the pair-by-pair closure.  A regulus through three
-    pairwise skew lines holds exactly the spread lines whose Plucker points
-    are on its plane.  So while every lead passes, the cover from codes is
-    the cover from the reguli's keys, the other pairs of a group lie in
-    their lead's regulus, and both closures reach the first failing lead
-    with the same cover and stop there with the same triple and message.
-    A lead that ends phase 1 does fail, so the leads after it cannot come
-    first.  Were a, i and j pairwise skew with their regulus in the spread,
-    j's residue would not be 0, as <P(a), P(i)> meets the Klein quadric
-    only in P(a) and P(i), and the q-1 regulus lines besides a and i would
-    be spread lines of j's residue.
+    For each row i with open pairs, the j > i whose P(j) have one residue
+    modulo the line <P(a), P(i)> lie on one plane with it; the first open j
+    of each such group is a lead, and a j of residue 0 (for skew a and i, a
+    repeat of i) is a group of its own.  A lead's regulus covers the pairs
+    inside its group, counting a repeated line only by its last copy, since
+    the pair-by-pair closure maps a regulus's line keys to last copies.  The
+    loop stops after a lead known to fail: one whose residue fewer than q-1
+    last copies share.
+
+    While every lead passes, the cover from codes is the cover from the
+    reguli's keys, as a regulus through three pairwise skew lines holds
+    exactly the spread lines whose Plucker points are on its plane.  A lead
+    that ends the loop does fail, so the leads after it cannot come first.
+    Were a, i and j pairwise skew with their regulus in the spread, j's
+    residue would not be 0, as <P(a), P(i)> meets the Klein quadric only in
+    P(a) and P(i), and the q-1 regulus lines besides a and i would be spread
+    lines of j's residue.
     The cover from codes falls short only where a failure follows in the
     same row: if a and i meet, row i's first open pair fails; if i has a
     later copy, the pair of i and its last copy (residue 0, and never
@@ -1171,15 +1187,9 @@ def stage_regulus_closure(state):
     line; the pair of copies then fails too, so those reguli are never
     reported.)
     """
-    q, f, spread = state.q, state.base, state.spread
-    bases = spread.lines[~spread.is_axis()]
-    n = len(bases)
-    axis_rows = spread.lines[[spread.axis]]
-    keys = _line_key_np(f, bases)
+    q, f, n = state.q, state.base, len(plk)
     last = np.zeros(n, dtype=bool)  # the copy of each line that a key names
     last[n - 1 - np.unique(keys[::-1], return_index=True)[1]] = True
-    pa = _plucker_np(f, axis_rows[0, 0], axis_rows[0, 1])
-    plk = _plucker_np(f, bases[:, 0], bases[:, 1])
     covered = np.zeros((n, n), dtype=bool)
     leads = []
     for i in range(n - 1):
@@ -1197,7 +1207,52 @@ def stage_regulus_closure(state):
                 covered[group[:, None], group] = True
         if len(short):
             break
-    li, lj = np.array(leads, dtype=np.int64).reshape(-1, 2).T
+    return np.array(leads, dtype=np.int64).reshape(-1, 2).T
+
+
+def stage_regulus_closure(state):
+    """Greedy closure of the spread lines under the reguli through the axis.
+
+    Pairs (i, j) of non-axis lines are visited in order; one not yet inside
+    an accepted regulus must have its regulus with the axis in the spread,
+    and that regulus is accepted.
+
+    The closure runs in two phases.  Under the Klein correspondence the
+    regulus through the axis a and skew lines i and j consists of the lines
+    whose Plucker points lie on the plane <P(a), P(i), P(j)> (Hirschfeld
+    1985).  Phase 1 settles the cover, and so the leads, from that alone.
+    Phase 2 builds the reguli of all leads in one batch and checks them in
+    lexicographic order: the first lead that is not skew, or whose regulus
+    leaves the spread, fails.
+
+    Phase 1 reads the leads off one incidence.  The residues R_j of the
+    P(j) modulo P(a) must span a vector space W of rank 3; read at the
+    pivot columns of W's RREF they are points of the plane P(W), a PG(2,q).
+    Where they are q^2 distinct points and one line of P(W) holds none of
+    them, they are the affine plane of that line, and every other line
+    holds exactly q of them.  A Klein plane through P(a) and two spread
+    lines is the line of P(W) through their residues, so the C(q^2, 2)
+    pairs split into q^2 + q groups of C(q, 2), one per full line.  A lead
+    whose regulus passes covers exactly its group: its q non-axis lines are
+    spread lines on its Klein plane, which holds exactly q of them.  So the
+    pair-by-pair closure's leads are the group minima, in lexicographic
+    order, up to its first failing lead; that is the first failing group
+    minimum, phase 2's first bad lead.  Elsewhere, as on irregular spreads
+    and on spreads with dropped, inserted or repeated lines, _row_leads
+    finds the leads row by row, and stops early.
+
+    The result is that of the pair-by-pair closure: the leads it visits up
+    to its first failing one, and so its triple and message.
+    """
+    q, f, spread = state.q, state.base, state.spread
+    bases = spread.lines[~spread.is_axis()]
+    n = len(bases)
+    axis_rows = spread.lines[[spread.axis]]
+    keys = _line_key_np(f, bases)
+    pa = _plucker_np(f, axis_rows[0, 0], axis_rows[0, 1])
+    plk = _plucker_np(f, bases[:, 0], bases[:, 1])
+    leads = _affine_leads(state, pa, plk)
+    li, lj = _row_leads(state, keys, pa, plk) if leads is None else leads
     batch = _regulus_batch(f, axis_rows, bases[li], bases[lj])
     leaves = ~np.isin(batch.keys, np.append(keys, _line_key_np(f, axis_rows))).all(axis=1)
     bad = np.flatnonzero(batch.failed.astype(bool) | leaves)

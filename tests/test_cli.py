@@ -51,6 +51,24 @@ def test_forward_then_reconstruct(tmp_path, capsys):
     assert names[0] == "axioms" and names[-1] == "uniqueness"
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """main builds its parser once per process; no call's options reach
+    the next call's report, and usage errors and --help keep their codes."""
+    dump = str(tmp_path / "c7.txt")
+    run_cli(["forward", "--q", "7", "--dump", dump], capsys)
+    code, out = run_cli(["reconstruct", "--q", "7", "--in", dump, "--stages", "axioms"], capsys)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config["stages"] == ["axioms"] and config["input"]
+    code, out = run_cli(["roundtrip", "--q", "7", "--threads", "1"], capsys)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config["stages"] is None and config["input"] is None
+    assert main(["roundtrip", "--q", "seven"]) == 2
+    assert main(["reconstruct", "--help"]) == 0
+    assert "--in" in capsys.readouterr().out
+
+
 def test_reconstruct_corrupted_dump_exit_1(tmp_path, capsys):
     dump = str(tmp_path / "c7.txt")
     run_cli(["forward", "--q", "7", "--seed", "4", "--dump", dump], capsys)

@@ -556,29 +556,113 @@ def test_klein_rejects_hall_perturbation_witnesses(q):
 # the batched regulus closure against the scalar transversal construction
 
 
-@pytest.mark.parametrize("q", [5, 7, 9])
-def test_regulus_closure_matches_scalar_oracle(closure_record, closure_oracle, q):
+@pytest.fixture
+def klein_code_rows(monkeypatch):
+    """The rows of the closure's row loop, one entry per _klein_plane_codes
+    call: empty where the affine plane of Klein residues settled the cover."""
+    rows = []
+    codes = reconstruct._klein_plane_codes
+    monkeypatch.setattr(reconstruct, "_klein_plane_codes",
+                        lambda f, pa, pi, pj: rows.append(pi) or codes(f, pa, pi, pj))
+    return rows
+
+
+# conic seeds per q: the canonical conic (0) and non-canonical ones
+CLOSURE_SEEDS = {5: (0, 2), 7: (0, 3), 9: (5, 1), 11: (1,)}
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11])
+def test_regulus_closure_matches_scalar_oracle(closure_record, closure_oracle, klein_code_rows, q):
+    """On passed states and on their spreads in shuffled line orders, the
+    closure settles its cover from the affine plane of Klein residues, with
+    no row of the row loop, and matches the pair-by-pair closure."""
     frame = make_frame(q)
-    C = build_C(frame, random_tangent_conic(frame, 0 if q != 9 else 5))
-    records, state = full_pipeline(C, frame=frame, exploratory=q < 7)
-    closure = records_by_name(records)["regulus_closure"]
-    assert closure.verdict == "pass"
     n = q * q
-    expected = closure_oracle(state)
-    assert closure_record(state) == expected
-    assert expected[2] == {"pairs": n * (n - 1) // 2, "passes": n * (n - 1) // 2,
-                           "distinct_reguli": n + q, "opposites_with_one_trace_line": n + q}
-    # shuffled line orders change the greedy choices, not the agreement
-    rng = random.Random(q)
-    for _ in range(2):
-        order = list(range(len(state.spread.lines)))
-        rng.shuffle(order)
-        st = PipelineState(frame, C)
-        st.spread = Spread(lines=state.spread.lines[order],
-                           axis=order.index(state.spread.axis), provenance={})
-        record = closure_record(st)
-        assert record[0] == "pass"
-        assert record == closure_oracle(st)
+    for seed in CLOSURE_SEEDS[q]:
+        C = build_C(frame, random_tangent_conic(frame, seed))
+        records, state = full_pipeline(C, frame=frame, exploratory=q < 7)
+        closure = records_by_name(records)["regulus_closure"]
+        assert closure.verdict == "pass"
+        expected = closure_oracle(state)
+        assert closure_record(state) == expected
+        assert expected[2] == {"pairs": n * (n - 1) // 2, "passes": n * (n - 1) // 2,
+                               "distinct_reguli": n + q, "opposites_with_one_trace_line": n + q}
+        # shuffled line orders change the greedy choices, not the agreement
+        rng = random.Random(q + seed)
+        for _ in range(2):
+            order = list(range(len(state.spread.lines)))
+            rng.shuffle(order)
+            st = PipelineState(frame, C)
+            st.planes = state.planes
+            st.spread = Spread(lines=state.spread.lines[order],
+                               axis=order.index(state.spread.axis), provenance={})
+            record = closure_record(st)
+            assert record[0] == "pass"
+            assert record == closure_oracle(st)
+    assert klein_code_rows == []
+
+
+@pytest.mark.parametrize("q, seed, map_seed", [(7, 2, 0), (9, 4, 1)])
+def test_regulus_closure_of_a_mapped_spread(closure_record, closure_oracle, klein_code_rows,
+                                            q, seed, map_seed):
+    """A passed state's spread and trace lines mapped by x -> xA, the action
+    at infinity of the collineation x -> x [[A, 0], [t, 1]] of PG(4,q), are
+    a regular spread and its trace lines again.  The closure passes from the
+    affine plane of Klein residues, as the pair-by-pair closure does."""
+    frame = make_frame(q)
+    f = frame.base
+    C = build_C(frame, random_tangent_conic(frame, seed))
+    _, state = full_pipeline(C, frame=frame)
+    rng = random.Random(map_seed)
+    while True:
+        A = [[rng.randrange(q) for _ in range(4)] for _ in range(4)]
+        if matrix_inverse(f, A) is not None:
+            break
+
+    def mapped(rows):
+        return rref_np(f, matmul_np(f, rows, np.array(A, dtype=np.int16)))[0]
+    st = PipelineState(frame, C)
+    st.planes = copy.copy(state.planes)
+    st.planes.traces = mapped(state.planes.traces)
+    st.spread = Spread(lines=mapped(state.spread.lines), axis=state.spread.axis, provenance={})
+    assert not np.array_equal(st.spread.lines, state.spread.lines)
+    expected = closure_oracle(st)
+    assert expected[0] == "pass"
+    assert closure_record(st) == expected
+    assert klein_code_rows == []
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_regulus_closure_fails_on_the_affine_plane(closure_record, closure_oracle,
+                                                   klein_code_rows, monkeypatch, q):
+    """The q^2 lines <(1,x,0,0), (0,0,1,y)> meet the axis <(0,1,0,0),
+    (0,0,0,1)> in no point, and their Klein residues are an affine plane:
+    the Klein points lie on the hyperbolic quadric of the lines meeting
+    <e0, e1> and <e2, e3>.  Listed by y - x, then x, the first lead's
+    regulus (y = x) lies in the set, and the next group's lines (x = 0)
+    share a point: the closure reports the first failing group minimum."""
+    frame = make_frame(q)
+    lines = [span(frame.sigma, [(1, x, 0, 0), (0, 0, 1, (x + d) % q)]).rows
+             for d in range(q) for x in range(q)]
+    st = PipelineState(frame, None)
+    st.spread = Spread(lines=np.array(lines + [((0, 1, 0, 0), (0, 0, 0, 1))], dtype=np.int16),
+                       axis=len(lines), provenance={})
+    expected = closure_oracle(st)
+    assert expected[:2] == ("fail", "NotSkew: lines are not pairwise skew: "
+                                    "1,0,0,0;0,0,1,0 / 1,0,0,0;0,0,1,1")
+    batches = []
+    batch = reconstruct._regulus_batch
+
+    def recorded(f, l1, l2, l3):
+        batches.append((l3, batch(f, l1, l2, l3)))
+        return batches[-1][1]
+    monkeypatch.setattr(reconstruct, "_regulus_batch", recorded)
+    assert closure_record(st) == expected
+    assert klein_code_rows == []
+    # leads (0, 1), the diagonal, then (0, q), the lines with x = 0
+    (ends, out), = batches
+    assert len(ends) == q * q + q
+    assert (ends[:2] == st.spread.lines[[1, q]]).all() and out.failed[:2].tolist() == [0, 3]
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
@@ -618,12 +702,14 @@ def test_regulus_from_matches_scalar_oracle(reguli_rows, scalar_regulus_from, q)
     assert outcomes["regulus"] >= 40 and outcomes["not skew"] >= 40
 
 
-def test_regulus_closure_witness_past_the_first_pair(frame7, c7, closure_oracle, monkeypatch):
+def test_regulus_closure_witness_past_the_first_pair(frame7, c7, closure_oracle, klein_code_rows,
+                                                     monkeypatch):
     """The Hall-perturbed classical spread, lines in descending order: the
     regulus of pair (0, 1) lies in the spread and covers other pairs of row
     0, and pair (0, 7) is the first whose regulus leaves it.  Captured with
     the scalar closure.  Its Klein plane holds too few spread lines, so the
-    closure builds no regulus past it: one batch of 2 triples."""
+    row loop builds no regulus past it: one batch of 2 triples, from one
+    row."""
     pert, _ = perturb_spread_by_regulus(frame7.sigma, classical_spread(frame7))
     others = sorted(pert.lines[~pert.is_axis()].tolist(), reverse=True)
     st = PipelineState(frame7, c7)
@@ -634,17 +720,18 @@ def test_regulus_closure_witness_past_the_first_pair(frame7, c7, closure_oracle,
     monkeypatch.setattr(reconstruct, "_regulus_batch",
                         lambda f, l1, l2, l3: triples.append(len(l3)) or batch(f, l1, l2, l3))
     rec = run_stages(st, include={"regulus_closure"})[0]
-    assert triples == [2]
+    assert triples == [2] and len(klein_code_rows) == 1
     assert (rec.verdict, rec.witness) == (
         "fail", "ClosureViolation: regulus through pair (0,7) leaves the spread "
                 "[1,0,6,6;0,1,4,6 | 1,0,5,6;0,1,6,3]")
     assert closure_oracle(st)[:2] == (rec.verdict, rec.witness)
 
 
-def test_regulus_closure_stops_at_a_short_plane(frame7, c7, run7, closure_oracle, monkeypatch):
+def test_regulus_closure_stops_at_a_short_plane(frame7, c7, run7, closure_oracle, klein_code_rows,
+                                                 monkeypatch):
     """With line 20 dropped from the canonical q = 7 spread, the Klein plane
     of pair (0, 19) holds q - 2 spread lines besides the axis and line 0.
-    Its regulus leaves the spread, and the closure builds none past it: one
+    Its regulus leaves the spread, and the row loop builds none past it: one
     batch of the 4 leads of row 0 up to it."""
     spread = run7[1].spread
     lines = spread.lines[~spread.is_axis()]
@@ -657,18 +744,18 @@ def test_regulus_closure_stops_at_a_short_plane(frame7, c7, run7, closure_oracle
     monkeypatch.setattr(reconstruct, "_regulus_batch",
                         lambda f, l1, l2, l3: triples.append(len(l3)) or batch(f, l1, l2, l3))
     rec = run_stages(st, include={"regulus_closure"})[0]
-    assert triples == [4]
+    assert triples == [4] and len(klein_code_rows) == 1
     assert (rec.verdict, rec.witness) == closure_oracle(st)[:2] == (
         "fail", "ClosureViolation: regulus through pair (0,19) leaves the spread "
                 "[1,0,0,0;0,1,0,0 | 1,0,5,3;0,1,2,5]")
 
 
 def test_regulus_closure_not_skew_before_leaving(frame7, c7, run7, closure_record,
-                                                 closure_oracle, monkeypatch):
+                                                 closure_oracle, klein_code_rows, monkeypatch):
     """A lead whose lines meet fails as not skew, whatever keys the batch
     computes for it: with those keys moved into the spread, the record is
     unchanged.  A line through a point of the axis is inserted into the
-    canonical q = 7 spread as line 3."""
+    canonical q = 7 spread as line 3, and the row loop finds the leads."""
     spread = run7[1].spread
     axis = spread.lines[spread.axis].tolist()
     lines = spread.lines[~spread.is_axis()].tolist()
@@ -688,12 +775,33 @@ def test_regulus_closure_not_skew_before_leaving(frame7, c7, run7, closure_recor
         return out
     monkeypatch.setattr(reconstruct, "_regulus_batch", keys_in_spread)
     assert closure_record(st) == expected
+    assert len(klein_code_rows) == 1
 
 
-def test_opposite_regulus_without_trace_line(closure_record, closure_oracle):
-    """The classical spread is regular, so its closure is built; but against
-    the trace lines of the seed-3 conic at q = 7, whose spread it is not,
-    an opposite regulus holds none of them."""
+def test_regulus_closure_repeated_line_takes_the_row_loop(run7, closure_record, closure_oracle,
+                                                          klein_code_rows):
+    """With line 30 of the canonical q = 7 spread replaced by a copy of line
+    5, the q^2 Klein residues miss one line of P(W), as an affine plane's
+    do, but hold one point twice and miss another, so they are not an
+    affine plane and the row loop finds the leads."""
+    spread = run7[1].spread
+    lines = spread.lines[~spread.is_axis()].copy()
+    lines[30] = lines[5]
+    st = PipelineState(run7[1].frame, run7[1].C)
+    st.planes = run7[1].planes
+    st.spread = Spread(lines=np.concatenate((lines, spread.lines[[spread.axis]])),
+                       axis=len(lines), provenance={})
+    expected = closure_oracle(st)
+    assert expected[0] == "fail"
+    assert closure_record(st) == expected
+    assert klein_code_rows
+
+
+def test_opposite_regulus_without_trace_line(closure_record, closure_oracle, klein_code_rows):
+    """The classical spread is regular, so its closure is built from the
+    affine plane of Klein residues; but against the trace lines of the
+    seed-3 conic at q = 7, whose spread it is not, an opposite regulus holds
+    none of them."""
     frame = make_frame(7)
     C = build_C(frame, random_tangent_conic(frame, 3))
     _, state = full_pipeline(C, frame=frame)
@@ -701,6 +809,7 @@ def test_opposite_regulus_without_trace_line(closure_record, closure_oracle):
     st.planes, st.spread = state.planes, classical_spread(frame)
     expected = ("fail", "StructureViolation: opposite regulus contains 0 trace lines", {}, None)
     assert closure_record(st) == closure_oracle(st) == expected
+    assert klein_code_rows == []
 
 
 def test_three_space_and_klein_work_counts(frame7, conic7, c7, monkeypatch):
@@ -1298,14 +1407,16 @@ def test_pass_path_makes_no_scan(frame7, c7, monkeypatch):
     conic_through_5 once (rebuild_arc's fit), and builds one regulus per
     Klein plane, all in one batch: q^2 + q = 56 triples, not the 336 of one
     per open pair.
+    The closure's leads come from the affine plane of Klein residues, with
+    no Klein-plane codes of the row loop.
     It packs T once and sweeps the 2850 lines of PG(3,7) once, then the
     axis (t_infinity) and the 50 spread lines (rebuild_arc).  It row-reduces
-    218 stacks: 56 swept plane bases (axioms), 56 conic fits, 56 trace
-    lines, 49 tangent traces and one Klein section; infinity_data's 364
-    plane pairs are read off one product with the plane duals instead.  A displaced point sends axioms
-    to the scan."""
+    219 stacks: 56 swept plane bases (axioms), 56 conic fits, 56 trace
+    lines, 49 tangent traces, the span of the Klein residues and one Klein
+    section; infinity_data's 364 plane pairs are read off one product with
+    the plane duals instead.  A displaced point sends axioms to the scan."""
     from pgconics import conics, projgeom
-    calls = collections.Counter()
+    calls = collections.Counter({"Klein-plane codes": 0})
 
     def counting(name, fn, weight=lambda *args: 1):
         def counted(*args, **kwargs):
@@ -1327,10 +1438,13 @@ def test_pass_path_makes_no_scan(frame7, c7, monkeypatch):
     monkeypatch.setattr(table, "levels", counting(
         "lines swept", table.levels, lambda self, ids: len(ids)))
     monkeypatch.setattr(table, "_pack", counting("packs", table._pack))
+    monkeypatch.setattr(reconstruct, "_klein_plane_codes",
+                        counting("Klein-plane codes", reconstruct._klein_plane_codes))
     records, _ = full_pipeline(c7, frame=frame7)
     assert [r.verdict for r in records] == ["pass"] * len(records)
     assert calls == {"conic_through_5": 1, "regulus batches": 1, "triples": 56,
-                     "lines swept": 2850 + 1 + 50, "packs": 1, "rref_np stacks": 218}
+                     "lines swept": 2850 + 1 + 50, "packs": 1, "rref_np stacks": 219,
+                     "Klein-plane codes": 0}
     records, _ = full_pipeline(displace_point(frame7, c7, seed=0), frame=frame7)
     assert records[0].verdict == "fail"
     assert calls["scan_heavy_planes"] >= 1
