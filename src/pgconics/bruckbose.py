@@ -10,7 +10,6 @@ corresponds to (a0, a1, b0, b1, 1).
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -21,24 +20,12 @@ from .projgeom import (ProjectiveSpace, Subspace, matrix_inverse, mat_mul,
 from .conics import QuadraticForm, is_arc, tangent_line
 
 
-class ClosureOverflow(RuntimeError):
-    """Quadrangle closure exceeded the subplane size bound (internal bug guard)."""
-
-
 class LemmaViolation(AssertionError):
     """A verified combinatorial property failed; carries the offending object."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-def _cross(f, u, v):
-    return (
-        f.sub(f.mul(u[1], v[2]), f.mul(u[2], v[1])),
-        f.sub(f.mul(u[2], v[0]), f.mul(u[0], v[2])),
-        f.sub(f.mul(u[0], v[1]), f.mul(u[1], v[0])),
-    )
 
 
 class BruckBoseFrame:
@@ -77,10 +64,6 @@ class BruckBoseFrame:
         self.spread = tuple(lines)
 
     # -- point correspondences ------------------------------------------------
-
-    def point_down(self, pt):
-        """Affine PG(2,q^2) point -> canonical PG(4,q) point."""
-        return tuple(self.points_down([pt])[0].tolist())
 
     def point_up(self, pt):
         """Affine PG(4,q) point -> canonical PG(2,q^2) point."""
@@ -222,40 +205,6 @@ def build_C(frame, conic):
 
 # ---------------------------------------------------------------------------
 # Baer subplanes
-
-
-def baer_closure(space, quadrangle, cap=None):
-    """Secant-intersection closure of a quadrangle of PG(2,q^2).
-
-    Repeatedly adds intersection points of secants of the current set until
-    stable.  For prime q the closure of any quadrangle is the unique Baer
-    subplane through it (q^2 + q + 1 points); the cap guards termination.
-    """
-    f = space.field
-    pts = {space.normalize(p) for p in quadrangle}
-    if len(pts) != 4:
-        raise ValueError("need four distinct points")
-    ok, witness = is_arc(space, sorted(pts))
-    if not ok:
-        raise ValueError(f"three collinear points: {witness}")
-    q2 = f.q
-    if cap is None:
-        root = int(round(q2 ** 0.5))
-        cap = q2 + root + 1
-    while True:
-        duals = {space.normalize(_cross(f, p, r))
-                 for p, r in itertools.combinations(sorted(pts), 2)}
-        duals = sorted(duals)
-        new = set()
-        for u, v in itertools.combinations(duals, 2):
-            x = _cross(f, u, v)
-            if any(x):
-                new.add(space.normalize(x))
-        if new <= pts:
-            return frozenset(pts)
-        pts |= new
-        if len(pts) > cap:
-            raise ClosureOverflow(f"closure reached {len(pts)} > {cap} points")
 
 
 def baer_subplane_through(frame, quadrangle):

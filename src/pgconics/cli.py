@@ -42,7 +42,7 @@ class SizeMismatch(ValueError):
     pass
 
 
-MAX_Q = 31  # the largest order tested; a q = 31 round trip peaks near 0.4 GB
+MAX_Q = 31  # the largest order tested; a q = 31 round trip peaks near 217 MB
 MODES = ("forward", "reconstruct", "roundtrip", "lemma1", "negative-control")
 CONTROLS = ("displaced-point", "perturbed-spread", "corrupted-arc")
 
@@ -119,8 +119,10 @@ def _check_stages(stages):
 
 
 def build_config(args):
+    if args.k < 1:
+        raise ConfigError("--k must be at least 1")
     if args.p is not None:
-        p, k = args.p, args.k or 1
+        p, k = args.p, args.k
         # p^k for 1 < p <= 31 and k <= 5, else past the bound (2^6 > 31) or
         # p itself: no huge power is formed
         q = p ** min(k, 6) if 1 < p <= MAX_Q else p

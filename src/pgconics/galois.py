@@ -179,11 +179,6 @@ class Field:
             raise DivisionByZero(f"inverse of zero in {self.token}")
         return self.inv_np.item(a)
 
-    def div(self, a, b):
-        if b == 0:
-            raise DivisionByZero(f"division by zero in {self.token}")
-        return self.mul_np.item(a, self.inv_np.item(b))
-
     def pow(self, a, e):
         if e < 0:
             a = self.inv(a)

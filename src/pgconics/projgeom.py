@@ -280,6 +280,7 @@ class Subspace:
     def dim(self):
         return len(self.rows) - 1
 
+    # perfbench/tracer.py wraps this by name; the package does not call it.
     def contains(self, pt):
         f = self.space.field
         v = list(pt)

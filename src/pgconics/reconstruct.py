@@ -153,11 +153,9 @@ class SigmaClassification:
 
 @dataclass
 class Spread:
-    """Lines of PG(3,q) as RREF bases (n, 2, 4) int16, the axis at row axis;
-    provenance maps the rows of a tangent trace line to its input point."""
+    """Lines of PG(3,q) as RREF bases (n, 2, 4) int16, the axis at row axis."""
     lines: np.ndarray
     axis: int
-    provenance: dict
 
     def is_axis(self):
         """Which lines equal the axis, (n,) bool."""
@@ -479,6 +477,20 @@ def _meet_np(f, p, r):
     return plus == f.add_np[t[..., 1], t[..., 4]]
 
 
+def _distinct(a):
+    """np.unique(a).  A plain np.unique call imports numpy.ma (15-18 ms in a
+    fresh process) to test whether a is masked; one asked for counts does
+    not."""
+    return np.unique(a, return_counts=True)[0]
+
+
+def _isin(a, b):
+    """np.isin(a, b) for integer arrays and a nonempty b.  np.isin calls a
+    plain np.unique on a long b, and so imports numpy.ma too."""
+    b = _distinct(b)
+    return b[np.searchsorted(b, a).clip(max=len(b) - 1)] == a
+
+
 def _point_codes(f, pts):
     """One integer per vector of pts (..., 6): the vector scaled to a leading
     1, read in base q; 0 for the zero vector."""
@@ -578,6 +590,7 @@ def regulus_from(sigma, l1, l2, l3):
     return _reguli(sigma, batch.spans)[0]
 
 
+# perfbench/tracer.py wraps this by name; the pipeline uses _plucker_np.
 def plucker(field, line):
     """Normalized Plucker 6-vector of a line of PG(3,q)."""
     a, b = line.rows
@@ -589,12 +602,6 @@ def plucker(field, line):
             inv = field.inv(x)
             return tuple(field.mul(inv, y) for y in p)
     raise ValueError("degenerate line")
-
-
-def on_klein_quadric(field, p):
-    """p01*p23 - p02*p13 + p03*p12 = 0."""
-    t = field.sub(field.mul(p[0], p[5]), field.mul(p[1], p[4]))
-    return field.add(t, field.mul(p[2], p[3])) == 0
 
 
 def _swept_planes(state):
@@ -1022,6 +1029,7 @@ def _tangent_traces(state, cids):
     return red[:, :2]
 
 
+# perfbench/tracer.py wraps this by name; the pipeline uses _tangent_traces.
 def tangent_trace(state, cid):
     """The tangent trace line of one input point.
 
@@ -1071,8 +1079,8 @@ def stage_assemble_spread(state):
             witness=_rows_text(lines[i]) + " | " + _rows_text(lines[j]))
     # The q^2+1 lines are pairwise disjoint, so they hold
     # (q^2+1)(q+1) points, all of PG(3,q): that they cover it is not tested.
-    provenance = {tuple(map(tuple, rows)): c for c, rows in enumerate(traces.tolist())}
-    state.spread = Spread(lines=lines, axis=q * q, provenance=provenance)
+    # line c < q^2 is the trace line of input point c
+    state.spread = Spread(lines=lines, axis=q * q)
 
     # lines meeting the axis that are not C-plane traces: planes through them
     # carry at most two points, and exactly one together with a met trace line
@@ -1150,7 +1158,7 @@ def _affine_leads(state, pa, plk):
     # PG(2,q) is self-dual: its points are also the duals of its lines
     on = matmul_np(f, state.plane2.points_np(), pts.T) == 0
     counts = on.sum(axis=1)
-    if counts.min() or len(np.unique(pts.astype(np.int64) @ q ** np.arange(3))) < q * q:
+    if counts.min() or len(_distinct(pts.astype(np.int64) @ q ** np.arange(3))) < q * q:
         return None
     # every line but the empty one holds q points; its two least lead
     members = np.nonzero(on[counts > 0])[1].reshape(-1, q)
@@ -1198,7 +1206,7 @@ def _row_leads(state, keys, pa, plk):
             continue
         codes = _klein_plane_codes(f, pa, plk[i], plk)
         _, first = np.unique(codes[todo], return_index=True)
-        row = np.union1d(todo[first], todo[codes[todo] == 0])
+        row = _distinct(np.concatenate((todo[first], todo[codes[todo] == 0])))
         short = np.flatnonzero((codes[last][:, None] == codes[row]).sum(axis=0) < q - 1)
         for j in row[:short[0] + 1 if len(short) else None].tolist():
             leads.append((i, j))
@@ -1254,7 +1262,7 @@ def stage_regulus_closure(state):
     leads = _affine_leads(state, pa, plk)
     li, lj = _row_leads(state, keys, pa, plk) if leads is None else leads
     batch = _regulus_batch(f, axis_rows, bases[li], bases[lj])
-    leaves = ~np.isin(batch.keys, np.append(keys, _line_key_np(f, axis_rows))).all(axis=1)
+    leaves = ~_isin(batch.keys, np.append(keys, _line_key_np(f, axis_rows))).all(axis=1)
     bad = np.flatnonzero(batch.failed.astype(bool) | leaves)
     if len(bad):
         t = bad[0]
@@ -1267,8 +1275,8 @@ def stage_regulus_closure(state):
     # each regulus as its spanning pairs (2, q+1, 2, 4), lines then opposite
     reguli = batch.spans.astype(np.int16)
     if state.planes:
-        hits = np.isin(_line_key_np(f, reguli[:, 1]),
-                       _line_key_np(f, state.planes.traces)).sum(axis=1)
+        hits = _isin(_line_key_np(f, reguli[:, 1]),
+                     _line_key_np(f, state.planes.traces)).sum(axis=1)
         wrong = np.flatnonzero(hits != 1)
         if len(wrong):
             raise StructureViolation(
@@ -1297,7 +1305,7 @@ def stage_klein_regularity(state):
     # p01 p23 - p02 p13 + p03 p12 = 0, so no line's image is tested for
     # lying on the Klein quadric.
     pts = _plucker_np(f, lines[:, 0], lines[:, 1])
-    image = np.unique(space5.point_ids(normalize_rows_np(f, pts)[0]))
+    image = _distinct(space5.point_ids(normalize_rows_np(f, pts)[0]))
     red, rank = rref_np(f, pts[None])
     span_dim = int(rank[0]) - 1
     verdict = span_dim == 3
@@ -1607,7 +1615,7 @@ def displace_point(frame, C, seed=0):
 def classical_spread(frame):
     """The frame's classical regular spread as a Spread object."""
     return Spread(lines=np.array([l.rows for l in frame.spread], dtype=np.int16),
-                  axis=frame.spread.index(frame.line_of_slope["inf"]), provenance={})
+                  axis=frame.spread.index(frame.line_of_slope["inf"]))
 
 
 def perturb_spread_by_regulus(sigma, spread):
@@ -1627,5 +1635,5 @@ def perturb_spread_by_regulus(sigma, spread):
         keep = [i for i, r in enumerate(rows) if r not in reg_rows]
         lines = np.concatenate((spread.lines[keep],
                                 np.array([l.rows for l in reg.opposite], dtype=np.int16)))
-        return Spread(lines=lines, axis=keep.index(spread.axis), provenance={}), reg
+        return Spread(lines=lines, axis=keep.index(spread.axis)), reg
     raise RuntimeError("no regulus avoiding the axis found")

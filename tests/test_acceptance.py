@@ -58,7 +58,7 @@ def test_criterion_1_roundtrip_q7_canonical():
         assert rec["infinity_data"].counts["lines_per_completion"] == 14
         assert rec["t_infinity"].counts["axis_points"] == 8
         assert len(state.spread.lines) == 50
-        assert len(state.spread.provenance) == 49    # one trace line per point
+        assert state.spread.axis == 49    # the trace line of each point c at row c
         assert rec["assemble_spread"].counts["points_covered"] == 400
         assert rec["regulus_closure"].counts["passes"] == 1176
         assert rec["regulus_closure"].counts["pairs"] == 1176

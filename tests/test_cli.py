@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -164,6 +168,35 @@ def test_outdir_env(tmp_path, capsys, monkeypatch):
     code, _ = run_cli(["forward", "--q", "7", "--dump", "env-dump.txt"], capsys)
     assert code == 0
     assert (tmp_path / "env-dump.txt").exists()
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+@pytest.mark.parametrize("exploratory", [[], ["--exploratory"]], ids=["strict", "exploratory"])
+def test_k_below_one_rejected(k, exploratory, capsys):
+    """--k 0 does not run as k = 1, and --k -1 forms no q = 1/3."""
+    assert main(["roundtrip", "--p", "3", "--k", k] + exploratory) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --k must be at least 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["roundtrip", "--q", "7"],
+    ["negative-control", "--q", "7", "--control", "perturbed-spread"],
+], ids=["roundtrip", "perturbed-spread"])
+def test_no_numpy_ma_import(argv):
+    """A plain np.unique, or np.isin on a long array, imports numpy.ma, which
+    costs 15-18 ms in a fresh process; the pipeline makes neither call."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code = ("import contextlib, io, sys\n"
+            "from pgconics.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            "print(code, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["0" if argv[0] == "roundtrip" else "1", "False"]
 
 
 def test_p_k_config(capsys):

@@ -17,7 +17,7 @@ def test_prime_field_arithmetic(gf7):
     assert gf7.sub(2, 5) == 4
     assert gf7.neg(3) == 4
     assert gf7.pow(3, 6) == 1
-    assert gf7.div(1, 4) == 2
+    assert gf7.mul(1, gf7.inv(4)) == 2
 
 
 def test_gf9_multiplication(gf9):
@@ -40,8 +40,6 @@ def test_field_axioms_exhaustive(build):
 def test_division_by_zero(gf7):
     with pytest.raises(DivisionByZero):
         gf7.inv(0)
-    with pytest.raises(DivisionByZero):
-        gf7.div(3, 0)
 
 
 def test_quadratic_character(gf7):
@@ -163,12 +161,8 @@ def check_scalar_operations(field, add, mul):
             got = (field.add(a, b), field.sub(a, b), field.mul(a, b))
             assert got == (add[a][b], sub[a][b], mul[a][b]), (a, b)
             assert all(type(x) is int for x in got)
-            if b:
-                assert field.div(a, b) == mul[a][inv[b]], (a, b)
     with pytest.raises(DivisionByZero):
         field.inv(0)
-    with pytest.raises(DivisionByZero):
-        field.div(1, 0)
     with pytest.raises(DivisionByZero):
         field.pow(0, -1)
     rng = random.Random(q)

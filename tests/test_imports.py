@@ -2,7 +2,8 @@
 
 A name counts as used when it is read anywhere in its module.  The
 package's __init__.py imports names to re-export them, and __future__
-imports change the compiler, so both are exempt.
+imports change the compiler, so both are exempt; a name that __init__.py
+exports is read in a demo or in a package module other than its own.
 """
 
 import ast
@@ -36,3 +37,17 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def names_read(source):
+    return {n.id for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Name)}
+
+
+def test_exports_are_read_outside_their_module():
+    init = ast.parse((ROOT / "src/pgconics/__init__.py").read_text())
+    exports = [(node.module, a.name) for node in init.body
+               if isinstance(node, ast.ImportFrom) for a in node.names]
+    read = {p.stem: names_read(p.read_text()) for p in MODULES if p.parent.name != "tests"}
+    unread = [name for module, name in exports
+              if not any(name in names for stem, names in read.items() if stem != module)]
+    assert exports and unread == []

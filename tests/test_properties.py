@@ -78,8 +78,12 @@ def sometimes(draw):
 def command_lines(draw):
     """Mostly well-formed command lines, each option now and then malformed."""
     mode = draw(st.sampled_from(MODES * 3 + ("bogus",)))
-    q = draw(st.sampled_from(["3", "5", "5", "7", "7", "7", "4", "x"]))
-    argv = [mode, "--q", q]
+    if sometimes(draw):
+        q = "3"
+        argv = [mode, "--p", "3", "--k", str(draw(st.integers(-1, 3)))]
+    else:
+        q = draw(st.sampled_from(["3", "5", "5", "7", "7", "7", "4", "x"]))
+        argv = [mode, "--q", q]
     if q in ("3", "4", "5") and not sometimes(draw):
         argv.append("--exploratory")
     if draw(st.booleans()):
@@ -110,6 +114,7 @@ def command_lines(draw):
 @example(["reconstruct", "--q", "7", "--in", "DUMP7", "--format", "text"])
 @example(["roundtrip", "--q", "5", "--exploratory", "--stages", ",".join(STAGES[:3])])
 @example(["negative-control", "--q", "7", "--control", "perturbed-spread"])
+@example(["roundtrip", "--p", "3", "--k", "-1", "--exploratory"])
 def test_main_exit_code_on_random_command_lines(argv):
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.dict(os.environ, {"PGCONICS_OUTDIR": tmp}):
@@ -244,7 +249,7 @@ def regulus_closure_corruption(kind, a, b, rng):
             lines.insert(b % len(lines), lines[a % len(lines)])
         rng.shuffle(lines)
         state.spread = Spread(lines=np.array(lines + [axis], dtype=np.int16),
-                              axis=len(lines), provenance=spread.provenance)
+                              axis=len(lines))
     return corrupt_state
 
 

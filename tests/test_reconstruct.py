@@ -23,7 +23,7 @@ from pgconics.reconstruct import (NotCollinear, NotSkew,
                                   _three_space_tests,
                                   align_spreads, classical_spread,
                                   displace_point, full_pipeline, make_frame,
-                                  on_klein_quadric, perturb_spread_by_regulus,
+                                  perturb_spread_by_regulus,
                                   plucker, regulus_from, run_stages)
 
 
@@ -145,7 +145,8 @@ def baer_cplanes(frame, conic, C):
         P, Q = frame.point_up(C[a]), frame.point_up(C[b])
         X = tangent_line(conic.form, P).meet(frame.l_inf).rows[0]
         sub = baer_subplane_through(frame, (P, Q, X, conic.p_inf))
-        plane = span(frame.space4, sorted(frame.point_down(p) for p in sub if p[2]))
+        affine = frame.points_down([p for p in sub if p[2]])
+        plane = span(frame.space4, sorted(map(tuple, affine.tolist())))
         found[plane.rows] = plane
     planes = sorted(found.values())
     return Planes(bases=np.array([pl.rows for pl in planes], dtype=np.int16),
@@ -349,10 +350,10 @@ def test_transversal_points_lie_on_common_plane(run7, frame7):
     axis = state.axis
     sigma = frame7.sigma
     spread = state.spread
-    line_of_point = {}
-    for rows in spread.rows_set():
-        for p in Subspace(sigma, rows).points():
-            line_of_point[p] = rows
+    line_of_point = {}  # point -> its spread line, c < q^2 the trace line of point c
+    for c, rows in enumerate(spread.lines.tolist()):
+        for p in Subspace(sigma, tuple(map(tuple, rows))).points():
+            line_of_point[p] = c
     axis_pts = set(axis.points())
     seen = {axis.rows}
     checked = 0
@@ -366,10 +367,9 @@ def test_transversal_points_lie_on_common_plane(run7, frame7):
             seen.add(line.rows)
             cids = set()
             for p in line.points():
-                rows = line_of_point[p]
-                if rows == axis.rows:
-                    continue
-                cids.add(spread.provenance[rows])
+                c = line_of_point[p]
+                if c != spread.axis:
+                    cids.add(c)
             assert len(cids) == 7  # q distinct trace lines met
             members = sorted(cids)
             plane = span(frame7.space4, [state.C[i] for i in members[:3]])
@@ -513,6 +513,13 @@ def test_regulus_rejects_meeting_lines(frame7):
         regulus_from(sigma, l1, l2, l3)
 
 
+def on_klein_quadric(field, p):
+    """p01*p23 - p02*p13 + p03*p12 = 0: the scalar oracle of the Klein
+    section in klein_regularity."""
+    t = field.sub(field.mul(p[0], p[5]), field.mul(p[1], p[4]))
+    return field.add(t, field.mul(p[2], p[3])) == 0
+
+
 def test_plucker_images_on_quadric(frame7):
     f = frame7.base
     for line in frame7.spread:
@@ -595,7 +602,7 @@ def test_regulus_closure_matches_scalar_oracle(closure_record, closure_oracle, k
             st = PipelineState(frame, C)
             st.planes = state.planes
             st.spread = Spread(lines=state.spread.lines[order],
-                               axis=order.index(state.spread.axis), provenance={})
+                               axis=order.index(state.spread.axis))
             record = closure_record(st)
             assert record[0] == "pass"
             assert record == closure_oracle(st)
@@ -624,7 +631,7 @@ def test_regulus_closure_of_a_mapped_spread(closure_record, closure_oracle, klei
     st = PipelineState(frame, C)
     st.planes = copy.copy(state.planes)
     st.planes.traces = mapped(state.planes.traces)
-    st.spread = Spread(lines=mapped(state.spread.lines), axis=state.spread.axis, provenance={})
+    st.spread = Spread(lines=mapped(state.spread.lines), axis=state.spread.axis)
     assert not np.array_equal(st.spread.lines, state.spread.lines)
     expected = closure_oracle(st)
     assert expected[0] == "pass"
@@ -646,7 +653,7 @@ def test_regulus_closure_fails_on_the_affine_plane(closure_record, closure_oracl
              for d in range(q) for x in range(q)]
     st = PipelineState(frame, None)
     st.spread = Spread(lines=np.array(lines + [((0, 1, 0, 0), (0, 0, 0, 1))], dtype=np.int16),
-                       axis=len(lines), provenance={})
+                       axis=len(lines))
     expected = closure_oracle(st)
     assert expected[:2] == ("fail", "NotSkew: lines are not pairwise skew: "
                                     "1,0,0,0;0,0,1,0 / 1,0,0,0;0,0,1,1")
@@ -714,7 +721,7 @@ def test_regulus_closure_witness_past_the_first_pair(frame7, c7, closure_oracle,
     others = sorted(pert.lines[~pert.is_axis()].tolist(), reverse=True)
     st = PipelineState(frame7, c7)
     st.spread = Spread(lines=np.array(others + [pert.lines[pert.axis].tolist()], dtype=np.int16),
-                       axis=len(others), provenance={})
+                       axis=len(others))
     triples = []
     batch = reconstruct._regulus_batch
     monkeypatch.setattr(reconstruct, "_regulus_batch",
@@ -738,7 +745,7 @@ def test_regulus_closure_stops_at_a_short_plane(frame7, c7, run7, closure_oracle
     st = PipelineState(frame7, c7)
     st.planes = run7[1].planes
     st.spread = Spread(lines=np.concatenate((lines[:20], lines[21:], spread.lines[[spread.axis]])),
-                       axis=len(lines) - 1, provenance={})
+                       axis=len(lines) - 1)
     triples = []
     batch = reconstruct._regulus_batch
     monkeypatch.setattr(reconstruct, "_regulus_batch",
@@ -763,7 +770,7 @@ def test_regulus_closure_not_skew_before_leaving(frame7, c7, run7, closure_recor
     st = PipelineState(frame7, c7)
     st.planes = run7[1].planes
     st.spread = Spread(lines=np.array(lines + [axis], dtype=np.int16),
-                       axis=len(lines), provenance={})
+                       axis=len(lines))
     expected = closure_oracle(st)
     assert expected[:2] == ("fail", "NotSkew: lines are not pairwise skew: "
                                     "0,0,1,0;0,0,0,1 / 1,0,0,0;0,0,1,0")
@@ -790,7 +797,7 @@ def test_regulus_closure_repeated_line_takes_the_row_loop(run7, closure_record, 
     st = PipelineState(run7[1].frame, run7[1].C)
     st.planes = run7[1].planes
     st.spread = Spread(lines=np.concatenate((lines, spread.lines[[spread.axis]])),
-                       axis=len(lines), provenance={})
+                       axis=len(lines))
     expected = closure_oracle(st)
     assert expected[0] == "fail"
     assert closure_record(st) == expected
@@ -855,7 +862,6 @@ def test_kernel_work_counts(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(BruckBoseFrame, "point_up")
-    counted(BruckBoseFrame, "point_down")
     counted(QuadraticForm, "evaluate")
     counted(reconstruct, "tangent_trace")
     counted(reconstruct, "is_arc")
@@ -1018,8 +1024,7 @@ def test_align_spreads_maps_line_sets(frame7):
 
     reg_lines = [Subspace(sigma, l.rows) for l in frame7.spread]
     moved = [map_line(l) for l in reg_lines]
-    spread = Spread(lines=np.array([l.rows for l in moved], dtype=np.int16), axis=0,
-                    provenance={})
+    spread = Spread(lines=np.array([l.rows for l in moved], dtype=np.int16), axis=0)
     A = align_spreads(sigma, spread, reg_lines)
     tgt = {l.rows for l in reg_lines}
     for l in moved:
