@@ -10,7 +10,7 @@ from pgconics import (Field, QuadExtension, build_C, build_frame,
                       canonical_tangent_conic, verify_lemma1, write_c_dump)
 
 frame = build_frame(QuadExtension(Field(7)))
-print("frame: PG(2,49) over", frame.ext.ext, "with", len(frame.spread),
+print("frame: PG(2,49) over", frame.ext.ext, "with", len(frame.spread.lines),
       "classical spread lines in the hyperplane at infinity")
 
 conic = canonical_tangent_conic(frame)

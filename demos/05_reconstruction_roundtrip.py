@@ -21,7 +21,7 @@ for r in records:
     print(f"[{r.verdict:>4}] {r.name:<{width}} {r.millis:8.1f} ms  {counts}")
 
 print("\nreconstructed spread equals the classical one:",
-      state.spread.rows_set() == {l.rows for l in frame.spread})
+      state.spread.rows_set() == frame.spread.rows_set())
 # rebuild_arc compares the conic it fits with the input conic, and fails if they differ
 rebuild = next(r for r in records if r.name == "rebuild_arc")
 print("fitted conic equals the input conic:",

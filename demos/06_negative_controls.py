@@ -7,8 +7,8 @@ rebuild yields a three-point plane witness.
 """
 
 from pgconics import (Field, QuadExtension, PipelineState, build_C, build_frame,
-                      canonical_tangent_conic, classical_spread, displace_point,
-                      full_pipeline, perturb_spread_by_regulus, run_stages)
+                      canonical_tangent_conic, displace_point, full_pipeline,
+                      perturb_spread_by_regulus, run_stages)
 from pgconics.projgeom import points_array
 
 frame = build_frame(QuadExtension(Field(7)))
@@ -23,7 +23,7 @@ for r in records:
         print(f"  [{r.verdict}] {r.name}" + (f": {r.witness}" if r.witness else ""))
 
 print("\n-- control 2: one regulus of the classical spread flipped --")
-spread, regulus = perturb_spread_by_regulus(frame.sigma, classical_spread(frame))
+spread, regulus = perturb_spread_by_regulus(frame.sigma, frame.spread)
 state = PipelineState(frame, C)
 state._C_arr = points_array(state.C)
 state.spread = spread
@@ -33,7 +33,7 @@ for r in run_stages(state, include={"regulus_closure", "klein_regularity"}):
 print("\n-- control 3: corrupted points against the classical spread --")
 state = PipelineState(frame, displace_point(frame, C, seed=2))
 state._C_arr = points_array(state.C)
-state.spread = classical_spread(frame)
+state.spread = frame.spread
 state.regular = True
 for r in run_stages(state, include={"rebuild_arc"}):
     print(f"  [{r.verdict}] {r.name}: {r.witness}")

@@ -10,8 +10,8 @@ from .conics import (CompletionNotUnique, DegenerateInput, NotAnArc, QuadraticFo
                      conic_through_5, is_arc, tangent_line)
 from .bruckbose import (LemmaViolation, build_C, build_frame, canonical_tangent_conic,
                         random_tangent_conic, verify_lemma1, write_c_dump)
-from .reconstruct import (CheckViolation, PipelineState, classical_spread, displace_point,
-                          full_pipeline, make_frame, perturb_spread_by_regulus, run_stages)
+from .reconstruct import (CheckViolation, PipelineState, displace_point, full_pipeline,
+                          make_frame, perturb_spread_by_regulus, run_stages)
 from .report import Report, StageRecord
 
 __version__ = "0.1.0"

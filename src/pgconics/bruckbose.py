@@ -28,6 +28,20 @@ class LemmaViolation(AssertionError):
         self.witness = witness
 
 
+@dataclass
+class Spread:
+    """Lines of PG(3,q) as RREF bases (n, 2, 4) int16, the axis at row axis."""
+    lines: np.ndarray
+    axis: int
+
+    def is_axis(self):
+        """Which lines equal the axis, (n,) bool."""
+        return (self.lines == self.lines[self.axis]).all(axis=(1, 2))
+
+    def rows_set(self):
+        return {tuple(map(tuple, rows)) for rows in self.lines.tolist()}
+
+
 class BruckBoseFrame:
     """Shared coordinate dictionary: PG(2,q^2), PG(4,q), sigma = PG(3,q), spread."""
 
@@ -44,24 +58,18 @@ class BruckBoseFrame:
 
     def _build_spread(self):
         ext, E = self.ext, self.ext.ext
-        lines = []
-        self.slope_of_line = {}
-        self.line_of_slope = {}
-        for m in range(E.q):
-            # The spread line {(x, x*m)} of GF(q^2)^2 as GF(q)^4: the images of
-            # x = 1 and x = w.  These rows are already in RREF, whatever m is:
-            # their pivots are 1 in columns 0 and 1, and each row is 0 in the
-            # other's pivot column.
-            rows = ((1, 0) + ext.decompose(m), (0, 1) + ext.decompose(E.mul(ext.omega, m)))
-            line = Subspace(self.sigma, rows)
-            lines.append(line)
-            self.slope_of_line[rows] = m
-            self.line_of_slope[m] = line
-        special = Subspace(self.sigma, ((0, 0, 1, 0), (0, 0, 0, 1)))
-        lines.append(special)
-        self.slope_of_line[special.rows] = "inf"
-        self.line_of_slope["inf"] = special
-        self.spread = tuple(lines)
+        # Row m is the spread line {(x, x*m)} of GF(q^2)^2 as GF(q)^4: the
+        # images of x = 1 and x = w.  These rows are already in RREF, whatever
+        # m is: their pivots are 1 in columns 0 and 1, and each row is 0 in
+        # the other's pivot column.  The axis x = 0 is row q^2.
+        m = np.arange(E.q)
+        lines = np.zeros((E.q + 1, 2, 4), dtype=np.int16)
+        lines[:-1, 0, 0] = lines[:-1, 1, 1] = 1
+        lines[:-1, 0, 2:] = np.column_stack(ext.decompose(m))
+        lines[:-1, 1, 2:] = np.column_stack(ext.decompose(E.mul_np[ext.omega, m]))
+        lines[-1] = ((0, 0, 1, 0), (0, 0, 0, 1))
+        lines.flags.writeable = False
+        self.spread = Spread(lines=lines, axis=E.q)
 
     # -- point correspondences ------------------------------------------------
 
@@ -103,15 +111,18 @@ class BruckBoseFrame:
         xy = np.indices((E.q, E.q), dtype=np.int16).reshape(2, -1).T
         return normalize_rows_np(E, np.column_stack((xy, np.ones(len(xy), np.int16))))[0]
 
-    def linf_point_of_slope(self, m):
-        if m == "inf":
+    def linf_point(self, rows):
+        """The point of l_inf whose spread line has RREF rows (2, 4): (1, m, 0)
+        for the line of slope m, (0, 1, 0) for the axis."""
+        r0 = rows[0]
+        if r0[0] == 0:
             return (0, 1, 0)
-        return self.plane.normalize((1, m, 0))
+        return (1, int(self.ext.compose(r0[2], r0[3])), 0)
 
     # -- construction checks ---------------------------------------------------
 
     def _verify(self):
-        counts = np.bincount(self.sigma.line_point_ids([l.rows for l in self.spread]).ravel(),
+        counts = np.bincount(self.sigma.line_point_ids(self.spread.lines).ravel(),
                              minlength=self.sigma.npoints)
         if (counts > 1).any():
             raise AssertionError("spread lines are not pairwise skew")

@@ -23,9 +23,8 @@ from .bruckbose import (build_C, random_tangent_conic, verify_lemma1,
                         write_c_dump, LemmaViolation)
 from .galois import check_modulus, default_modulus, is_prime
 from .report import FAIL, PASS, Report, StageRecord, file_digest, witness_text
-from .reconstruct import (PIPELINE, PipelineState, classical_spread,
-                          displace_point, make_frame, perturb_spread_by_regulus,
-                          run_stages, _factor_prime_power)
+from .reconstruct import (PIPELINE, PipelineState, displace_point, make_frame,
+                          perturb_spread_by_regulus, run_stages, _factor_prime_power)
 
 
 class ConfigError(ValueError):
@@ -203,8 +202,7 @@ def parse_c_dump(path, expect_q=None):
             raise ParseError(f"coordinate out of range in {text!r}", line=ln)
         if pt[4] == 0:
             raise ParseError("not affine (last coordinate is 0)", line=ln)
-        if not any(pt):
-            raise ParseError("zero vector is not a point", line=ln)
+        # an affine point is not the zero vector, so that is not tested
         points.append(pt)
     if len(set(points)) != len(points):
         raise SizeMismatch("duplicate points in the dump")
@@ -252,7 +250,7 @@ def run(config):
             name="forward_build", verdict=PASS, millis=ms,
             counts={"conic_points": len(conic.points),
                     "c_points": len(C),
-                    "spread_lines": len(frame.spread)}))
+                    "spread_lines": len(frame.spread.lines)}))
         return conic, C
 
     if config.mode == "forward":
@@ -288,7 +286,7 @@ def run(config):
             records.extend(run_stages(state))
         elif config.control == "perturbed-spread":
             state = PipelineState(frame, C)
-            spread, reg = perturb_spread_by_regulus(frame.sigma, classical_spread(frame))
+            spread, reg = perturb_spread_by_regulus(frame.sigma, frame.spread)
             state.spread = spread
             records.append(StageRecord(name="perturb_spread", verdict=PASS,
                                        counts={"regulus_size": len(reg.lines)}))
@@ -299,7 +297,7 @@ def run(config):
             records.append(StageRecord(name="corrupt_points", verdict=PASS,
                                        counts={"displaced": 1}))
             state = PipelineState(frame, bad)
-            state.spread = classical_spread(frame)
+            state.spread = frame.spread
             state.regular = True
             records.extend(run_stages(state, include={"rebuild_arc"}))
 

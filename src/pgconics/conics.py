@@ -16,7 +16,7 @@ import itertools
 
 import numpy as np
 
-from .projgeom import Subspace, matmul_np, normalize_rows_np, nullspace, rref, rref_np, span
+from .projgeom import Subspace, matmul_np, normalize_rows_np, nullspace, rref_np, span
 
 
 class DegenerateInput(ValueError):
@@ -186,16 +186,14 @@ def tangent_line(form, pt):
 
 
 def is_arc(space, points):
-    """(True, None) if no three of the points are collinear, else (False, triple)."""
+    """(True, None) if no three of the points are collinear, else (False, triple).
+
+    The points lie in a plane (3 coordinates): three are collinear when
+    their determinant is 0.
+    """
     f = space.field
     for triple in itertools.combinations(points, 3):
-        m = (triple[0], triple[1], triple[2])
-        if len(m[0]) == 3:
-            collinear = _det3(f, m) == 0
-        else:
-            red, _ = rref(f, m)
-            collinear = len(red) <= 2
-        if collinear:
+        if _det3(f, triple) == 0:
             return False, triple
     return True, None
 

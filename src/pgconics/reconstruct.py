@@ -32,7 +32,7 @@ from .projgeom import (HEAVY, HeavyPlaneScan, ProjectiveSpace, Subspace, group_r
                        rref_np, scan_heavy_planes, span)
 from .conics import (CompletionNotUnique, DegenerateInput, NotAnArc,
                      complete_q_arc, complete_q_arcs, conic_through_5, is_arc)
-from .bruckbose import build_frame
+from .bruckbose import Spread, build_frame
 from .report import FAIL, PASS, SKIPPED, WARN, StageRecord, witness_text
 
 
@@ -149,20 +149,6 @@ class Planes:
 class SigmaClassification:
     completion_points: tuple
     free_points: tuple
-
-
-@dataclass
-class Spread:
-    """Lines of PG(3,q) as RREF bases (n, 2, 4) int16, the axis at row axis."""
-    lines: np.ndarray
-    axis: int
-
-    def is_axis(self):
-        """Which lines equal the axis, (n,) bool."""
-        return (self.lines == self.lines[self.axis]).all(axis=(1, 2))
-
-    def rows_set(self):
-        return {tuple(map(tuple, rows)) for rows in self.lines.tolist()}
 
 
 @dataclass
@@ -1361,9 +1347,10 @@ def stage_rebuild_arc(state):
         A_np = np.array(A, dtype=np.int16)
         moved = matmul_np(f, arr[:, :4], A_np)
         up_points = list(map(tuple, frame.points_up(np.column_stack((moved, arr[:, 4]))).tolist()))
+        # align_spreads maps every line into the frame's spread, so the
+        # axis's image is a frame spread line
         axis_img_rows, _ = rref(f, matmul_np(f, spread.lines[spread.axis], A_np).tolist())
-        slope = frame.slope_of_line[axis_img_rows]
-        t_inf_point = frame.linf_point_of_slope(slope)
+        t_inf_point = frame.linf_point(axis_img_rows)
         # The q^2+1 points are distinct, which is not tested.  C's points are
         # distinct and affine, diag(A, 1) is invertible (align_spreads checks
         # each factor of A), points_up is a bijection on the affine points,
@@ -1423,7 +1410,7 @@ def _spread_set(sigma, lines):
     return basis, mats
 
 
-def align_spreads(sigma, spread_from, lines_to):
+def align_spreads(sigma, spread_from, spread_to):
     """A projectivity of PG(3,q) mapping one regular spread onto another.
 
     Identical spreads map by the identity.  Otherwise both spreads are put
@@ -1435,7 +1422,7 @@ def align_spreads(sigma, spread_from, lines_to):
     """
     f = sigma.field
     from_rows = spread_from.rows_set()
-    to_rows = {l.rows for l in lines_to}
+    to_rows = spread_to.rows_set()
     if from_rows == to_rows:
         return _IDENTITY4
     basis_s, mats_s = _spread_set(sigma, from_rows)
@@ -1487,8 +1474,8 @@ def stage_uniqueness(state):
     # The partition holds for every spread reaching this stage:
     # assemble_spread's are q^2+1 disjoint lines ((q^2+1)(q+1) points, its
     # overlap check); perturb_spread_by_regulus swaps a regulus for its
-    # opposite, which covers the same points; classical_spread is checked
-    # by the frame's _verify.  So q^2 + q lines other than the axis pass
+    # opposite, which covers the same points; the frame's spread is checked
+    # by its _verify.  So q^2 + q lines other than the axis pass
     # through each of its q + 1 points, meeting it there alone, the q^2 other
     # spread lines miss it, and the remaining lines lie outside the spread:
     # these counts are not taken.
@@ -1517,8 +1504,7 @@ def stage_uniqueness(state):
         "opposites_with_trace_line": len(state.reguli),
     }
     if state.expect_classical:
-        classical = {l.rows for l in state.frame.spread}
-        match = spread.rows_set() == classical
+        match = spread.rows_set() == state.frame.spread.rows_set()
         out["spread_matches_classical"] = int(match)
         if not match:
             raise StructureViolation(
@@ -1567,13 +1553,8 @@ def run_stages(state, include=None):
     return records
 
 
-def full_pipeline(C, frame=None, q=None, modulus=None, conic=None,
-                  exploratory=False, expect_classical=False):
+def full_pipeline(C, frame, conic=None, exploratory=False, expect_classical=False):
     """Run every reconstruction stage on a point set; returns (records, state)."""
-    if frame is None:
-        if q is None:
-            raise ValueError("need a frame or a field order")
-        frame = make_frame(q, modulus)
     state = PipelineState(frame, C, conic=conic, exploratory=exploratory,
                           expect_classical=expect_classical)
     records = run_stages(state)
@@ -1610,12 +1591,6 @@ def displace_point(frame, C, seed=0):
         cand = frame.space4.normalize(tuple(rng.randrange(q) for _ in range(4)) + (1,))
         if cand not in cset:
             return tuple(sorted(list(C[:-1]) + [cand]))
-
-
-def classical_spread(frame):
-    """The frame's classical regular spread as a Spread object."""
-    return Spread(lines=np.array([l.rows for l in frame.spread], dtype=np.int16),
-                  axis=frame.spread.index(frame.line_of_slope["inf"]))
 
 
 def perturb_spread_by_regulus(sigma, spread):

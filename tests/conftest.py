@@ -56,6 +56,18 @@ def frame9(gf9):
     return build_frame(QuadExtension(gf9))
 
 
+def _frame_lines(frame):
+    """The frame's spread lines as Subspaces of sigma, in row order."""
+    return [Subspace(frame.sigma, tuple(map(tuple, rows)))
+            for rows in frame.spread.lines.tolist()]
+
+
+@pytest.fixture(scope="session")
+def frame_lines():
+    """_frame_lines: the frame's spread as a list of Subspaces."""
+    return _frame_lines
+
+
 def _reguli_rows(reguli):
     return [([l.rows for l in r.lines], [l.rows for l in r.opposite]) for r in reguli]
 

@@ -17,8 +17,7 @@ from pgconics.bruckbose import (build_C, canonical_tangent_conic,
 from pgconics.cli import main
 from pgconics.conics import complete_q_arc, complete_q_arc_by_secants, QuadraticForm
 from pgconics.projgeom import ProjectiveSpace, points_array
-from pgconics.reconstruct import (PipelineState, classical_spread,
-                                  full_pipeline, make_frame,
+from pgconics.reconstruct import (PipelineState, full_pipeline, make_frame,
                                   perturb_spread_by_regulus, run_stages)
 
 
@@ -70,7 +69,7 @@ def test_criterion_1_roundtrip_q7_canonical():
         assert rec["rebuild_arc"].counts["matches_input_conic"] == 1
         assert rec["uniqueness"].counts["incompatible"] == 2352
         assert rec["uniqueness"].counts["spread_matches_classical"] == 1
-        assert state.spread.rows_set() == {l.rows for l in frame.spread}
+        assert state.spread.rows_set() == frame.spread.rows_set()
         assert elapsed < 60.0, f"took {elapsed:.1f}s"
 
 
@@ -183,7 +182,7 @@ def test_criterion_6_dual_oracle_agreement():
         C = build_C(frame, conic)
         _, state = full_pipeline(C, frame=frame, conic=conic)
         spreads = [
-            ("classical", classical_spread(frame)),
+            ("classical", frame.spread),
             ("reconstructed", state.spread),
             ("perturbed", perturb_spread_by_regulus(frame.sigma, state.spread)[0]),
         ]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -8,25 +9,48 @@ import pytest
 from pgconics.galois import Field, QuadExtension
 from pgconics.projgeom import Subspace, span
 from pgconics.conics import classify_vs_conic, is_arc
-from pgconics.bruckbose import (BruckBoseFrame, LemmaViolation, _tangent_counts,
+from pgconics.bruckbose import (BruckBoseFrame, LemmaViolation, Spread, _tangent_counts,
                                 baer_subplane_through, build_frame,
                                 canonical_tangent_conic, random_tangent_conic,
                                 verify_lemma1, write_c_dump)
+from pgconics import reconstruct
 from pgconics.reconstruct import (CheckViolation, PipelineState, make_frame, regulus_from,
                                   stage_axioms)
 
 
-def test_frame_counts(frame7):
-    assert len(frame7.spread) == 50
+def test_frame_counts(frame7, frame_lines):
+    assert len(frame7.spread.lines) == 50
     assert frame7.sigma.npoints == 400
     # disjoint cover: 50 lines x 8 points
     seen = set()
-    for line in frame7.spread:
+    for line in frame_lines(frame7):
         pts = line.points()
         assert len(pts) == 8
         assert not (seen & set(pts))
         seen.update(pts)
     assert len(seen) == 400
+
+
+@pytest.mark.parametrize("q", [7, 9, 11])
+def test_frame_spread_rows(q):
+    """frame.spread row for row against the per-slope loop that once built
+    it: row m is the line {(x, x m)} of slope m, spanned by the images of
+    x = 1 and x = w, and the axis x = 0 is row q^2.  The array is read-only,
+    and linf_point reads each line's point of l_inf off its rows."""
+    frame = make_frame(q)
+    ext, E = frame.ext, frame.ext.ext
+    expected = [((1, 0) + ext.decompose(m), (0, 1) + ext.decompose(E.mul(ext.omega, m)))
+                for m in range(E.q)] + [((0, 0, 1, 0), (0, 0, 0, 1))]
+    spread = frame.spread
+    assert type(spread) is Spread and reconstruct.Spread is Spread
+    assert spread.lines.dtype == np.int16
+    assert [tuple(map(tuple, rows)) for rows in spread.lines.tolist()] == expected
+    assert spread.axis == q * q
+    assert not spread.lines.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        spread.lines[0, 0, 0] = 0
+    assert [frame.linf_point(rows) for rows in expected] == \
+        [(1, m, 0) for m in range(q * q)] + [(0, 1, 0)]
 
 
 def test_point_correspondence_roundtrip(frame7):
@@ -55,23 +79,26 @@ def test_collinear_triples_map_to_coplanar_triples(frame7):
         b = (E.add(x, t1), E.add(y, E.mul(t1, m)), 1)
         c = (E.add(x, t2), E.add(y, E.mul(t2, m)), 1)
         downs = set(map(tuple, frame7.points_down([a, b, c]).tolist()))
-        line = [row + (0,) for row in frame7.line_of_slope[m].rows]
+        line = [row + [0] for row in frame7.spread.lines[m].tolist()]
         plane = span(frame7.space4, line + sorted(downs))
         assert plane.dim == 2
 
 
 def test_classical_spread_is_regular_all_triples(frame7):
-    lines = [Subspace(frame7.sigma, l.rows) for l in frame7.spread]
-    rows = {l.rows for l in lines}
-    for triple in itertools.combinations(lines, 3):
-        reg = regulus_from(frame7.sigma, *triple)
-        assert all(l.rows in rows for l in reg.lines)
+    """The regulus through each of the 19,600 triples of the q = 7 spread, in
+    one batch: every triple is skew and every regulus line is a spread line."""
+    f, lines = frame7.base, frame7.spread.lines
+    triples = np.array(list(itertools.combinations(range(len(lines)), 3)))
+    assert len(triples) == 19600
+    batch = reconstruct._regulus_batch(f, *(lines[triples[:, k]] for k in range(3)))
+    assert not batch.failed.any()
+    assert np.isin(batch.keys, reconstruct._line_key_np(f, lines)).all()
 
 
 @pytest.mark.parametrize("q", [9, 11])
-def test_classical_spread_regular_sampled(q):
+def test_classical_spread_regular_sampled(q, frame_lines):
     frame = build_frame(QuadExtension(Field(q) if q == 11 else Field(3, 2)))
-    lines = [Subspace(frame.sigma, l.rows) for l in frame.spread]
+    lines = frame_lines(frame)
     rows = {l.rows for l in lines}
     rng = random.Random(q)
     for _ in range(500):
@@ -142,13 +169,13 @@ def test_planes_through_spread_lines_meet_c_in_at_most_two(frame7, c7):
     # classical spread line
     from pgconics.projgeom import points_array, reduce_rows_np, normalize_rows_np, group_rows
     arr = points_array(c7)
-    for line in frame7.spread:
-        basis = tuple(r + (0,) for r in line.rows)
+    for m, rows in enumerate(frame7.spread.lines.tolist()):
+        basis = tuple(tuple(r) + (0,) for r in rows)
         res = reduce_rows_np(frame7.base, basis, arr)
         norm, zero = normalize_rows_np(frame7.base, res)
         assert not zero.any()
         _, _, counts = group_rows(norm)
-        limit = 1 if line == frame7.line_of_slope["inf"] else 2
+        limit = 1 if m == frame7.spread.axis else 2
         assert counts.max() <= limit
 
 
@@ -321,28 +348,33 @@ def test_c_dump_roundtrip(tmp_path, frame7, c7):
 
 
 def frame_with_spread(monkeypatch, edit):
-    """A GF(7) frame whose spread is edit(frame) in place of the classical one."""
+    """A GF(7) frame whose spread lines are edit(frame), an array of line
+    bases (n, 2, 4), in place of the classical ones."""
     original = BruckBoseFrame._build_spread
 
     def build(self):
         original(self)
-        self.spread = edit(self)
+        self.spread = dataclasses.replace(self.spread, lines=edit(self))
     monkeypatch.setattr(BruckBoseFrame, "_build_spread", build)
     return build_frame(QuadExtension(Field(7)))
 
 
 def meeting_line(frame):
     """Spread line 5 replaced by a line through points of lines 5 and 6."""
-    line = span(frame.sigma, [frame.spread[5].points()[0], frame.spread[6].points()[2]])
-    return frame.spread[:5] + (line,) + frame.spread[6:]
+    l5, l6 = (Subspace(frame.sigma, tuple(map(tuple, frame.spread.lines[i].tolist())))
+              for i in (5, 6))
+    lines = frame.spread.lines.copy()
+    lines[5] = span(frame.sigma, [l5.points()[0], l6.points()[2]]).rows
+    return lines
 
 
 # messages captured while the checks ran on Python bitmasks and scalar
 # point_down/point_up round trips
 @pytest.mark.parametrize("edit,message", [
-    (lambda fr: fr.spread[:-1] + (fr.spread[3],), "spread lines are not pairwise skew"),
+    (lambda fr: np.concatenate((fr.spread.lines[:-1], fr.spread.lines[[3]])),
+     "spread lines are not pairwise skew"),
     (meeting_line, "spread lines are not pairwise skew"),
-    (lambda fr: fr.spread[:-1], "spread does not cover the hyperplane at infinity"),
+    (lambda fr: fr.spread.lines[:-1], "spread does not cover the hyperplane at infinity"),
 ], ids=["duplicated", "meeting", "dropped"])
 def test_frame_rejects_broken_spreads(monkeypatch, edit, message):
     with pytest.raises(AssertionError) as info:

@@ -254,6 +254,17 @@ def test_parse_not_affine(tmp_path):
     assert err.value.line == 2
 
 
+def test_zero_vector_dump_line_is_not_affine(tmp_path, capsys):
+    """The zero vector fails the affine test, the check before it: exit 2,
+    the message on stderr, nothing on stdout."""
+    path = tmp_path / "zero.txt"
+    write_dump(path, ["q=7 poly=0,1 seed=0", "0,0,0,0,0"])
+    code = main(["reconstruct", "--q", "7", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "line 2: not affine (last coordinate is 0)" in captured.err
+
+
 def test_parse_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     write_dump(path, ["hello", "0,0,0,0,1"])

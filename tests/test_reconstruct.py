@@ -21,7 +21,7 @@ from pgconics.reconstruct import (NotCollinear, NotSkew,
                                   StructureViolation, TangentDegenerate,
                                   _plane_duals, _residual_groups, _three_space_duals,
                                   _three_space_tests,
-                                  align_spreads, classical_spread,
+                                  align_spreads,
                                   displace_point, full_pipeline, make_frame,
                                   perturb_spread_by_regulus,
                                   plucker, regulus_from, run_stages)
@@ -91,7 +91,7 @@ def test_roundtrip_counts_q7(run7):
 
 def test_reconstructed_spread_equals_classical(run7, frame7):
     _, state = run7
-    assert state.spread.rows_set() == {l.rows for l in frame7.spread}
+    assert state.spread.rows_set() == frame7.spread.rows_set()
 
 
 def test_determinism(frame7, conic7, c7):
@@ -450,7 +450,7 @@ def test_direction_table_rejects_point_at_infinity(frame7, c7):
     with pytest.raises(StructureViolation, match="inside the hyperplane at infinity"):
         PipelineState(frame7, bad).directions
     st = PipelineState(frame7, bad)
-    st.spread = classical_spread(frame7)
+    st.spread = frame7.spread
     recs = run_stages(st, include={"rebuild_arc"})
     assert recs[0].witness == \
         "StructureViolation: input point inside the hyperplane at infinity"
@@ -484,8 +484,8 @@ def test_negative_control_witnesses_q7(control, capsys):
 # reguli and the Klein correspondence
 
 
-def test_regulus_from_classical_lines(frame7):
-    lines = [Subspace(frame7.sigma, l.rows) for l in frame7.spread]
+def test_regulus_from_classical_lines(frame7, frame_lines):
+    lines = frame_lines(frame7)
     reg = regulus_from(frame7.sigma, lines[0], lines[1], lines[2])
     rows = {l.rows for l in lines}
     assert all(l.rows in rows for l in reg.lines)
@@ -520,9 +520,9 @@ def on_klein_quadric(field, p):
     return field.add(t, field.mul(p[2], p[3])) == 0
 
 
-def test_plucker_images_on_quadric(frame7):
+def test_plucker_images_on_quadric(frame7, frame_lines):
     f = frame7.base
-    for line in frame7.spread:
+    for line in frame_lines(frame7):
         p = plucker(f, line)
         assert on_klein_quadric(f, p)
 
@@ -553,7 +553,7 @@ def test_klein_rejects_hall_perturbation(run7, frame7, c7):
 def test_klein_rejects_hall_perturbation_witnesses(q):
     frame = make_frame(q)
     st = PipelineState(frame, build_C(frame, random_tangent_conic(frame, 0)))
-    st.spread = perturb_spread_by_regulus(frame.sigma, classical_spread(frame))[0]
+    st.spread = perturb_spread_by_regulus(frame.sigma, frame.spread)[0]
     recs = run_stages(st, include={"regulus_closure", "klein_regularity"})
     assert [(r.name, r.verdict, r.witness) for r in recs] == \
         [(name, "fail", witness) for name, witness in HALL_WITNESSES]
@@ -673,14 +673,14 @@ def test_regulus_closure_fails_on_the_affine_plane(closure_record, closure_oracl
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
-def test_regulus_from_matches_scalar_oracle(reguli_rows, scalar_regulus_from, q):
+def test_regulus_from_matches_scalar_oracle(reguli_rows, scalar_regulus_from, frame_lines, q):
     """On spread triples and on random triples of the lines of sigma,
     meeting and coplanar ones included, regulus_from passes or fails with
     the message of the scalar construction, which keeps the checks the
     batch leaves out as implied by skewness."""
     frame = make_frame(q)
     sigma = frame.sigma
-    spread_lines = list(frame.spread)
+    spread_lines = frame_lines(frame)
     rows, _ = line_table(sigma)
     rng = random.Random(q)
     triples = [rng.sample(spread_lines, 3) if t % 2 else
@@ -717,7 +717,7 @@ def test_regulus_closure_witness_past_the_first_pair(frame7, c7, closure_oracle,
     the scalar closure.  Its Klein plane holds too few spread lines, so the
     row loop builds no regulus past it: one batch of 2 triples, from one
     row."""
-    pert, _ = perturb_spread_by_regulus(frame7.sigma, classical_spread(frame7))
+    pert, _ = perturb_spread_by_regulus(frame7.sigma, frame7.spread)
     others = sorted(pert.lines[~pert.is_axis()].tolist(), reverse=True)
     st = PipelineState(frame7, c7)
     st.spread = Spread(lines=np.array(others + [pert.lines[pert.axis].tolist()], dtype=np.int16),
@@ -813,7 +813,7 @@ def test_opposite_regulus_without_trace_line(closure_record, closure_oracle, kle
     C = build_C(frame, random_tangent_conic(frame, 3))
     _, state = full_pipeline(C, frame=frame)
     st = PipelineState(frame, C)
-    st.planes, st.spread = state.planes, classical_spread(frame)
+    st.planes, st.spread = state.planes, frame.spread
     expected = ("fail", "StructureViolation: opposite regulus contains 0 trace lines", {}, None)
     assert closure_record(st) == closure_oracle(st) == expected
     assert klein_code_rows == []
@@ -840,7 +840,7 @@ def test_three_space_and_klein_work_counts(frame7, conic7, c7, monkeypatch):
     assert run_stages(st, include={"infinity_data"})[0].verdict == "pass"
     assert calls["contains"] == 0
     calls.clear()
-    st.spread = classical_spread(frame7)
+    st.spread = frame7.spread
     rec = run_stages(st, include={"klein_regularity"})[0]
     assert rec.verdict == "pass" and rec.counts["cap"] == 1
     assert not calls
@@ -880,7 +880,7 @@ def test_kernel_work_counts(monkeypatch):
 def test_dual_regularity_oracles_agree(run7, frame7, c7):
     """Klein verdict equals regulus-closure verdict on every tested spread."""
     _, state = run7
-    spreads = [classical_spread(frame7), state.spread,
+    spreads = [frame7.spread, state.spread,
                perturb_spread_by_regulus(frame7.sigma, state.spread)[0]]
     for spread in spreads:
         st = PipelineState(frame7, c7)
@@ -915,7 +915,7 @@ def test_klein_section_matches_scalar_oracle(q):
     C = build_C(frame, random_tangent_conic(frame, 0 if q != 9 else 5))
     records, state = full_pipeline(C, frame=frame, exploratory=q < 7)
     assert records_by_name(records)["assemble_spread"].verdict == "pass"
-    spreads = {"reconstructed": state.spread, "classical": classical_spread(frame),
+    spreads = {"reconstructed": state.spread, "classical": frame.spread,
                "perturbed": perturb_spread_by_regulus(frame.sigma, state.spread)[0]}
     verdicts = {}
     for label, spread in spreads.items():
@@ -980,7 +980,7 @@ def test_corrupted_points_against_classical_spread(frame7, c7):
     bad = displace_point(frame7, c7, seed=2)
     st = PipelineState(frame7, bad)
     st._C_arr = points_array(st.C)
-    st.spread = classical_spread(frame7)
+    st.spread = frame7.spread
     st.regular = True
     recs = run_stages(st, include={"rebuild_arc"})
     assert recs[0].verdict == "fail"
@@ -1004,12 +1004,11 @@ def test_alignment_of_transformed_input(frame7, conic7, c7):
     by = records_by_name(records)
     assert all(r.verdict == "pass" for r in records)
     assert by["rebuild_arc"].counts["conic_fit"] == 1
-    classical = {l.rows for l in frame7.spread}
-    if state.spread.rows_set() != classical:
+    if state.spread.rows_set() != frame7.spread.rows_set():
         assert by["rebuild_arc"].counts["alignment_identity"] == 0
 
 
-def test_align_spreads_maps_line_sets(frame7):
+def test_align_spreads_maps_line_sets(frame7, frame_lines):
     f = frame7.base
     sigma = frame7.sigma
     rng = random.Random(8)
@@ -1022,11 +1021,10 @@ def test_align_spreads_maps_line_sets(frame7):
         rows, _ = rref(f, [tuple(f.dot(r, col) for col in zip(*M)) for r in line.rows])
         return Subspace(sigma, rows)
 
-    reg_lines = [Subspace(sigma, l.rows) for l in frame7.spread]
-    moved = [map_line(l) for l in reg_lines]
+    moved = [map_line(l) for l in frame_lines(frame7)]
     spread = Spread(lines=np.array([l.rows for l in moved], dtype=np.int16), axis=0)
-    A = align_spreads(sigma, spread, reg_lines)
-    tgt = {l.rows for l in reg_lines}
+    A = align_spreads(sigma, spread, frame7.spread)
+    tgt = frame7.spread.rows_set()
     for l in moved:
         rows, _ = rref(f, [tuple(f.dot(r, col) for col in zip(*A)) for r in l.rows])
         assert rows in tgt
