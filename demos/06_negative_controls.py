@@ -9,7 +9,6 @@ rebuild yields a three-point plane witness.
 from pgconics import (Field, QuadExtension, PipelineState, build_C, build_frame,
                       canonical_tangent_conic, displace_point, full_pipeline,
                       perturb_spread_by_regulus, run_stages)
-from pgconics.projgeom import points_array
 
 frame = build_frame(QuadExtension(Field(7)))
 conic = canonical_tangent_conic(frame)
@@ -25,14 +24,12 @@ for r in records:
 print("\n-- control 2: one regulus of the classical spread flipped --")
 spread, regulus = perturb_spread_by_regulus(frame.sigma, frame.spread)
 state = PipelineState(frame, C)
-state._C_arr = points_array(state.C)
 state.spread = spread
 for r in run_stages(state, include={"regulus_closure", "klein_regularity"}):
     print(f"  [{r.verdict}] {r.name}: {r.witness}")
 
 print("\n-- control 3: corrupted points against the classical spread --")
 state = PipelineState(frame, displace_point(frame, C, seed=2))
-state._C_arr = points_array(state.C)
 state.spread = frame.spread
 state.regular = True
 for r in run_stages(state, include={"rebuild_arc"}):

@@ -167,11 +167,15 @@ def build_config(args):
 def parse_c_dump(path, expect_q=None):
     """Read a point dump; returns (header dict, point tuples).
 
-    Raises ParseError with a line number for malformed content and
-    SizeMismatch when the point count or multiplicity is wrong.
+    Raises ParseError for text that is not UTF-8 and, with a line number,
+    for malformed content, and SizeMismatch when the point count or
+    multiplicity is wrong.
     """
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from None
     if not raw:
         raise ParseError("empty file", line=1)
     header = {}
@@ -361,14 +365,14 @@ def main(argv=None):
     try:
         config = build_config(args)
         code, report = run(config)
+        text = report.to_json() if config.fmt == "json" else report.to_text()
+        if config.out_path:
+            with open(config.out_path, "w") as fh:
+                fh.write(text + "\n")
     except (ConfigError, ParseError, SizeMismatch, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = report.to_json() if config.fmt == "json" else report.to_text()
-    if config.out_path:
-        with open(config.out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
+    if not config.out_path:
         print(text)
     return code
 

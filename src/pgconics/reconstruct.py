@@ -1118,16 +1118,6 @@ def stage_assemble_spread(state):
     }
 
 
-def _klein_plane_codes(f, pa, pi, pj):
-    """One code per Plucker point of pj (m, 6): the _point_codes of its
-    residue modulo the line <pa, pi>, 0 on that line.
-
-    Two points have the same code exactly when they span the same plane
-    with the line, since the residue is linear with the line as its kernel."""
-    basis, _ = rref(f, (pa.tolist(), pi.tolist()))
-    return _point_codes(f, reduce_rows_np(f, basis, pj))
-
-
 def _affine_leads(state, pa, plk):
     """The closure's leads read off the affine plane of Klein residues: (i,
     j) index arrays in lexicographic order, or None where the residues of
@@ -1152,58 +1142,6 @@ def _affine_leads(state, pa, plk):
     return members[order, 0], members[order, 1]
 
 
-def _row_leads(state, keys, pa, plk):
-    """The closure's leads found row by row from the Klein-plane codes, up
-    to one known to fail: (i, j) index arrays in lexicographic order.
-
-    For each row i with open pairs, the j > i whose P(j) have one residue
-    modulo the line <P(a), P(i)> lie on one plane with it; the first open j
-    of each such group is a lead, and a j of residue 0 (for skew a and i, a
-    repeat of i) is a group of its own.  A lead's regulus covers the pairs
-    inside its group, counting a repeated line only by its last copy, since
-    the pair-by-pair closure maps a regulus's line keys to last copies.  The
-    loop stops after a lead known to fail: one whose residue fewer than q-1
-    last copies share.
-
-    While every lead passes, the cover from codes is the cover from the
-    reguli's keys, as a regulus through three pairwise skew lines holds
-    exactly the spread lines whose Plucker points are on its plane.  A lead
-    that ends the loop does fail, so the leads after it cannot come first.
-    Were a, i and j pairwise skew with their regulus in the spread, j's
-    residue would not be 0, as <P(a), P(i)> meets the Klein quadric only in
-    P(a) and P(i), and the q-1 regulus lines besides a and i would be spread
-    lines of j's residue.
-    The cover from codes falls short only where a failure follows in the
-    same row: if a and i meet, row i's first open pair fails; if i has a
-    later copy, the pair of i and its last copy (residue 0, and never
-    covered, as i is not a last copy) fails as not skew.  (The pair-by-pair
-    closure may accept a regulus twice for an earlier copy of a repeated
-    line; the pair of copies then fails too, so those reguli are never
-    reported.)
-    """
-    q, f, n = state.q, state.base, len(plk)
-    last = np.zeros(n, dtype=bool)  # the copy of each line that a key names
-    last[n - 1 - np.unique(keys[::-1], return_index=True)[1]] = True
-    covered = np.zeros((n, n), dtype=bool)
-    leads = []
-    for i in range(n - 1):
-        todo = i + 1 + np.flatnonzero(~covered[i, i + 1:])
-        if not len(todo):
-            continue
-        codes = _klein_plane_codes(f, pa, plk[i], plk)
-        _, first = np.unique(codes[todo], return_index=True)
-        row = _distinct(np.concatenate((todo[first], todo[codes[todo] == 0])))
-        short = np.flatnonzero((codes[last][:, None] == codes[row]).sum(axis=0) < q - 1)
-        for j in row[:short[0] + 1 if len(short) else None].tolist():
-            leads.append((i, j))
-            if codes[j]:
-                group = i + 1 + np.flatnonzero((codes[i + 1:] == codes[j]) & last[i + 1:])
-                covered[group[:, None], group] = True
-        if len(short):
-            break
-    return np.array(leads, dtype=np.int64).reshape(-1, 2).T
-
-
 def stage_regulus_closure(state):
     """Greedy closure of the spread lines under the reguli through the axis.
 
@@ -1211,55 +1149,79 @@ def stage_regulus_closure(state):
     an accepted regulus must have its regulus with the axis in the spread,
     and that regulus is accepted.
 
-    The closure runs in two phases.  Under the Klein correspondence the
-    regulus through the axis a and skew lines i and j consists of the lines
-    whose Plucker points lie on the plane <P(a), P(i), P(j)> (Hirschfeld
-    1985).  Phase 1 settles the cover, and so the leads, from that alone.
-    Phase 2 builds the reguli of all leads in one batch and checks them in
-    lexicographic order: the first lead that is not skew, or whose regulus
-    leaves the spread, fails.
+    The stage checks leads, pairs in lexicographic order, in blocks of
+    q^2 + q, building the reguli of a block in one batch: the first lead
+    that is not skew, or whose regulus leaves the spread, fails.  The leads
+    are the group minima of the affine plane of Klein residues where
+    _affine_leads finds one, and every pair elsewhere.
 
-    Phase 1 reads the leads off one incidence.  The residues R_j of the
-    P(j) modulo P(a) must span a vector space W of rank 3; read at the
-    pivot columns of W's RREF they are points of the plane P(W), a PG(2,q).
-    Where they are q^2 distinct points and one line of P(W) holds none of
-    them, they are the affine plane of that line, and every other line
-    holds exactly q of them.  A Klein plane through P(a) and two spread
-    lines is the line of P(W) through their residues, so the C(q^2, 2)
-    pairs split into q^2 + q groups of C(q, 2), one per full line.  A lead
-    whose regulus passes covers exactly its group: its q non-axis lines are
-    spread lines on its Klein plane, which holds exactly q of them.  So the
-    pair-by-pair closure's leads are the group minima, in lexicographic
-    order, up to its first failing lead; that is the first failing group
-    minimum, phase 2's first bad lead.  Elsewhere, as on irregular spreads
-    and on spreads with dropped, inserted or repeated lines, _row_leads
-    finds the leads row by row, and stops early.
+    Every pair as a lead gives the pair-by-pair closure's result, as a
+    failing pair is never covered.  A covered pair (i, j) lies on an
+    accepted regulus R, and R passed.  The axis, i and j are three distinct
+    lines of R, so they are pairwise skew, and R is the only regulus through
+    them (Hirschfeld 1985).  So the pair passes.  Every failing pair is
+    therefore a lead, and the pair-by-pair closure stops exactly at the
+    first failing pair.  Where every pair is a lead and none fails, each
+    regulus is accepted at its first pair.
 
-    The result is that of the pair-by-pair closure: the leads it visits up
-    to its first failing one, and so its triple and message.
+    The affine leads.  Under the Klein correspondence the regulus through
+    the axis a and skew lines i and j consists of the lines whose Plucker
+    points lie on the plane <P(a), P(i), P(j)> (Hirschfeld 1985).  The
+    residues R_j of the P(j) modulo P(a) must span a vector space W of rank
+    3; read at the pivot columns of W's RREF they are points of the plane
+    P(W), a PG(2,q).  Where they are q^2 distinct points and one line of
+    P(W) holds none of them, they are the affine plane of that line, and
+    every other line holds exactly q of them.  A Klein plane through P(a)
+    and two spread lines is the line of P(W) through their residues, so the
+    C(q^2, 2) pairs split into q^2 + q groups of C(q, 2), one per full line.
+    A lead whose regulus passes covers exactly its group: its q non-axis
+    lines are spread lines on its Klein plane, which holds exactly q of
+    them.  So the pair-by-pair closure's leads are the group minima, in
+    lexicographic order, up to its first failing lead; that is the first
+    failing group minimum, and all q^2 + q of them are one block.
+
+    If no pair of q^2 lines fails, _affine_leads applies, so q^2 lines that
+    check every pair fail.  With no failing pair, the axis and the q^2
+    lines are pairwise skew, so together they are a spread.  Project its
+    Klein image from P(a): the residues miss the hyperplane P(a)^perp /
+    P(a).  The residues of each regulus through the axis form an affine
+    line of q points, and one such line passes through any two residues.
+    For q >= 3 a subset of AG(4,q) closed under lines is an affine
+    subspace, so the q^2 residues form an affine plane; at q = 2 every
+    spread of PG(3,2) is regular.  With fewer than two non-axis lines
+    (injected states only) there are no pairs, and the stage passes.
     """
     q, f, spread = state.q, state.base, state.spread
     bases = spread.lines[~spread.is_axis()]
     n = len(bases)
     axis_rows = spread.lines[[spread.axis]]
-    keys = _line_key_np(f, bases)
+    spread_keys = _line_key_np(f, spread.lines)
     pa = _plucker_np(f, axis_rows[0, 0], axis_rows[0, 1])
-    plk = _plucker_np(f, bases[:, 0], bases[:, 1])
-    leads = _affine_leads(state, pa, plk)
-    li, lj = _row_leads(state, keys, pa, plk) if leads is None else leads
-    batch = _regulus_batch(f, axis_rows, bases[li], bases[lj])
-    leaves = ~_isin(batch.keys, np.append(keys, _line_key_np(f, axis_rows))).all(axis=1)
-    bad = np.flatnonzero(batch.failed.astype(bool) | leaves)
-    if len(bad):
-        t = bad[0]
-        i, j = int(li[t]), int(lj[t])
-        if batch.failed[t]:
-            raise _regulus_failure(batch.failed[t], (axis_rows[0], bases[i], bases[j]))
-        raise ClosureViolation(
-            f"regulus through pair ({i},{j}) leaves the spread",
-            witness=_rows_text(bases[i]) + " | " + _rows_text(bases[j]))
-    # each regulus as its spanning pairs (2, q+1, 2, 4), lines then opposite
+    leads = _affine_leads(state, pa, _plucker_np(f, bases[:, 0], bases[:, 1]))
+    li, lj = np.triu_indices(n, 1) if leads is None else leads
+    step = q * q + q
+    for lo in range(0, max(len(li), 1), step):  # one empty block where there are no pairs
+        batch = _regulus_batch(f, axis_rows, bases[li[lo:lo + step]], bases[lj[lo:lo + step]])
+        leaves = ~_isin(batch.keys, spread_keys).all(axis=1)
+        bad = np.flatnonzero(batch.failed.astype(bool) | leaves)
+        if len(bad):
+            t = bad[0]
+            i, j = int(li[lo + t]), int(lj[lo + t])
+            if batch.failed[t]:
+                raise _regulus_failure(batch.failed[t], (axis_rows[0], bases[i], bases[j]))
+            raise ClosureViolation(
+                f"regulus through pair ({i},{j}) leaves the spread",
+                witness=_rows_text(bases[i]) + " | " + _rows_text(bases[j]))
+    # A pass checks one block: the q^2 + q affine leads, or every pair of
+    # fewer than q^2 lines (more are not pairwise skew).  Those lines are
+    # closed under the reguli through the axis, so their residues form an
+    # affine point or line (q >= 3): at most C(q, 2) < q^2 + q pairs.  At
+    # q = 2 they are at most 3 lines.  Each regulus is held as its spanning
+    # pairs (2, q+1, 2, 4), lines then opposite.
     reguli = batch.spans.astype(np.int16)
+    if leads is None:  # every pair passed; a regulus is accepted at its first
+        first = np.unique(np.sort(batch.keys, axis=1), axis=0, return_index=True)[1]
+        reguli = reguli[np.sort(first)]
     if state.planes:
         hits = _isin(_line_key_np(f, reguli[:, 1]),
                      _line_key_np(f, state.planes.traces)).sum(axis=1)

@@ -16,7 +16,7 @@ from pgconics.bruckbose import (build_C, canonical_tangent_conic,
                                 random_tangent_conic, verify_lemma1)
 from pgconics.cli import main
 from pgconics.conics import complete_q_arc, complete_q_arc_by_secants, QuadraticForm
-from pgconics.projgeom import ProjectiveSpace, points_array
+from pgconics.projgeom import ProjectiveSpace
 from pgconics.reconstruct import (PipelineState, full_pipeline, make_frame,
                                   perturb_spread_by_regulus, run_stages)
 
@@ -188,7 +188,6 @@ def test_criterion_6_dual_oracle_agreement():
         ]
         for label, spread in spreads:
             st = PipelineState(frame, C)
-            st._C_arr = points_array(st.C)
             st.spread = spread
             recs = by_name(run_stages(st, include={"regulus_closure",
                                                    "klein_regularity"}))

@@ -265,6 +265,36 @@ def test_zero_vector_dump_line_is_not_affine(tmp_path, capsys):
     assert "line 2: not affine (last coordinate is 0)" in captured.err
 
 
+def test_dump_that_is_not_utf8_exit_2(tmp_path, capsys):
+    """A dump that does not decode as UTF-8 is bad input: exit 2, the
+    message on stderr, nothing on stdout."""
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"q=7 poly=0,1 seed=0\n\xff\xfe0,0,0,0,1\n")
+    code = main(["reconstruct", "--q", "7", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: not UTF-8 text: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("via_outdir", [False, True])
+def test_report_into_a_missing_directory_exit_2(tmp_path, capsys, monkeypatch, via_outdir):
+    """A report that cannot be written, into a directory that does not
+    exist, given by --out or by PGCONICS_OUTDIR: exit 2, the message on
+    stderr, nothing on stdout."""
+    missing = tmp_path / "missing"
+    if via_outdir:
+        monkeypatch.setenv("PGCONICS_OUTDIR", str(missing))
+        out = "report.json"
+    else:
+        out = str(missing / "report.json")
+    code = main(["roundtrip", "--q", "7", "--stages", "axioms", "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and str(missing) in captured.err
+    assert not missing.exists()
+
+
 def test_parse_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     write_dump(path, ["hello", "0,0,0,0,1"])

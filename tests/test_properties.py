@@ -115,12 +115,17 @@ def command_lines(draw):
 @example(["roundtrip", "--q", "5", "--exploratory", "--stages", ",".join(STAGES[:3])])
 @example(["negative-control", "--q", "7", "--control", "perturbed-spread"])
 @example(["roundtrip", "--p", "3", "--k", "-1", "--exploratory"])
+@example(["reconstruct", "--q", "7", "--in", "BINARY"])  # a dump that is not UTF-8
+@example(["roundtrip", "--q", "7", "--out", "MISSING/report.json"])
 def test_main_exit_code_on_random_command_lines(argv):
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.dict(os.environ, {"PGCONICS_OUTDIR": tmp}):
         for q in (5, 7):
             write_dump(os.path.join(tmp, f"DUMP{q}"), dump_lines(q))
-        argv = [os.path.join(tmp, a) if a in ("DUMP5", "DUMP7", "MISSING") else a
+        with open(os.path.join(tmp, "BINARY"), "wb") as fh:
+            fh.write(b"\xff\xfe" + "\n".join(dump_lines(7)).encode())
+        argv = [os.path.join(tmp, a) if a in ("DUMP5", "DUMP7", "MISSING", "BINARY",
+                                              "MISSING/report.json") else a
                 for a in argv]
         assert_contract(*run_main(argv))
 
@@ -267,11 +272,10 @@ def closure_base(q):
        st.sampled_from(["shuffled", "perturbed", "meeting", "repeated"]),
        st.integers(0, 10 ** 4), st.integers(0, 10 ** 4), st.randoms(use_true_random=False))
 def test_pruned_closure_matches_unpruned(closure_record, closure_oracle, q, kind, a, b, rng):
-    """Building only the first pair of each Klein plane of a row, all in one
-    batch, changes no record: corrupted spreads fail at the same pair with
-    the same witness as the pair-by-pair closure, and shuffled ones accept
-    the same reguli.  A meeting line and a repeated line put residue-0
-    pairs into rows."""
+    """Building only the leads, in blocks of q^2 + q, changes no record:
+    corrupted spreads fail at the same pair with the same witness as the
+    pair-by-pair closure, and shuffled ones accept the same reguli.  A
+    meeting line and a repeated line make every pair a lead."""
     frame, C, base = closure_base(q)
     state = reconstruct.PipelineState(frame, C, exploratory=q < 7)
     state.planes, state.spread = base.planes, base.spread

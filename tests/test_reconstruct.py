@@ -538,7 +538,6 @@ def test_klein_rejects_hall_perturbation(run7, frame7, c7):
     _, state = run7
     pert, reg = perturb_spread_by_regulus(frame7.sigma, state.spread)
     st = PipelineState(frame7, c7)
-    st._C_arr = points_array(st.C)
     st.spread = pert
     recs = run_stages(st, include={"regulus_closure", "klein_regularity"})
     # the reconstructed spread lists its lines in another order than the
@@ -564,14 +563,20 @@ def test_klein_rejects_hall_perturbation_witnesses(q):
 
 
 @pytest.fixture
-def klein_code_rows(monkeypatch):
-    """The rows of the closure's row loop, one entry per _klein_plane_codes
-    call: empty where the affine plane of Klein residues settled the cover."""
-    rows = []
-    codes = reconstruct._klein_plane_codes
-    monkeypatch.setattr(reconstruct, "_klein_plane_codes",
-                        lambda f, pa, pi, pj: rows.append(pi) or codes(f, pa, pi, pj))
-    return rows
+def lead_fallbacks(monkeypatch):
+    """The closure's fallbacks to every pair as a lead, one entry per
+    _affine_leads call that returns None: empty where the affine plane of
+    Klein residues gave the leads."""
+    fallbacks = []
+    leads = reconstruct._affine_leads
+
+    def recorded(state, pa, plk):
+        out = leads(state, pa, plk)
+        if out is None:
+            fallbacks.append(len(plk))
+        return out
+    monkeypatch.setattr(reconstruct, "_affine_leads", recorded)
+    return fallbacks
 
 
 # conic seeds per q: the canonical conic (0) and non-canonical ones
@@ -579,10 +584,10 @@ CLOSURE_SEEDS = {5: (0, 2), 7: (0, 3), 9: (5, 1), 11: (1,)}
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 11])
-def test_regulus_closure_matches_scalar_oracle(closure_record, closure_oracle, klein_code_rows, q):
+def test_regulus_closure_matches_scalar_oracle(closure_record, closure_oracle, lead_fallbacks, q):
     """On passed states and on their spreads in shuffled line orders, the
-    closure settles its cover from the affine plane of Klein residues, with
-    no row of the row loop, and matches the pair-by-pair closure."""
+    closure reads its leads off the affine plane of Klein residues, with no
+    fallback to every pair, and matches the pair-by-pair closure."""
     frame = make_frame(q)
     n = q * q
     for seed in CLOSURE_SEEDS[q]:
@@ -606,11 +611,11 @@ def test_regulus_closure_matches_scalar_oracle(closure_record, closure_oracle, k
             record = closure_record(st)
             assert record[0] == "pass"
             assert record == closure_oracle(st)
-    assert klein_code_rows == []
+    assert lead_fallbacks == []
 
 
 @pytest.mark.parametrize("q, seed, map_seed", [(7, 2, 0), (9, 4, 1)])
-def test_regulus_closure_of_a_mapped_spread(closure_record, closure_oracle, klein_code_rows,
+def test_regulus_closure_of_a_mapped_spread(closure_record, closure_oracle, lead_fallbacks,
                                             q, seed, map_seed):
     """A passed state's spread and trace lines mapped by x -> xA, the action
     at infinity of the collineation x -> x [[A, 0], [t, 1]] of PG(4,q), are
@@ -636,12 +641,12 @@ def test_regulus_closure_of_a_mapped_spread(closure_record, closure_oracle, klei
     expected = closure_oracle(st)
     assert expected[0] == "pass"
     assert closure_record(st) == expected
-    assert klein_code_rows == []
+    assert lead_fallbacks == []
 
 
 @pytest.mark.parametrize("q", [5, 7])
 def test_regulus_closure_fails_on_the_affine_plane(closure_record, closure_oracle,
-                                                   klein_code_rows, monkeypatch, q):
+                                                   lead_fallbacks, monkeypatch, q):
     """The q^2 lines <(1,x,0,0), (0,0,1,y)> meet the axis <(0,1,0,0),
     (0,0,0,1)> in no point, and their Klein residues are an affine plane:
     the Klein points lie on the hyperbolic quadric of the lines meeting
@@ -665,7 +670,7 @@ def test_regulus_closure_fails_on_the_affine_plane(closure_record, closure_oracl
         return batches[-1][1]
     monkeypatch.setattr(reconstruct, "_regulus_batch", recorded)
     assert closure_record(st) == expected
-    assert klein_code_rows == []
+    assert lead_fallbacks == []
     # leads (0, 1), the diagonal, then (0, q), the lines with x = 0
     (ends, out), = batches
     assert len(ends) == q * q + q
@@ -709,14 +714,14 @@ def test_regulus_from_matches_scalar_oracle(reguli_rows, scalar_regulus_from, fr
     assert outcomes["regulus"] >= 40 and outcomes["not skew"] >= 40
 
 
-def test_regulus_closure_witness_past_the_first_pair(frame7, c7, closure_oracle, klein_code_rows,
+def test_regulus_closure_witness_past_the_first_pair(frame7, c7, closure_oracle, lead_fallbacks,
                                                      monkeypatch):
     """The Hall-perturbed classical spread, lines in descending order: the
     regulus of pair (0, 1) lies in the spread and covers other pairs of row
     0, and pair (0, 7) is the first whose regulus leaves it.  Captured with
-    the scalar closure.  Its Klein plane holds too few spread lines, so the
-    row loop builds no regulus past it: one batch of 2 triples, from one
-    row."""
+    the scalar closure.  The residues are no affine plane, so every pair
+    is a lead, and the first block of q^2 + q = 56 pairs holds it: one batch
+    of 56 triples."""
     pert, _ = perturb_spread_by_regulus(frame7.sigma, frame7.spread)
     others = sorted(pert.lines[~pert.is_axis()].tolist(), reverse=True)
     st = PipelineState(frame7, c7)
@@ -727,19 +732,20 @@ def test_regulus_closure_witness_past_the_first_pair(frame7, c7, closure_oracle,
     monkeypatch.setattr(reconstruct, "_regulus_batch",
                         lambda f, l1, l2, l3: triples.append(len(l3)) or batch(f, l1, l2, l3))
     rec = run_stages(st, include={"regulus_closure"})[0]
-    assert triples == [2] and len(klein_code_rows) == 1
+    assert triples == [56] and lead_fallbacks == [49]
     assert (rec.verdict, rec.witness) == (
         "fail", "ClosureViolation: regulus through pair (0,7) leaves the spread "
                 "[1,0,6,6;0,1,4,6 | 1,0,5,6;0,1,6,3]")
     assert closure_oracle(st)[:2] == (rec.verdict, rec.witness)
 
 
-def test_regulus_closure_stops_at_a_short_plane(frame7, c7, run7, closure_oracle, klein_code_rows,
+def test_regulus_closure_stops_at_a_short_plane(frame7, c7, run7, closure_oracle, lead_fallbacks,
                                                  monkeypatch):
     """With line 20 dropped from the canonical q = 7 spread, the Klein plane
     of pair (0, 19) holds q - 2 spread lines besides the axis and line 0.
-    Its regulus leaves the spread, and the row loop builds none past it: one
-    batch of the 4 leads of row 0 up to it."""
+    Its regulus leaves the spread.  The 48 residues are no affine plane, so
+    every pair is a lead, and the first block of q^2 + q = 56 pairs holds
+    it: one batch of 56 triples."""
     spread = run7[1].spread
     lines = spread.lines[~spread.is_axis()]
     st = PipelineState(frame7, c7)
@@ -751,18 +757,18 @@ def test_regulus_closure_stops_at_a_short_plane(frame7, c7, run7, closure_oracle
     monkeypatch.setattr(reconstruct, "_regulus_batch",
                         lambda f, l1, l2, l3: triples.append(len(l3)) or batch(f, l1, l2, l3))
     rec = run_stages(st, include={"regulus_closure"})[0]
-    assert triples == [4] and len(klein_code_rows) == 1
+    assert triples == [56] and lead_fallbacks == [48]
     assert (rec.verdict, rec.witness) == closure_oracle(st)[:2] == (
         "fail", "ClosureViolation: regulus through pair (0,19) leaves the spread "
                 "[1,0,0,0;0,1,0,0 | 1,0,5,3;0,1,2,5]")
 
 
 def test_regulus_closure_not_skew_before_leaving(frame7, c7, run7, closure_record,
-                                                 closure_oracle, klein_code_rows, monkeypatch):
+                                                 closure_oracle, lead_fallbacks, monkeypatch):
     """A lead whose lines meet fails as not skew, whatever keys the batch
     computes for it: with those keys moved into the spread, the record is
     unchanged.  A line through a point of the axis is inserted into the
-    canonical q = 7 spread as line 3, and the row loop finds the leads."""
+    canonical q = 7 spread as line 3, and every pair is a lead."""
     spread = run7[1].spread
     axis = spread.lines[spread.axis].tolist()
     lines = spread.lines[~spread.is_axis()].tolist()
@@ -782,15 +788,15 @@ def test_regulus_closure_not_skew_before_leaving(frame7, c7, run7, closure_recor
         return out
     monkeypatch.setattr(reconstruct, "_regulus_batch", keys_in_spread)
     assert closure_record(st) == expected
-    assert len(klein_code_rows) == 1
+    assert len(lead_fallbacks) == 1
 
 
-def test_regulus_closure_repeated_line_takes_the_row_loop(run7, closure_record, closure_oracle,
-                                                          klein_code_rows):
+def test_regulus_closure_repeated_line_checks_every_pair(run7, closure_record, closure_oracle,
+                                                         lead_fallbacks):
     """With line 30 of the canonical q = 7 spread replaced by a copy of line
     5, the q^2 Klein residues miss one line of P(W), as an affine plane's
     do, but hold one point twice and miss another, so they are not an
-    affine plane and the row loop finds the leads."""
+    affine plane and every pair is a lead."""
     spread = run7[1].spread
     lines = spread.lines[~spread.is_axis()].copy()
     lines[30] = lines[5]
@@ -801,10 +807,66 @@ def test_regulus_closure_repeated_line_takes_the_row_loop(run7, closure_record, 
     expected = closure_oracle(st)
     assert expected[0] == "fail"
     assert closure_record(st) == expected
-    assert klein_code_rows
+    assert lead_fallbacks
 
 
-def test_opposite_regulus_without_trace_line(closure_record, closure_oracle, klein_code_rows):
+def test_regulus_closure_fails_at_the_last_pair(frame7, closure_record, closure_oracle,
+                                                lead_fallbacks, monkeypatch):
+    """The classical q = 7 spread with a copy of its last line appended:
+    the copy and the line it repeats are the only failing pair, the last of
+    C(50, 2) = 1225.  The residues are no affine plane, so every pair is a
+    lead, checked in 22 blocks of at most q^2 + q = 56."""
+    spread = frame7.spread
+    lines = spread.lines[~spread.is_axis()]
+    st = PipelineState(frame7, None)
+    st.spread = Spread(lines=np.concatenate((lines, lines[-1:], spread.lines[[spread.axis]])),
+                       axis=len(lines) + 1)
+    expected = closure_oracle(st)
+    assert expected[:2] == ("fail", "NotSkew: lines are not pairwise skew: "
+                                    "1,0,6,6;0,1,4,6 / 1,0,6,6;0,1,4,6")
+    triples = []
+    batch = reconstruct._regulus_batch
+    monkeypatch.setattr(reconstruct, "_regulus_batch",
+                        lambda f, l1, l2, l3: triples.append(len(l3)) or batch(f, l1, l2, l3))
+    assert closure_record(st) == expected
+    assert lead_fallbacks == [50] and triples == [56] * 21 + [49]
+
+
+def test_regulus_closure_of_one_regulus(run7, closure_record, closure_oracle, lead_fallbacks):
+    """The axis and the other q lines of one regulus through it, an injected
+    state: closed under the reguli through the axis, but no affine plane.
+    Every pair is a lead and passes, and the closure accepts the one regulus
+    once, at its first pair, as the pair-by-pair closure does."""
+    state = run7[1]
+    axis = tuple(map(tuple, state.spread.lines[state.spread.axis].tolist()))
+    regulus = reconstruct._reguli(state.sigma, state.reguli[:1])[0]
+    lines = [l.rows for l in regulus.lines if l.rows != axis]
+    st = PipelineState(state.frame, state.C)
+    st.planes = state.planes
+    st.spread = Spread(lines=np.array(lines + [axis], dtype=np.int16), axis=len(lines))
+    record, expected = closure_record(st), closure_oracle(st)
+    assert record[0] == expected[0] == "pass" and lead_fallbacks == [7]
+    assert record[3] == expected[3] and len(record[3]) == 1
+    assert record[2] == {"pairs": 21, "passes": 21, "distinct_reguli": 56,
+                         "opposites_with_one_trace_line": 1}
+
+
+def test_regulus_closure_at_q2_reads_the_affine_plane(closure_record, closure_oracle,
+                                                      lead_fallbacks):
+    """Every spread of PG(3,2) is regular, so at q = 2 (exploratory) the
+    frame spread and its Hall perturbation both pass with leads read off the
+    affine plane of Klein residues: the edge case of the argument that a
+    spread of q^2 lines with no failing pair never checks every pair."""
+    frame = make_frame(2)
+    for spread in (frame.spread, perturb_spread_by_regulus(frame.sigma, frame.spread)[0]):
+        st = PipelineState(frame, None, exploratory=True)
+        st.spread = spread
+        record = closure_record(st)
+        assert record[0] == "pass" and record == closure_oracle(st)
+    assert lead_fallbacks == []
+
+
+def test_opposite_regulus_without_trace_line(closure_record, closure_oracle, lead_fallbacks):
     """The classical spread is regular, so its closure is built from the
     affine plane of Klein residues; but against the trace lines of the
     seed-3 conic at q = 7, whose spread it is not, an opposite regulus holds
@@ -816,7 +878,7 @@ def test_opposite_regulus_without_trace_line(closure_record, closure_oracle, kle
     st.planes, st.spread = state.planes, frame.spread
     expected = ("fail", "StructureViolation: opposite regulus contains 0 trace lines", {}, None)
     assert closure_record(st) == closure_oracle(st) == expected
-    assert klein_code_rows == []
+    assert lead_fallbacks == []
 
 
 def test_three_space_and_klein_work_counts(frame7, conic7, c7, monkeypatch):
@@ -884,7 +946,6 @@ def test_dual_regularity_oracles_agree(run7, frame7, c7):
                perturb_spread_by_regulus(frame7.sigma, state.spread)[0]]
     for spread in spreads:
         st = PipelineState(frame7, c7)
-        st._C_arr = points_array(st.C)
         st.spread = spread
         recs = run_stages(st, include={"regulus_closure", "klein_regularity"})
         by = records_by_name(recs)
@@ -979,7 +1040,6 @@ def test_repeated_point_fails_axioms(frame7, c7):
 def test_corrupted_points_against_classical_spread(frame7, c7):
     bad = displace_point(frame7, c7, seed=2)
     st = PipelineState(frame7, bad)
-    st._C_arr = points_array(st.C)
     st.spread = frame7.spread
     st.regular = True
     recs = run_stages(st, include={"rebuild_arc"})
@@ -1410,8 +1470,6 @@ def test_pass_path_makes_no_scan(frame7, c7, monkeypatch):
     conic_through_5 once (rebuild_arc's fit), and builds one regulus per
     Klein plane, all in one batch: q^2 + q = 56 triples, not the 336 of one
     per open pair.
-    The closure's leads come from the affine plane of Klein residues, with
-    no Klein-plane codes of the row loop.
     It packs T once and sweeps the 2850 lines of PG(3,7) once, then the
     axis (t_infinity) and the 50 spread lines (rebuild_arc).  It row-reduces
     219 stacks: 56 swept plane bases (axioms), 56 conic fits, 56 trace
@@ -1419,7 +1477,7 @@ def test_pass_path_makes_no_scan(frame7, c7, monkeypatch):
     section; infinity_data's 364 plane pairs are read off one product with
     the plane duals instead.  A displaced point sends axioms to the scan."""
     from pgconics import conics, projgeom
-    calls = collections.Counter({"Klein-plane codes": 0})
+    calls = collections.Counter()
 
     def counting(name, fn, weight=lambda *args: 1):
         def counted(*args, **kwargs):
@@ -1441,13 +1499,10 @@ def test_pass_path_makes_no_scan(frame7, c7, monkeypatch):
     monkeypatch.setattr(table, "levels", counting(
         "lines swept", table.levels, lambda self, ids: len(ids)))
     monkeypatch.setattr(table, "_pack", counting("packs", table._pack))
-    monkeypatch.setattr(reconstruct, "_klein_plane_codes",
-                        counting("Klein-plane codes", reconstruct._klein_plane_codes))
     records, _ = full_pipeline(c7, frame=frame7)
     assert [r.verdict for r in records] == ["pass"] * len(records)
     assert calls == {"conic_through_5": 1, "regulus batches": 1, "triples": 56,
-                     "lines swept": 2850 + 1 + 50, "packs": 1, "rref_np stacks": 219,
-                     "Klein-plane codes": 0}
+                     "lines swept": 2850 + 1 + 50, "packs": 1, "rref_np stacks": 219}
     records, _ = full_pipeline(displace_point(frame7, c7, seed=0), frame=frame7)
     assert records[0].verdict == "fail"
     assert calls["scan_heavy_planes"] >= 1
