@@ -43,7 +43,11 @@ class Spread:
 
 
 class BruckBoseFrame:
-    """Shared coordinate dictionary: PG(2,q^2), PG(4,q), sigma = PG(3,q), spread."""
+    """Shared coordinate dictionary: PG(2,q^2), PG(4,q), sigma = PG(3,q), spread.
+
+    Also PG(2,q) and PG(5,q), whose point tables the pipeline reads.  Each
+    space builds its tables on first use and keeps them, so a frame that
+    serves many calls builds them once."""
 
     def __init__(self, ext):
         self.ext = ext
@@ -52,6 +56,8 @@ class BruckBoseFrame:
         self.plane = ProjectiveSpace(2, ext.ext)
         self.space4 = ProjectiveSpace(4, ext.base)
         self.sigma = ProjectiveSpace(3, ext.base)
+        self.plane2 = ProjectiveSpace(2, ext.base)  # plane coordinates of PG(4,q)'s planes
+        self.space5 = ProjectiveSpace(5, ext.base)  # the Klein quadric's space
         self.l_inf = Subspace(self.plane, ((1, 0, 0), (0, 1, 0)))
         self._build_spread()
         self._verify()
@@ -238,9 +244,8 @@ def baer_subplane_through(frame, quadrangle):
     if 0 in lam:
         raise ValueError("quadrangle is degenerate")
     g = tuple(tuple(E.mul(lam[i], x) for x in m[i]) for i in range(3))
-    sub = frame.base
     out = set()
-    for pt in ProjectiveSpace(2, sub).points():
+    for pt in frame.plane2.points():
         img = tuple(E.dot(pt, col) for col in zip(*g))
         out.add(plane.normalize(img))
     return frozenset(out)

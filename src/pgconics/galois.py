@@ -28,6 +28,8 @@ GF(q) codes.  The embedded copy of GF(q) is therefore exactly the codes
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -91,11 +93,13 @@ def is_irreducible(modulus, p):
     return bool((mul[1:, 1:] != 0).all())
 
 
+@functools.cache
 def default_modulus(p, k):
     """Lexicographically least monic irreducible of degree k over GF(p).
 
     "Least" by the base-p integer encoding of the non-leading coefficients,
-    so the choice is deterministic across runs.
+    so the choice is deterministic across runs.  Memoized: each test of a
+    candidate builds the tables of GF(p)[x]/(candidate).
     """
     for code in range(p ** k):
         cand = [code // p ** i % p for i in range(k)] + [1]
@@ -106,7 +110,12 @@ def default_modulus(p, k):
 
 def check_modulus(p, k, modulus):
     """The modulus reduced mod p; ValueError unless it is monic irreducible of degree k."""
-    modulus = tuple(int(c) % p for c in modulus)
+    return _checked_modulus(p, k, tuple(int(c) % p for c in modulus))
+
+
+@functools.lru_cache(maxsize=64)
+def _checked_modulus(p, k, modulus):
+    """check_modulus on a reduced tuple, memoized like default_modulus."""
     if len(modulus) != k + 1 or modulus[-1] != 1:
         raise ValueError(f"modulus must be monic of degree {k}")
     if not is_irreducible(modulus, p):
@@ -148,7 +157,9 @@ class Field:
     def _finish_tables(self, add, mul):
         """Store the add and mul tables and derive neg, inv and sub, all
         int16 arrays; then the int32 digits (q, k) and regular representation
-        (q, k, k), rep_np[x] @ digits_np[y] = digits_np[x * y] mod p."""
+        (q, k, k), rep_np[x] @ digits_np[y] = digits_np[x * y] mod p.  Every
+        table is read-only: a frame, and so its fields, serves every call
+        for its field in a process."""
         dtype = np.int16
         self.add_np = np.asarray(add, dtype=dtype)
         self.mul_np = np.asarray(mul, dtype=dtype)
@@ -159,6 +170,9 @@ class Field:
         self.digits_np = (np.arange(self.q)[:, None] // powers % self.p).astype(np.int32)
         # column j of rep_np[x]: the digits of x times the j-th basis element
         self.rep_np = self.digits_np[self.mul_np[:, powers]].transpose(0, 2, 1)
+        for table in (self.add_np, self.mul_np, self.neg_np, self.inv_np, self.sub_np,
+                      self.digits_np, self.rep_np):
+            table.flags.writeable = False
 
     # -- scalar operations ---------------------------------------------------
 

@@ -107,6 +107,7 @@ class ProjectiveSpace:
         self.field = field
         self._points = None
         self._points_np = None
+        self._line_tables = None
 
     @property
     def npoints(self):
@@ -124,9 +125,9 @@ class ProjectiveSpace:
         raise ValueError("zero vector is not a projective point")
 
     def points(self):
-        """Every point as a tuple, in points_np() order."""
+        """Every point as a tuple, in points_np() order, in one shared tuple."""
         if self._points is None:
-            self._points = list(map(tuple, self.points_np().tolist()))
+            self._points = tuple(map(tuple, self.points_np().tolist()))
         return self._points
 
     def points_np(self):
@@ -203,6 +204,44 @@ class ProjectiveSpace:
                 block = np.concatenate((ids, np.broadcast_to(last, (1,) + ids.shape[1:])))
                 yield lo, block.reshape(q + 1, -1)
                 lo += block[0].size
+
+    def line_runs(self, size):
+        """The point ids of every line of PG(3,q), size lines at a time, in
+        subspaces(1) order: (start, columns), where columns[t] (k,) holds
+        point t, in Subspace.points() order, of lines start .. start + k - 1.
+
+        The q^4 lines with pivots (0, 1) come first, those with r0 = (1, 0,
+        a, b) and r1 = (0, 1, c, d) at position ((a q + b) q + c) q + d.
+        Their point t < q, r0 + t r1, has the id U[t, a, c] + V[t, b, d]
+        (point_ids), U = t q^2 + q (a + t c) and V = b + t d, and their
+        point q, r1, the id q^3 + c q + d.  So a run's column t is one
+        broadcast add over the rows (a, b) it meets, cut to the run.  The
+        ids of the other lines are held, as int32 (q+1, lines).  Both are
+        built on the first call and kept with the space.
+        """
+        if self.n != 3:
+            raise ValueError("line runs are of PG(3,q)")
+        q, head = self.field.q, self.field.q ** 4
+        if self._line_tables is None:
+            f, t, x, y = self.field, *np.ix_(*[range(q)] * 3)
+            V = f.add_np[x, f.mul_np[t, y]].astype(np.intp)
+            U = t * q * q + q * V
+            rest = np.arange(head, gaussian_binomial(4, 2, q))
+            held = np.ascontiguousarray(
+                self.line_point_ids(self.subspace_rows(1, rest)).T, dtype=np.int32)
+            for table in (U, V, held):
+                table.flags.writeable = False
+            self._line_tables = U, V, held
+        U, V, held = self._line_tables
+        for lo in range(0, head, size):
+            hi = min(lo + size, head)
+            a, b = np.divmod(np.arange(lo // (q * q), -(-hi // (q * q))), q)  # the rows met
+            cut = slice(lo % (q * q), lo % (q * q) + hi - lo)
+            u, v = U[:, a, :, None], V[:, b, None, :]
+            yield lo, [(u[t] + v[t]).reshape(-1)[cut] for t in range(q)] + \
+                [q ** 3 + np.arange(lo, hi) % (q * q)]
+        for lo in range(0, held.shape[1], size):
+            yield head + lo, list(held[:, lo:lo + size])
 
     def subspace_rows(self, d, index):
         """The RREF bases (m, d+1, n+1) int16 of the d-dimensional subspaces

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .galois import Field, QuadExtension
-from .projgeom import (HEAVY, HeavyPlaneScan, ProjectiveSpace, Subspace, group_rows,
+from .galois import Field, QuadExtension, check_modulus, default_modulus
+from .projgeom import (HEAVY, HeavyPlaneScan, Subspace, group_rows,
                        line_points_np, mat_mul, matmul_np, matrix_inverse,
                        normalize_rows_np, nullspace, points_array, reduce_rows_np, rref,
                        rref_np, scan_heavy_planes, span)
@@ -167,7 +167,7 @@ class PipelineState:
         self.q = frame.q
         self.space4 = frame.space4
         self.sigma = frame.sigma
-        self.plane2 = ProjectiveSpace(2, frame.base)
+        self.plane2 = frame.plane2
         self.C = tuple(sorted(frame.space4.normalize(p) for p in C)) if C else None
         self._C_arr = points_array(self.C) if self.C else None
         self.conic = conic
@@ -214,21 +214,22 @@ class DirectionTable:
     (what uniqueness asks of every line outside the spread), and level 4
     that a plane through l carries HEAVY or more, one of axiom 1's planes.
     The sweep packs T once, as unit planes T >= u (u up to the cap) in bits
-    over the input points, presets one threshold counter per level from
-    repeats, and adds each line point's unit planes one saturating
-    increment at a time.  A 0/1 table without repeats has one unit plane
-    and presets of zero.
+    over the input points.  Each point's count on <l, a> is a 3-bit binary
+    counter held in bit planes s0, s1 and s2, preset from repeats capped at
+    LEVELS; each line point adds its unit planes one increment at a time,
+    and s2, once set, stays set, so the counter saturates at LEVELS.  A 0/1
+    table without repeats has one unit plane and presets of zero.
 
     line_levels() reads the levels of every line of sigma off one sweep,
-    run by run as _line_runs() joins and splits sigma.line_blocks() to
-    WORDS words per counter and at most LINES lines.  The sweep also keeps
-    the (line, point) entries at the cap for heavy() and the lines of level
-    0 or 1 for low(), which assemble_spread and uniqueness read instead of
-    every line.  heavy() answers only when T is 0/1 and no point repeats,
-    as axiom 1 requires (T >= 2 means three collinear points); it returns
-    None otherwise, without sweeping.  Such an input fails axiom 1, and the
-    scan, which names the collinear triple, needs no sweep of every line
-    first.
+    run by run as sigma.line_runs() gives the lines' point ids, column by
+    column, to WORDS words per bit plane and at most LINES lines.  The
+    sweep also keeps the (line, point) entries at the cap for heavy() and
+    the lines of level 0 or 1 for low(), which assemble_spread and
+    uniqueness read instead of every line.  heavy() answers only when T is
+    0/1 and no point repeats, as axiom 1 requires (T >= 2 means three
+    collinear points); it returns None otherwise, without sweeping.  Such
+    an input fails axiom 1, and the scan, which names the collinear triple,
+    needs no sweep of every line first.
     """
 
     LEVELS = HEAVY - 1
@@ -268,27 +269,39 @@ class DirectionTable:
             sums += flat.take(col[:, None] * n + points)
         return sums
 
-    def levels(self, ids):
-        """The levels of the lines with point ids ids (k, q+1), int8, and their
-        entries at the cap: (lines, points), each row index l and input point
-        a whose plane <l, a> carries HEAVY or more input points, in (l, a)
-        order.  Counter k holds the points with more than k other points on
-        the plane, and a unit plane x of a line point sets it where counter
-        k-1 and x are both set.  The working memory is 2 LEVELS k words."""
+    def levels(self, columns):
+        """The levels of k lines, int8, given their point ids as columns: q+1
+        arrays (k,), columns[t] holding point t of each line (ids.T of an id
+        table (k, q+1)).  Also their entries at the cap: (lines, points),
+        each row index l and input point a whose plane <l, a> carries HEAVY
+        or more input points, in (l, a) order.
+
+        Adding a unit plane x to the counter s0 + 2 s1 + 4 s2: the carry
+        c = s0 & x, s0 ^= x, s1 ^= c and s2 |= (old s1) & c.  The level
+        is the number of the thresholds >= 1 (s0|s1|s2), >= 2 (s1|s2), >= 3
+        ((s0&s1)|s2) and >= 4 (s2) set for some input point, and the
+        entries at the cap are the bits of s2.  The working memory is 5 k
+        words."""
         units, preset = self._packed
-        buf = np.empty((2 * self.LEVELS, len(ids), preset.shape[1]), dtype=np.uint64)
-        counters, x, both = buf[:self.LEVELS], buf[self.LEVELS], buf[self.LEVELS + 1:]
-        counters[...] = preset[:, None]
-        for col in ids.T:
+        buf = np.empty((5, len(columns[0]), preset.shape[1]), dtype=np.uint64)
+        s0, x, carry, s2, s1 = buf  # buf[:4] ends as the thresholds >= 1 .. >= 4
+        s0[...], s1[...], s2[...] = preset[:, None]
+        for col in columns:
             for bits in units:
                 np.take(bits, col, axis=0, out=x)
-                np.bitwise_and(counters[:-1], x, out=both)  # all before x is added
-                counters[1:] |= both
-                counters[0] |= x
+                np.bitwise_and(s0, x, out=carry)
+                s0 ^= x
+                np.bitwise_and(s1, carry, out=x)  # the carry out of s1
+                s1 ^= carry
+                s2 |= x
+        np.bitwise_or(s1, s2, out=x)  # >= 2
+        np.bitwise_and(s0, s1, out=carry)
+        carry |= s2  # >= 3
+        s0 |= x  # >= 1
         # nonzero words, OR-ed word by word: any(axis=2) over few words is slow
-        hit = functools.reduce(np.bitwise_or, np.moveaxis(counters, 2, 0)) != 0
+        hit = functools.reduce(np.bitwise_or, np.moveaxis(buf[:4], 2, 0)) != 0
         rows = np.flatnonzero(hit[-1])
-        flags = np.unpackbits(counters[-1, rows].view(np.uint8), axis=1, count=self.T.shape[1])
+        flags = np.unpackbits(s2[rows].view(np.uint8), axis=1, count=self.T.shape[1])
         r, a = np.nonzero(flags)
         return hit.sum(axis=0).astype(np.int8), (rows[r], a)
 
@@ -296,8 +309,9 @@ class DirectionTable:
 
     def _pack(self):
         """The unit planes T >= u, u = 1 .. min(T.max(), LEVELS), one array
-        (points of PG(3,q), words) each, and the presets repeats > k, k <
-        LEVELS, (LEVELS, words): bits over the input points, in uint64 words."""
+        (points of PG(3,q), words) each, and the presets (3, words): bits 0,
+        1 and 2 of repeats capped at LEVELS, bits over the input points in
+        uint64 words."""
         n = self.T.shape[1]
 
         def bits(flags):
@@ -305,7 +319,8 @@ class DirectionTable:
             packed[..., :-(-n // 8)] = np.packbits(flags, axis=-1)
             return packed.view(np.uint64)
         units = [bits(self.T >= u) for u in range(1, min(self.T.max(initial=0), self.LEVELS) + 1)]
-        return units, bits(self.repeats > np.arange(self.LEVELS)[:, None])
+        preset = np.minimum(self.repeats, self.LEVELS) >> np.arange(3)[:, None] & 1
+        return units, bits(preset.astype(bool))
 
     @functools.cached_property
     def _sweep(self):
@@ -313,9 +328,11 @@ class DirectionTable:
         then the lines and points of the entries at the cap, then the
         positions and point ids of the lines of level 0 or 1]."""
         parts = []
-        for lo, ids in _line_runs(self.sigma, min(self.LINES, self.WORDS // self.words)):
-            level, (line, a) = self.levels(ids)  # a: the input points at the cap
-            parts.append((level, lo + line, a, lo + np.flatnonzero(level <= 1), ids[level <= 1]))
+        for lo, columns in self.sigma.line_runs(min(self.LINES, self.WORDS // self.words)):
+            level, (line, a) = self.levels(columns)  # a: the input points at the cap
+            low = level <= 1
+            parts.append((level, lo + line, a, lo + np.flatnonzero(low),
+                          np.stack([col[low] for col in columns], axis=1)))
         return [np.concatenate(part) for part in zip(*parts)]
 
     def line_levels(self):
@@ -416,17 +433,6 @@ def _three_space_tests(f, duals, arr, planes, pairs):
         own = member_of[pairs[block, 0]] | member_of[pairs[block, 1]]
         foreign[block] = (inside != own).any(axis=1)
     return foreign
-
-
-def _line_runs(sigma, size):
-    """The lines of sigma as (start, ids): the point ids (k, q+1) of lines
-    start .. start + k - 1, k <= size: line_blocks() starting in one window
-    of size lines joined, and split where they hold more."""
-    for _, run in itertools.groupby(sigma.line_blocks(), lambda b: b[0] // size):
-        (lo, block), *rest = run
-        ids = (np.concatenate([block] + [b for _, b in rest], axis=1) if rest else block).T
-        for at in range(0, len(ids), size):
-            yield lo + at, ids[at:at + size]
 
 
 def _spread_owner(sigma, ids):
@@ -925,7 +931,7 @@ def stage_t_infinity(state):
     # line equals the axis, which is not tested either: infinity_data left
     # (q+1)/2 >= 1 free points on no trace line, and they lie on the axis.
     # every affine plane through the axis carries exactly one point
-    level, _ = state.directions.levels(state.sigma.line_point_ids([axis.rows]))
+    level, _ = state.directions.levels(state.sigma.line_point_ids([axis.rows]).T)
     if level[0] != 0 or len(state.C) != q * q:
         k, witness = _heaviest_plane(state, axis.rows)
         raise StructureViolation(f"a plane through the axis carries {k} points",
@@ -1091,8 +1097,10 @@ def stage_assemble_spread(state):
     # all the others, no swept line is crowded; else every line is read.
     sweep, pts, key = swept(*state.directions.low(), trace)
     if len(sweep) != (q + 1) * (q * q + q) - np.count_nonzero(trace):
-        parts = [swept(lo + np.arange(len(run)), run, trace)
-                 for lo, run in _line_runs(sigma, DirectionTable.LINES)]
+        parts = []
+        for lo, columns in sigma.line_runs(DirectionTable.LINES):
+            run = np.stack(columns, axis=1)
+            parts.append(swept(lo + np.arange(len(run)), run, trace))
         sweep, pts, key = map(np.concatenate, zip(*parts))
     met = owner[pts]  # q * q on the axis point, masked out below
     crowded = state.directions.line_levels()[sweep] >= 2  # a 3-point plane
@@ -1248,7 +1256,7 @@ def stage_regulus_closure(state):
 
 def stage_klein_regularity(state):
     q, f, lines = state.q, state.base, state.spread.lines
-    space5 = ProjectiveSpace(5, f)
+    space5 = state.frame.space5
     # The Plucker vector of every line satisfies the Plucker relation
     # p01 p23 - p02 p13 + p03 p12 = 0, so no line's image is tested for
     # lying on the Klein quadric.
@@ -1289,7 +1297,7 @@ def stage_klein_regularity(state):
 def stage_rebuild_arc(state):
     q, spread, frame = state.q, state.spread, state.frame
     is_axis = spread.is_axis()
-    levels, _ = state.directions.levels(state.sigma.line_point_ids(spread.lines))
+    levels, _ = state.directions.levels(state.sigma.line_point_ids(spread.lines).T)
     bad = np.flatnonzero((levels > np.where(is_axis, 0, 1))
                          | (is_axis & (len(state.C) != q * q)))
     if len(bad):
@@ -1524,9 +1532,18 @@ def full_pipeline(C, frame, conic=None, exploratory=False, expect_classical=Fals
 
 
 def make_frame(q, modulus=None):
+    """The Bruck-Bose frame of GF(q) in GF(q^2), modulus None for the
+    default one.  Frames are shared: one per field, keyed by the resolved
+    modulus, is kept for the calls that follow, so it must not be written
+    to (its tables and spread are read-only)."""
     p, k = _factor_prime_power(q)
-    base = Field(p, k, modulus)
-    return build_frame(QuadExtension(base))
+    modulus = default_modulus(p, k) if modulus is None else check_modulus(p, k, modulus)
+    return _frame(p, k, modulus)
+
+
+@functools.lru_cache(maxsize=4)
+def _frame(p, k, modulus):
+    return build_frame(QuadExtension(Field(p, k, modulus)))
 
 
 def _factor_prime_power(q):

@@ -53,6 +53,25 @@ def test_frame_spread_rows(q):
         [(1, m, 0) for m in range(q * q)] + [(0, 1, 0)]
 
 
+def test_make_frame_is_shared_and_read_only():
+    """make_frame keeps one frame per field, keyed by the resolved modulus:
+    the default of GF(9) is x^2 + 1, given or not, reduced mod 3 or not.
+    Every caller shares it, so its field tables and point lists cannot be
+    written to."""
+    frame = make_frame(9)
+    assert frame.base.modulus == (1, 0, 1)
+    assert make_frame(9, (1, 0, 1)) is frame and make_frame(9, [4, 3, 1]) is frame
+    assert make_frame(9, (2, 1, 1)) is not frame
+    for field in (frame.base, frame.ext.ext):
+        for name in ("add_np", "sub_np", "mul_np", "neg_np", "inv_np", "digits_np", "rep_np"):
+            table = getattr(field, name)
+            assert not table.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = 1
+    for space in (frame.plane2, frame.sigma):
+        assert type(space.points()) is tuple and space.points() is space.points()
+
+
 def test_point_correspondence_roundtrip(frame7):
     E = frame7.ext.ext
     for x in range(0, 49, 5):

@@ -2,6 +2,8 @@
 
 import importlib.util
 import pathlib
+import subprocess
+import sys
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
 spec = importlib.util.spec_from_file_location("code_lines", TOOL)
@@ -43,3 +45,13 @@ def test_main_prints_each_module_and_the_total(capsys):
     counts = [(int(wc), int(code)) for _, wc, code in rows[1:-1]]
     assert [sum(c) for c in zip(*counts)] == [int(x) for x in rows[-1][1:]]
     assert all(0 < code < wc for wc, code in counts)
+
+
+def test_a_reader_that_closes_early_ends_it_quietly():
+    """As in `python3 tools/code_lines.py | head -2`: the pipe is closed
+    before the tool writes, and it exits 0 with nothing on stderr."""
+    proc = subprocess.Popen([sys.executable, str(TOOL)], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (0, b"")

@@ -11,7 +11,6 @@ which records whether the spread found is the frame's classical one.
 """
 
 import contextlib
-import functools
 import io
 import json
 import os
@@ -25,12 +24,10 @@ from pgconics.cli import main
 from pgconics.projgeom import mat_mul, matrix_inverse
 from pgconics.reconstruct import make_frame
 
-frame_of = functools.cache(make_frame)
-
 
 def collineation(q, rng):
     """The 5 x 5 matrix [[A, 0], [t, 1]] for a random invertible 4 x 4 A."""
-    f = frame_of(q).base
+    f = make_frame(q).base
     while True:
         A = [[rng.randrange(q) for _ in range(4)] for _ in range(4)]
         if matrix_inverse(f, A) is not None:
@@ -42,7 +39,7 @@ def collineation(q, rng):
 def displaced_input(q, seed, displaced, rng):
     """The image of the seed's conic with `displaced` points swapped for
     affine points off it, sorted."""
-    frame = frame_of(q)
+    frame = make_frame(q)
     C = list(build_C(frame, random_tangent_conic(frame, seed)))
     taken = set(C)
     for i in rng.sample(range(len(C)), displaced):
@@ -56,14 +53,14 @@ def displaced_input(q, seed, displaced, rng):
 
 
 def apply(q, C, M):
-    space = frame_of(q).space4
+    space = make_frame(q).space4
     return sorted(space.normalize(x) for x in mat_mul(space.field, C, M))
 
 
 def reconstruct(q, C):
     """Exit code and (name, verdict, counts) of each stage of `reconstruct`
     on a dump of C, alignment_identity left out."""
-    frame = frame_of(q)
+    frame = make_frame(q)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "dump.txt")
         write_c_dump(path, frame, C, 0)

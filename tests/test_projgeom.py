@@ -8,6 +8,7 @@ from pgconics.galois import Field, QuadExtension
 from pgconics.projgeom import (AmbientMismatch, ProjectiveSpace, Subspace,
                                gaussian_binomial, matmul_np, matrix_inverse, mat_mul, meet,
                                nullspace, rref, rref_np, scan_heavy_planes, span)
+from pgconics.reconstruct import DirectionTable
 
 
 @pytest.fixture(scope="module")
@@ -279,6 +280,27 @@ def test_line_blocks_partition_the_lines(q, n):
     assert np.array_equal(space.line_point_ids(space.subspace_rows(1, order)), ids[order])
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11])
+def test_line_runs_match_line_blocks(q):
+    """The sweep's runs follow each other, hold q+1 columns of at most size
+    lines each, and list the line blocks' ids of every line of PG(3,q), at
+    run sizes that split the rows (a, b) of the pivot-(0, 1) lines anywhere
+    (1, 7), at q^3 and at the sweep's own cap."""
+    space = ProjectiveSpace(3, field_of(q))
+    ids = line_table(space)
+    for size in (1, 7, q ** 3, DirectionTable.LINES):
+        lo, runs = 0, []
+        for start, columns in space.line_runs(size):
+            k = len(columns[0])
+            assert start == lo and len(columns) == q + 1 and 0 < k <= size
+            assert all(col.shape == (k,) for col in columns)
+            runs.append(np.stack(columns, axis=1))
+            lo += k
+        assert np.array_equal(np.concatenate(runs), ids), size
+    with pytest.raises(ValueError):
+        next(ProjectiveSpace(2, field_of(q)).line_runs(7))
+
+
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
 def test_line_point_ids_one_gather_matches_per_column_loop(q):
     """On 200 random lines of PG(3,q), as scalar rref makes their bases."""
@@ -302,7 +324,7 @@ def test_points_array_matches_enumeration(q, n):
     arr = space.points_np()
     assert arr.dtype == np.int16 and not arr.flags.writeable
     assert arr.tolist() == [list(p) for p in expected]
-    assert space.points() == expected
+    assert space.points() == tuple(expected)
     assert space.point_ids(arr).tolist() == list(range(space.npoints))
 
 

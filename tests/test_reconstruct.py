@@ -436,6 +436,55 @@ def test_direction_table_matches_oracle_noncanonical_q9(frame9):
     assert_direction_table_matches_oracle(frame9, build_C(frame9, conic))
 
 
+def threshold_levels(T, repeats, ids, cap=reconstruct.DirectionTable.LEVELS):
+    """levels() as threshold counters over boolean (line, point) tables:
+    counter k holds the input points with more than k other points on the
+    plane <l, a>, preset from repeats, and a unit plane x = T >= u of a line
+    point sets counter k where counter k-1 and x were set.  Returns the
+    levels and the entries at the cap, as levels() does."""
+    counters = np.repeat((repeats > np.arange(cap)[:, None])[:, None], len(ids), axis=1)
+    for col in ids.T:
+        for u in range(1, min(T.max(initial=0), cap) + 1):
+            x = T[col] >= u
+            counters[1:] |= counters[:-1] & x
+            counters[0] |= x
+    return counters.any(axis=2).sum(axis=0), np.nonzero(counters[-1])
+
+
+@pytest.mark.parametrize("q", [5, 7, 9])
+@pytest.mark.parametrize("kind,levels", [("binary", {0, 1, 2, 3, 4}),
+                                         ("multiple", {0, 1, 2, 3, 4}),
+                                         ("repeats", {3, 4}), ("repeats at the cap", {4})])
+def test_bit_plane_levels_match_threshold_oracle(q, kind, levels):
+    """On random direction tables of four input points: 0/1, with entries
+    up to 5, and 0/1 with points repeated 1 and 3 times, or 5 times (beyond
+    the cap), the bit-plane levels and entries at the cap equal the
+    threshold counters', for an id table's columns and for the sweep's
+    table-fed runs; both equal the capped exact counts of own()."""
+    frame = make_frame(q)
+    table = PipelineState(frame, build_C(frame, random_tangent_conic(frame, 1))).directions
+    rng = np.random.default_rng(q)
+    n, points = q * q, rng.choice(q * q, 4, replace=False)
+    table.T = np.zeros((frame.sigma.npoints, n), dtype=np.int16)
+    hit = rng.random((frame.sigma.npoints, 4)) < (0.7 if kind == "multiple" else 1) / (q + 1)
+    table.T[:, points] = hit * (rng.integers(1, 6, hit.shape) if kind == "multiple" else 1)
+    table.repeats = np.zeros(n, dtype=np.int16)
+    table.repeats[points[:2]] = (5, 0) if kind == "repeats at the cap" else \
+        (1, 3) if kind == "repeats" else 0
+    _, ids = line_table(frame.sigma)
+    level, entries = threshold_levels(table.T, table.repeats, ids)
+    assert set(level.tolist()) == levels and len(entries[0])
+    got, (lines, at) = table.levels(ids.T)
+    assert got.dtype == np.int8 and np.array_equal(got, level)
+    assert np.array_equal(lines, entries[0]) and np.array_equal(at, entries[1])
+    swept_level, swept_lines, swept_at = table._sweep[:3]
+    assert np.array_equal(swept_level, level)
+    assert np.array_equal(swept_lines, lines) and np.array_equal(swept_at, at)
+    others = table.own(ids, np.broadcast_to(np.arange(n), (len(ids), n))) - 1
+    assert np.array_equal(level, np.minimum(others.max(axis=1), 4))
+    assert np.array_equal(np.nonzero(others >= 4), entries)
+
+
 def test_direction_table_follows_replaced_points(frame7, c7):
     st = PipelineState(frame7, c7)
     table = st.directions
@@ -1497,7 +1546,7 @@ def test_pass_path_makes_no_scan(frame7, c7, monkeypatch):
         "triples", reconstruct._regulus_batch, lambda f, l1, l2, l3: len(l3))))
     table = reconstruct.DirectionTable
     monkeypatch.setattr(table, "levels", counting(
-        "lines swept", table.levels, lambda self, ids: len(ids)))
+        "lines swept", table.levels, lambda self, columns: len(columns[0])))
     monkeypatch.setattr(table, "_pack", counting("packs", table._pack))
     records, _ = full_pipeline(c7, frame=frame7)
     assert [r.verdict for r in records] == ["pass"] * len(records)
@@ -1589,8 +1638,8 @@ def test_crowded_axis_meeting_line_witness(frame7, c7, monkeypatch):
     index, ids = st.directions.low()
     monkeypatch.setattr(st.directions, "line_levels", lambda: levels)
     monkeypatch.setattr(st.directions, "low", lambda: (index[index != k], ids[index != k]))
-    sweeps, line_runs = [], reconstruct._line_runs
-    monkeypatch.setattr(reconstruct, "_line_runs",
+    sweeps, line_runs = [], st.sigma.line_runs
+    monkeypatch.setattr(st.sigma, "line_runs",
                         lambda *args: sweeps.append(args) or line_runs(*args))
     rec = run_stages(st, include={"assemble_spread"})[0]
     assert (rec.verdict, rec.witness) == (
@@ -1616,7 +1665,7 @@ def test_extra_point_axis_meeting_line_witness(frame7, c7, monkeypatch):
 
     def every_line(*args):
         raise AssertionError("every line read")
-    monkeypatch.setattr(reconstruct, "_line_runs", every_line)
+    monkeypatch.setattr(st.sigma, "line_runs", every_line)
     rec = run_stages(st, include={"assemble_spread"})[0]
     assert (rec.verdict, rec.witness) == (
         "fail", "StructureViolation: plane through point 15 and an axis-meeting line "

@@ -5,13 +5,17 @@ of code: comments, blank lines and docstrings (the leading string of a
 module, class or function body, found with `ast`) do not count.
 
     python3 tools/code_lines.py
+
+A reader that closes early (`| head -2`) ends the tool quietly, exit 0.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import os
 import pathlib
+import sys
 import tokenize
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -53,4 +57,10 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early (| head): stop quietly, and point stdout
+        # at devnull so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
