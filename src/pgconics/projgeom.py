@@ -176,35 +176,6 @@ class ProjectiveSpace:
         pts = line_points_np(self.field, rows[:, 0], rows[:, 1])
         return self.point_ids(pts.reshape(-1, self.n + 1)).reshape(len(rows), -1)
 
-    def line_blocks(self):
-        """Point ids of every line, block by block, as (start, block): block is
-        an intp array (q+1, m), m <= q^3, whose column l lists the points of
-        line start + l of subspaces(1) in Subspace.points() order.
-
-        For pivots p0 < p1, point c < q of a line is r0 + c r1: r0's entries
-        up to p1, c at p1 and r0[j] + c r1[j] after it; point q is r1.  Entry
-        j adds its value times q^(n-j) to a point's id (point_ids), so a block
-        is a sum of tables broadcast over the free entries.  A pattern with
-        s > 3 free entries is split by its first s - 3, which then hold one
-        value each.
-        """
-        f, n, q, lo = self.field, self.n, self.field.q, 0
-        place = q ** np.arange(n, -1, -1)
-        start = np.concatenate(([0], np.cumsum(place[:-1])))  # the first id leading at each column
-        for (p0, p1), slots in self._patterns(2):
-            for head in itertools.product(range(q), repeat=max(0, len(slots) - 3)):
-                # c along axis 0, then the values of each slot along its own axis
-                c, *grid = np.ix_(range(q), *[[v] for v in head], *[range(q)] * min(len(slots), 3))
-                at = dict(zip(slots, grid))
-                ids, last = start[p0] + c * place[p1], start[p1]
-                for j in [j for j in range(p0 + 1, n + 1) if j != p1]:
-                    r1 = at.get((1, j), 0)  # r1 is zero before p1
-                    ids = ids + f.add_np[at[0, j], f.mul_np[c, r1]] * place[j]
-                    last = last + r1 * place[j]
-                block = np.concatenate((ids, np.broadcast_to(last, (1,) + ids.shape[1:])))
-                yield lo, block.reshape(q + 1, -1)
-                lo += block[0].size
-
     def line_runs(self, size):
         """The point ids of every line of PG(3,q), size lines at a time, in
         subspaces(1) order: (start, columns), where columns[t] (k,) holds
@@ -245,8 +216,7 @@ class ProjectiveSpace:
 
     def subspace_rows(self, d, index):
         """The RREF bases (m, d+1, n+1) int16 of the d-dimensional subspaces
-        at the given positions of subspaces(d); for d = 1, the inverse of
-        line_blocks' numbering."""
+        at the given positions of subspaces(d), without decoding the others."""
         q, k, lo = self.field.q, d + 1, 0
         index = np.asarray(index, dtype=np.int64)
         rows = np.zeros((len(index), k, self.n + 1), dtype=np.int16)

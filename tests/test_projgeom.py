@@ -213,8 +213,9 @@ def field_of(q):
 
 
 def line_table(space):
-    """The ids of every line, the line blocks side by side: (n_lines, q+1)."""
-    return np.concatenate([block for _, block in space.line_blocks()], axis=1).T
+    """The ids of every line, in subspaces(1) order: (n_lines, q+1)."""
+    count = gaussian_binomial(space.n + 1, 2, space.field.q)
+    return space.line_point_ids(space.subspace_rows(1, np.arange(count)))
 
 
 def line_point_ids_by_column(space, rows):
@@ -264,26 +265,26 @@ def test_line_table_matches_subspace_enumeration(q, n):
 @pytest.mark.parametrize("q,n", [(3, 3), (4, 3), (5, 3), (7, 3), (8, 3), (9, 3),
                                  (3, 4), (4, 4), (5, 4)])
 def test_line_blocks_partition_the_lines(q, n):
-    """Each block follows the last, holds at most q^3 lines and as many
-    distinct lines as it has columns; subspace_rows inverts any order of
-    positions."""
+    """The lines, decoded a block of at most q^3 positions at a time, are
+    the line table's rows and put every pair of points on exactly one line;
+    subspace_rows decodes any order of positions."""
     space = ProjectiveSpace(n, field_of(q))
-    lo = 0
-    for start, block in space.line_blocks():
-        assert start == lo and block.shape[0] == q + 1 and 0 < block.shape[1] <= q ** 3
-        assert block.dtype == np.intp and block.flags.c_contiguous
-        lo += block.shape[1]
-    assert lo == gaussian_binomial(n + 1, 2, q)
-    ids = line_table(space)
-    assert len({frozenset(line) for line in ids.tolist()}) == lo
-    order = np.random.default_rng(q).permutation(lo)
-    assert np.array_equal(space.line_point_ids(space.subspace_rows(1, order)), ids[order])
+    ids, count = line_table(space), gaussian_binomial(n + 1, 2, q)
+    for lo in range(0, count, q ** 3):
+        block = space.line_point_ids(space.subspace_rows(1, np.arange(lo, min(lo + q ** 3, count))))
+        assert np.array_equal(block, ids[lo:lo + q ** 3])
+    i, j = np.triu_indices(q + 1, 1)
+    low, high = np.minimum(ids[:, i], ids[:, j]), np.maximum(ids[:, i], ids[:, j])
+    pairs = np.unique(low * space.npoints + high)
+    assert len(pairs) == count * len(i) == space.npoints * (space.npoints - 1) // 2
+    order = np.random.default_rng(q).permutation(count)
+    assert np.array_equal(space.subspace_rows(1, order), space.subspace_rows(1, np.arange(count))[order])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11])
-def test_line_runs_match_line_blocks(q):
+def test_line_runs_match_the_line_table(q):
     """The sweep's runs follow each other, hold q+1 columns of at most size
-    lines each, and list the line blocks' ids of every line of PG(3,q), at
+    lines each, and list the line table's ids of every line of PG(3,q), at
     run sizes that split the rows (a, b) of the pivot-(0, 1) lines anywhere
     (1, 7), at q^3 and at the sweep's own cap."""
     space = ProjectiveSpace(3, field_of(q))

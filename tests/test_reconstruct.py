@@ -1,5 +1,6 @@
 import collections
 import copy
+import functools
 import itertools
 import json
 import random
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from pgconics.projgeom import (HeavyPlaneScan, ProjectiveSpace, Subspace, matmul_np,
-                               matrix_inverse, normalize_rows_np, points_array, rref,
-                               rref_np, scan_heavy_planes, span)
+                               gaussian_binomial, matrix_inverse, normalize_rows_np,
+                               points_array, rref, rref_np, scan_heavy_planes, span)
 from pgconics.bruckbose import (BruckBoseFrame, baer_subplane_through, build_C,
                                 random_tangent_conic)
 from pgconics import reconstruct
@@ -28,10 +29,9 @@ from pgconics.reconstruct import (NotCollinear, NotSkew,
 
 
 def line_table(sigma):
-    """Every line of sigma in subspaces(1) order, as (RREF rows, point ids):
-    the line blocks side by side, and their decoded rows."""
-    ids = np.concatenate([block for _, block in sigma.line_blocks()], axis=1).T
-    return sigma.subspace_rows(1, np.arange(len(ids))), ids
+    """Every line of sigma in subspaces(1) order, as (RREF rows, point ids)."""
+    rows = sigma.subspace_rows(1, np.arange(gaussian_binomial(sigma.n + 1, 2, sigma.field.q)))
+    return rows, sigma.line_point_ids(rows)
 
 
 def records_by_name(records):
@@ -961,8 +961,11 @@ def test_kernel_work_counts(monkeypatch):
     """On the q = 7 pass path, make_frame converts no point one at a time,
     the forward build and infinity_data evaluate no form point by point,
     axioms makes no per-plane arc test and assemble_spread makes no
-    per-point tangent_trace call."""
+    per-point tangent_trace call.  make_frame gets an empty cache here, so
+    it builds the frame whatever ran before."""
     calls = collections.Counter()
+    monkeypatch.setattr(reconstruct, "_frame",
+                        functools.lru_cache(maxsize=4)(reconstruct._frame.__wrapped__))
 
     def counted(owner, name):
         fn = getattr(owner, name)
@@ -976,8 +979,10 @@ def test_kernel_work_counts(monkeypatch):
     counted(QuadraticForm, "evaluate")
     counted(reconstruct, "tangent_trace")
     counted(reconstruct, "is_arc")
+    counted(reconstruct, "build_frame")
     frame = make_frame(7)
-    assert not calls
+    assert calls == {"build_frame": 1}
+    calls.clear()
     for seed in (0, 3):
         conic = random_tangent_conic(frame, seed)
         C = build_C(frame, conic)

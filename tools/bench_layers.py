@@ -4,7 +4,9 @@ Each run is a new Python process, so first-call costs (numpy imports, the
 first line table) show as a CLI call pays them.  In that process, in order:
 
 - fields_ms: the GF(q) and GF(q^2) tables (Field, then QuadExtension);
-- frame_ms: make_frame(q), which builds its own fields again;
+- frame_ms: make_frame(q), which builds its own fields again but reuses
+  the default modulus found in the fields step (default_modulus is
+  memoized), so no search for an irreducible modulus is timed here;
 - frame_rss_mb: the process's peak resident set (ru_maxrss) right after it;
 - forward_ms: the canonical tangent conic and its point set C;
 - pipeline_ms: full_pipeline on C, with each stage's StageRecord.millis;
