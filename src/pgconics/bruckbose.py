@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .projgeom import (ProjectiveSpace, Subspace, matrix_inverse, mat_mul,
+from .projgeom import (ProjectiveSpace, Subspace, matrix_inverse, mat_mul, matmul_np,
                        normalize_rows_np, nullspace)
 from .conics import QuadraticForm, is_arc, tangent_line
 
@@ -165,51 +165,40 @@ class TangentConic:
     seed: int = 0
 
 
-def _canonical_form(frame):
-    """x^2 - yz, as a form on the frame's PG(2,q^2)."""
-    E = frame.ext.ext
-    return QuadraticForm.from_coefficients(frame.plane, (1, 0, 0, 0, 0, E.neg(1)))
-
-
 def canonical_tangent_conic(frame):
     """The conic x^2 = yz: points {(t, t^2, 1)} plus (0, 1, 0)."""
-    return _conic_from_form(frame, _canonical_form(frame), seed=0)
-
-
-def _conic_from_form(frame, form, seed):
-    pts = tuple(sorted(form.points()))
-    on_linf = [p for p in pts if p[2] == 0]
-    if len(on_linf) != 1:
-        raise ValueError("conic is not tangent to the line at infinity")
-    p_inf = on_linf[0]
-    affine = tuple(p for p in pts if p[2] != 0)
-    E = frame.ext.ext
-    if len(affine) != E.q:
-        raise ValueError(f"affine part has {len(affine)} points, expected {E.q}")
-    return TangentConic(form=form, p_inf=p_inf, points=pts,
-                        affine_points=affine, seed=seed)
+    return random_tangent_conic(frame, 0)
 
 
 def random_tangent_conic(frame, seed):
-    """Seed-derived projectivity fixing z = 0 applied to the canonical conic.
+    """The canonical conic's image P -> P g under a seed-derived projectivity
+    g fixing z = 0, listed from the parametrization (t, t^2, 1), (0, 1, 0).
 
-    Seed 0 is reserved for the canonical conic itself.
+    Seed 0 is reserved for the canonical conic itself.  g fixes the line
+    z = 0, the tangent at (0, 1, 0), so the image is tangent to it at
+    (0, 1, 0) g, and its other q^2 points are affine: neither is tested.
     """
-    if seed == 0:
-        return canonical_tangent_conic(frame)
     E = frame.ext.ext
-    rng = random.Random(seed)
-    while True:
-        a, b, d, e = (rng.randrange(E.q) for _ in range(4))
-        if E.sub(E.mul(a, e), E.mul(b, d)) != 0:
-            break
-    c, ff = rng.randrange(E.q), rng.randrange(E.q)
-    g = ((a, b, 0), (d, e, 0), (c, ff, 1))
-    ginv = matrix_inverse(E, g)
-    ginv_t = tuple(zip(*ginv))
-    new_m = mat_mul(E, mat_mul(E, ginv, _canonical_form(frame).matrix), ginv_t)
-    form = QuadraticForm(frame.plane, new_m)
-    return _conic_from_form(frame, form, seed=seed)
+    t = np.arange(E.q, dtype=np.int16)
+    pts = np.vstack((np.column_stack((t, E.mul_np[t, t], np.ones_like(t))),
+                     np.array([(0, 1, 0)], dtype=np.int16)))
+    form = QuadraticForm.from_coefficients(frame.plane, (1, 0, 0, 0, 0, E.neg(1)))
+    if seed != 0:
+        rng = random.Random(seed)
+        while True:
+            a, b, d, e = (rng.randrange(E.q) for _ in range(4))
+            if E.sub(E.mul(a, e), E.mul(b, d)) != 0:
+                break
+        c, ff = rng.randrange(E.q), rng.randrange(E.q)
+        g = ((a, b, 0), (d, e, 0), (c, ff, 1))
+        pts = matmul_np(E, pts, np.array(g, dtype=np.int16))
+        # Q(P g^-1) vanishes on the image: its matrix is g^-1 A g^-T
+        ginv = matrix_inverse(E, g)
+        form = QuadraticForm(frame.plane, mat_mul(E, mat_mul(E, ginv, form.matrix),
+                                                  tuple(zip(*ginv))))
+    pts = tuple(sorted(map(tuple, normalize_rows_np(E, pts)[0].tolist())))
+    return TangentConic(form=form, p_inf=next(p for p in pts if p[2] == 0), points=pts,
+                        affine_points=tuple(p for p in pts if p[2] != 0), seed=seed)
 
 
 def build_C(frame, conic):
@@ -266,14 +255,15 @@ class Lemma1Report:
     exterior_plane_pairs: dict = dc_field(repr=False, default_factory=dict)
 
 
-def _tangent_counts(frame, form, pts):
+def _tangent_counts(frame, conic, pts):
     """The number of tangents of a conic of PG(2,q^2) through each of pts (k, 3).
 
     For q odd it is 0 at an interior point, 1 on the conic and 2 at an
-    exterior point: one table of the points on the q^2+1 tangent lines.
+    exterior point: one table of the points on the tangent lines at the
+    q^2+1 conic points.
     """
     plane = frame.plane
-    tangents = [nullspace(frame.ext.ext, [d]) for d in form.tangent_duals()]
+    tangents = [nullspace(frame.ext.ext, [conic.form.polar_dual(p)]) for p in conic.points]
     hits = np.bincount(plane.line_point_ids(tangents).ravel(), minlength=plane.npoints)
     return hits[plane.point_ids(pts)]
 
@@ -299,7 +289,7 @@ def verify_lemma1(frame, conic, spot_checks=10):
 
     # part 3: plane counts of affine PG(2,q^2) points vs interior/exterior
     pts = frame.affine_plane_points()
-    hits = _tangent_counts(frame, conic.form, pts)
+    hits = _tangent_counts(frame, conic, pts)
     down = frame.space4.point_ids(frame.points_down(pts))
     k = state.affine_plane_counts[down]
     off = ~np.isin(frame.plane.point_ids(pts), frame.plane.point_ids(np.array(conic.points)))

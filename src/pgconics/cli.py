@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from .bruckbose import (build_C, random_tangent_conic, verify_lemma1,
                         write_c_dump, LemmaViolation)
 from .galois import check_modulus, default_modulus, is_prime
-from .report import FAIL, PASS, Report, StageRecord, file_digest, witness_text
+from .report import FAIL, PASS, WARN, Report, StageRecord, file_digest, witness_text
 from .reconstruct import (PIPELINE, PipelineState, displace_point, make_frame,
                           perturb_spread_by_regulus, run_stages, _factor_prime_power)
 
@@ -215,13 +215,14 @@ def parse_c_dump(path, expect_q=None):
     return header, tuple(points)
 
 
-def _timed_stage(name, fn):
+def _timed_stage(name, fn, exploratory):
     t0 = time.perf_counter()
     try:
         counts = fn()
         verdict, witness = PASS, None
     except LemmaViolation as exc:
-        counts, verdict, witness = {}, FAIL, witness_text(exc)
+        counts, witness = {}, witness_text(exc)
+        verdict = WARN if exploratory else FAIL
     ms = (time.perf_counter() - t0) * 1000.0
     return StageRecord(name=name, verdict=verdict, counts=counts,
                        witness=witness, millis=ms)
@@ -267,7 +268,8 @@ def run(config):
 
     elif config.mode == "lemma1":
         conic, C = forward()
-        records.append(_timed_stage("lemma1", lambda: _lemma1_counts(frame, conic)))
+        records.append(_timed_stage("lemma1", lambda: _lemma1_counts(frame, conic),
+                                    config.exploratory))
 
     elif config.mode == "roundtrip":
         conic, C = forward()
@@ -289,7 +291,7 @@ def run(config):
             state = PipelineState(frame, bad, exploratory=config.exploratory)
             records.extend(run_stages(state))
         elif config.control == "perturbed-spread":
-            state = PipelineState(frame, C)
+            state = PipelineState(frame, C, exploratory=config.exploratory)
             spread, reg = perturb_spread_by_regulus(frame.sigma, frame.spread)
             state.spread = spread
             records.append(StageRecord(name="perturb_spread", verdict=PASS,
@@ -300,7 +302,7 @@ def run(config):
             bad = displace_point(frame, C, seed=config.seed)
             records.append(StageRecord(name="corrupt_points", verdict=PASS,
                                        counts={"displaced": 1}))
-            state = PipelineState(frame, bad)
+            state = PipelineState(frame, bad, exploratory=config.exploratory)
             state.spread = frame.spread
             state.regular = True
             records.extend(run_stages(state, include={"rebuild_arc"}))

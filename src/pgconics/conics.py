@@ -1,8 +1,12 @@
-"""Conics, arcs and tangency in a projective plane of odd order.
+"""Conics, arcs and tangency in a projective plane.
 
-A quadratic form is kept as a symmetric 3x3 matrix M (odd order makes the
-symmetric representative canonical); a point P is on the conic iff
-P M P^T = 0 and the tangent line at a conic point has dual coordinates M P.
+A quadratic form Q is kept as any 3x3 matrix A with Q(P) = P A P^T
+(from_coefficients writes the upper-triangular one), so it holds every
+form in every characteristic.  A point P is on the conic iff Q(P) = 0, and
+the tangent line at a conic point has dual coordinates (A + A^T) P, from
+the polar form.  In odd characteristic A + A^T is twice the symmetric
+matrix of Q; in even characteristic it is alternating, and every tangent
+of a nondegenerate conic passes through its radical, the nucleus.
 
 complete_q_arcs completes a whole stack of q-arcs to their conics on
 arrays, with one verdict per arc; the reconstruction fits every plane with
@@ -49,48 +53,29 @@ def _det3(f, m):
     return f.add(f.sub(t1, t2), t3)
 
 
-def _half(f):
-    """The inverse of the element encoded 2 (of 1 + 1 in a prime field)."""
-    return f.inv(2 % f.p if f.k == 1 else 2)
-
-
 class QuadraticForm:
-    """Symmetric 3x3 quadratic form over the plane's field."""
+    """A quadratic form Q(P) = P A P^T on a projective plane, A any 3x3 matrix."""
 
     __slots__ = ("space", "matrix", "_points", "_tangent_duals")
 
     def __init__(self, space, matrix):
         if space.n != 2:
             raise ValueError("quadratic forms live in a projective plane")
-        f = space.field
-        matrix = tuple(tuple(x for x in row) for row in matrix)
-        for i in range(3):
-            for j in range(3):
-                if matrix[i][j] != matrix[j][i]:
-                    raise ValueError("matrix must be symmetric")
         self.space = space
-        self.matrix = matrix
+        self.matrix = tuple(tuple(row) for row in matrix)
         self._points = None
         self._tangent_duals = None
 
     @classmethod
     def from_coefficients(cls, space, coeffs):
         """Build from (a, b, c, d, e, f) in a x^2 + b y^2 + c z^2 + d xy + e xz + f yz."""
-        fld = space.field
-        half = _half(fld)
         a, b, c, d, e, ff = coeffs
-        m = (
-            (a, fld.mul(half, d), fld.mul(half, e)),
-            (fld.mul(half, d), b, fld.mul(half, ff)),
-            (fld.mul(half, e), fld.mul(half, ff), c),
-        )
-        return cls(space, m)
+        return cls(space, ((a, d, e), (0, b, ff), (0, 0, c)))
 
     def coefficients(self):
-        m, f = self.matrix, self.space.field
-        return (m[0][0], m[1][1], m[2][2],
-                f.add(m[0][1], m[0][1]), f.add(m[0][2], m[0][2]),
-                f.add(m[1][2], m[1][2]))
+        m, add = self.matrix, self.space.field.add
+        return (m[0][0], m[1][1], m[2][2], add(m[0][1], m[1][0]),
+                add(m[0][2], m[2][0]), add(m[1][2], m[2][1]))
 
     def evaluate(self, pt):
         f = self.space.field
@@ -98,25 +83,36 @@ class QuadraticForm:
         return f.dot(pt, mp)
 
     def values(self, pts):
-        """P M P^T for every row P of an int16 array (k, 3), as the monomials
-        of P times coefficients(): the diagonal entries and the doubled
-        off-diagonal ones, equal to P M P^T in every characteristic."""
+        """Q(P) for every row P of an int16 array (k, 3), as the monomials of
+        P times coefficients()."""
         f = self.space.field
         coeffs = np.array(self.coefficients(), dtype=np.int16)[:, None]
         return matmul_np(f, _monomials_np(f, pts), coeffs)[:, 0]
 
+    def polar(self):
+        """The polar form's matrix A + A^T: Q(P + R) - Q(P) - Q(R) = P (A + A^T) R^T."""
+        m, add = self.matrix, self.space.field.add
+        return tuple(tuple(add(m[i][j], m[j][i]) for j in range(3)) for i in range(3))
+
     def polar_dual(self, pt):
-        """Dual coordinates M.P of the polar line of pt."""
+        """Dual coordinates (A + A^T) P of the polar line of pt."""
         f = self.space.field
-        return tuple(f.dot(row, pt) for row in self.matrix)
+        return tuple(f.dot(row, pt) for row in self.polar())
 
     def is_nondegenerate(self):
-        return _det3(self.space.field, self.matrix) != 0
+        """The polar form's radical is at most a point, and Q is nonzero on it.
+
+        In odd characteristic Q vanishes on the radical, so the radical must
+        be zero (det A + A^T != 0); in even characteristic the polar form is
+        alternating, and its radical is a point, the nucleus, with Q != 0
+        there (Hirschfeld 1998)."""
+        radical = nullspace(self.space.field, self.polar())
+        return len(radical) <= 1 and all(self.evaluate(v) != 0 for v in radical)
 
     def points(self):
         """The zeros of the form, in space.points() order.
 
-        P M P^T is evaluated over the space's point array at once.
+        Q is evaluated over the space's point array at once.
         """
         if self._points is None:
             pts = self.space.points_np()
@@ -130,9 +126,8 @@ class QuadraticForm:
         return self._tangent_duals
 
     def normalized_key(self):
-        """Scalar-invariant fingerprint: first nonzero matrix entry scaled to 1."""
-        flat = [x for row in self.matrix for x in row]
-        return self.space.normalize(flat)
+        """Scalar-invariant fingerprint: coefficients() with the first nonzero one scaled to 1."""
+        return self.space.normalize(self.coefficients())
 
     def __eq__(self, other):
         return (isinstance(other, QuadraticForm) and self.space == other.space
@@ -205,7 +200,7 @@ def _raise_if_not_arc(space, points):
 
 
 def complete_q_arc(space, arc):
-    """The unique point completing a q-arc of PG(2,q), q odd, to a conic.
+    """The unique point completing a q-arc of PG(2,q) to a conic.
 
     Fits the conic through the first five arc points, checks the whole arc
     lies on it, and returns the one conic point not in the arc.  A
@@ -264,23 +259,20 @@ def complete_q_arcs(space, arcs):
     sol = np.zeros((n, 6), dtype=np.int16)
     sol[k, free] = 1
     sol[k, pivots] = f.neg_np[red[k, np.arange(red.shape[1]), free]]  # q < 5: fewer rows
-    a, b, c, d, e, g = normalize_rows_np(f, sol)[0].T
-    # the matrix of QuadraticForm.from_coefficients, then its coefficients()
-    hd, he, hg = f.mul_np[_half(f), np.stack((d, e, g))]
-    forms = np.stack((a, hd, he, hd, b, hg, he, hg, c), axis=1).reshape(n, 3, 3)
-    coeffs = np.stack((a, b, c, f.add_np[hd, hd], f.add_np[he, he], f.add_np[hg, hg]), axis=1)
+    coeffs = normalize_rows_np(f, sol)[0]
+    a, b, c, d, e, g = coeffs.T
+    o = np.zeros_like(a)
+    forms = np.stack((a, d, e, o, b, g, o, o, c), axis=1).reshape(n, 3, 3)  # from_coefficients'
     pts = space.points_np()
-    # sum of coefficient * monomial is P M P^T, exactly, in any field
     on = matmul_np(f, coeffs, _monomials_np(f, pts).T) == 0
     ok &= (on.sum(axis=1) == q + 1) & on[k, ids].all(axis=1)
     # conic_through_5's tests of the five points (no three collinear) and
-    # of the conic (det M != 0) are implied.  A form with q+1 zeros and
-    # det M = 0 vanishes on a line: at odd q it is a repeated line, and at
-    # even q every form evaluated here is the square of a linear form.  That
-    # line would hold all q arc points, the first five among them, and the
-    # conics through five collinear points contain their line, leaving rank
-    # 3, not 5.  So the conic is nondegenerate and holds no three collinear
-    # points.
+    # of the conic (nondegenerate) are implied.  In any characteristic the
+    # only degenerate conic with q + 1 points is a repeated line: a line
+    # pair has 2q + 1, a pair of conjugate lines 1.  That line would hold
+    # all q arc points, the first five among them, and the conics through
+    # five collinear points contain their line, leaving rank 3, not 5.  So
+    # the conic is nondegenerate and holds no three collinear points.
     on[k, ids] = False
     return pts[on.argmax(axis=1)], forms, ok
 

@@ -952,7 +952,7 @@ def _tangent_traces(state, cids):
     """The tangent trace lines of the input points cids, as RREF bases (k, 2, 4).
 
     Each point's q+1 (point, plane) incidences are handled at once: the
-    tangent's dual M.a from the plane's form, crossed with the plane's x4
+    tangent's dual (A + A^T) a from the plane's form A, crossed with the plane's x4
     column, is the tangent's point at infinity in plane coordinates, lifted
     through the plane's basis.
 
@@ -979,7 +979,9 @@ def _tangent_traces(state, cids):
                     dtype=np.int64).reshape(-1, q + 1)
     bases = planes.bases[pids]
     a = state._C_arr[cids[:, None, None], planes.pivots[pids]]  # plane coordinates
-    t = matmul_np(f, planes.forms[pids], a[..., None])[..., 0]  # the tangent's dual
+    forms = planes.forms[pids]
+    polar = f.add_np[forms, forms.swapaxes(-1, -2)]
+    t = matmul_np(f, polar, a[..., None])[..., 0]  # the tangent's dual
     x4 = bases[..., 4]
     direction = f.sub_np[f.mul_np[t[..., [1, 2, 0]], x4[..., [2, 0, 1]]],
                          f.mul_np[t[..., [2, 0, 1]], x4[..., [1, 2, 0]]]]

@@ -146,8 +146,8 @@ def test_random_conic_properties(frame7):
 
 
 # Captured while random_tangent_conic still enumerated the canonical conic
-# before transforming it: (matrix, p_inf, sha256 prefixes of repr(points)
-# and repr(affine_points)).
+# before transforming it, and QuadraticForm held the symmetric matrix M:
+# (M, p_inf, sha256 prefixes of repr(points) and repr(affine_points)).
 CONIC_PINS = {
     (7, 0): (((1, 0, 0), (0, 0, 3), (0, 3, 0)), (0, 1, 0), "989a9eebb538aab3", "cb0807495fa3e756"),
     (7, 1): (((21, 46, 19), (46, 44, 0), (19, 0, 3)), (1, 37, 0), "46418832d924088c", "8a623db06ebb1f35"),
@@ -170,11 +170,35 @@ def test_random_conic_pins(q, frame7, frame9):
 
     def digest(x):
         return hashlib.sha256(repr(x).encode()).hexdigest()[:16]
+    add = frame.ext.ext.add
     for seed in range(6):
         conic = random_tangent_conic(frame, seed)
-        assert (conic.form.matrix, conic.p_inf, digest(conic.points),
-                digest(conic.affine_points)) == CONIC_PINS[q, seed]
+        m, p_inf, points, affine = CONIC_PINS[q, seed]
+        # M's coefficients: the diagonal, then each off-diagonal entry doubled
+        coeffs = (m[0][0], m[1][1], m[2][2], add(m[0][1], m[0][1]),
+                  add(m[0][2], m[0][2]), add(m[1][2], m[1][2]))
+        assert (conic.form.coefficients(), conic.p_inf, digest(conic.points),
+                digest(conic.affine_points)) == (coeffs, p_inf, points, affine)
         assert len(conic.points) == q * q + 1
+
+
+@pytest.mark.parametrize("q", [4, 8, 16])
+def test_even_q_canonical_conic(q):
+    """In characteristic 2 the canonical form keeps its yz term: x^2 = yz
+    has q^2 + 1 points, not all on x = 0, and every tangent passes through
+    the nucleus (1, 0, 0), the radical of the polar form.  values agrees
+    with evaluate on every point of PG(2,q^2)."""
+    frame = make_frame(q)
+    conic = canonical_tangent_conic(frame)
+    form, plane = conic.form, frame.plane
+    assert len(set(conic.points)) == q * q + 1
+    assert {p[0] for p in conic.points} != {0}
+    assert form.is_nondegenerate()
+    assert not form.values(np.array(conic.points, dtype=np.int16)).any()
+    duals = {plane.normalize(form.polar_dual(p)) for p in conic.points}
+    assert len(duals) == q * q + 1
+    assert all(d[0] == 0 for d in duals)  # (1, 0, 0) on every tangent
+    assert form.values(plane.points_np()).tolist() == [form.evaluate(p) for p in plane.points()]
 
 
 def test_build_c(frame7, conic7, c7):
@@ -345,7 +369,7 @@ def test_lemma1_exterior_plane_pairs_q7(frame7, seed, digest):
 def test_tangent_counts_match_classify_vs_conic(frame7, seed):
     conic = random_tangent_conic(frame7, seed)
     pts = frame7.affine_plane_points()
-    hits = _tangent_counts(frame7, conic.form, pts)
+    hits = _tangent_counts(frame7, conic, pts)
     classes = ("interior", "on", "exterior")
     assert [classes[h] for h in hits] == \
         [classify_vs_conic(conic.form, p) for p in map(tuple, pts.tolist())]

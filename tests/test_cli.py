@@ -106,6 +106,23 @@ def test_small_q_needs_exploratory(capsys):
     assert json.loads(out)["verdict"] == "exploratory"
 
 
+@pytest.mark.parametrize("argv, warned", [
+    (["lemma1", "--q", "3"], ["lemma1"]),
+    (["negative-control", "--q", "5", "--control", "perturbed-spread"],
+     ["regulus_closure", "klein_regularity"]),
+    (["negative-control", "--q", "5", "--control", "corrupted-arc"], ["rebuild_arc"]),
+], ids=["lemma1", "perturbed-spread", "corrupted-arc"])
+def test_exploratory_violations_are_warnings(argv, warned, capsys):
+    """Under --exploratory every violation is recorded as a warning, in
+    lemma1 and the negative controls as in the pipeline.  lemma1 holds at
+    q = 5, so its case runs at q = 3, where axiom 2 fails."""
+    code, out = run_cli(argv + ["--exploratory", "--threads", "1"], capsys)
+    report = json.loads(out)
+    assert (code, report["verdict"]) == (0, "exploratory")
+    assert [s["name"] for s in report["stages"] if s["verdict"] != "pass"] == warned
+    assert {s["verdict"] for s in report["stages"]} == {"pass", "warn"}
+
+
 def test_non_prime_power_rejected(capsys):
     code = main(["roundtrip", "--q", "15"])
     assert code == 2
